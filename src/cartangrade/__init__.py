@@ -17,8 +17,9 @@ from .classify import (FLAVORS, OPEN_IN_PAPER, GradingInvariants,
                        o_grading_from_w, orbit_probe, recognize_O, recognize_S)
 from .errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                      ConfigError, ConfigMismatchError, DimensionError,
-                     GroupMismatchError, NoSuchBasisError, ObstructionError,
-                     ParseError, ValidityError, ZeroElementError)
+                     GroupMismatchError, InternalError, NoSuchBasisError,
+                     ObstructionError, ParseError, ValidityError,
+                     ZeroElementError)
 from .forms import (KForm, algebra_basis, algebra_rows, d_form,
                     derived_subalgebra, differential, lie_derivative,
                     omega_symplectic, omega_volume, pair_one_form,

@@ -172,7 +172,8 @@ class PSubgroup:
         for b in basis:
             if b.group != group:
                 raise GroupMismatchError("basis element from a different group")
-        assert p_independent(basis), "basis elements must be independent of common prime order"
+        if not p_independent(basis):
+            raise NoSuchBasisError("basis elements must be independent of common prime order")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "p", basis[0].order() if basis else None)

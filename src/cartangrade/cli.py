@@ -42,12 +42,12 @@ the recognition theory (paper-check, classify, iso, fine, kind S) demands
 p > 3.
 
 Exit codes: 0 success, 2 malformed input, 3 semantic refusal (valid syntax,
-impossible request), 4 conformance failure.  The dimension guard p**m is
+impossible request), 4 conformance failure (including a failed internal
+soundness check).  The dimension guard p**m is
 capped by the environment variable CARTAN_GRADE_MAX_DIM (default 2401).
 """
 
 import argparse
-import os
 import random
 import sys
 
@@ -57,9 +57,10 @@ from . import serialize
 from .abgroup import PSubgroup
 from .classify import (OPEN_IN_PAPER, iso_decide, o_grading_from_w,
                        recognize_O, recognize_S)
-from .errors import CartanGradeError, ConfigError, ObstructionError, ParseError
+from .errors import (CartanGradeError, ConfigError, InternalError, ObstructionError,
+                     ParseError)
 from .forms import algebra_rows, derived_rows
-from .gfp import Config
+from .gfp import Config, max_dim_limit
 from .gradings import (fine_grading, grade_O_construct, grade_S_construct,
                        induce_W, verify_grading)
 from .linalg import row_space
@@ -67,7 +68,6 @@ from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                    closed_form_h_bracket, closed_form_h_partial, d_h_z,
                    d_ij_z, w_basis)
 
-DEFAULT_MAX_DIM = 2401
 DEFAULT_SEED = 1729
 MAX_COUNTEREXAMPLES = 3
 
@@ -85,7 +85,7 @@ def _make_config(p: int, m: int) -> Config:
     """Validated kernel configuration for CLI parameters."""
     if not 1 <= m <= 4:
         raise ConfigError(f"m must lie in 1..4, got {m}")
-    cap = int(os.environ.get("CARTAN_GRADE_MAX_DIM", str(DEFAULT_MAX_DIM)))
+    cap = max_dim_limit()
     if p ** m > cap:
         raise ConfigError(f"p**m = {p ** m} exceeds the dimension cap {cap}")
     if p > 3:
@@ -638,6 +638,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except CartanGradeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

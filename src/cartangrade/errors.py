@@ -57,3 +57,9 @@ class ParseError(CartanGradeError):
     """Serialized payload is structurally malformed."""
 
     code = "parse-error"
+
+
+class InternalError(CartanGradeError):
+    """A kernel result broke an invariant the theory guarantees."""
+
+    code = "internal"

@@ -359,10 +359,10 @@ def derived_rows(cfg: Config, rows, iterations: int = 1, cap: int = 3):
         space = linalg.EchelonSpace(cfg.m * cfg.n, cfg.p)
         basis = cur
         for row in basis:
-            d = WElem.from_flat(cfg, row)
-            admat = d.ad_matrix().astype(np.float64)
-            prods = (admat @ basis.T.astype(np.float64)).T.astype(np.int64) % cfg.p
-            space.add_batch(prods)
+            # One expression, so ad(row) and the float product are freed
+            # before add_batch runs; add_batch reduces the products mod p.
+            space.add_batch((WElem.from_flat(cfg, row).ad_matrix().astype(np.float64)
+                             @ basis.T.astype(np.float64)).T.astype(np.int64))
         nxt = space.basis()
         stable = nxt.shape == cur.shape and np.array_equal(nxt, cur)
         cur = nxt

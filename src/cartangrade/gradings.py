@@ -19,6 +19,7 @@ from .errors import (
     ConfigMismatchError,
     DimensionError,
     GroupMismatchError,
+    InternalError,
     NoSuchBasisError,
     ObstructionError,
 )
@@ -78,7 +79,6 @@ class Grading:
             self.sub_basis = None
         self.origin = origin
         self._membership = {}
-        self._decomp = None
         self._check_direct_sum()
 
     # -- bookkeeping ---------------------------------------------------
@@ -111,15 +111,17 @@ class Grading:
         total = self.dim()
         if total != self.ambient_dim:
             raise DimensionError(f"components span dimension {total}, ambient needs {self.ambient_dim}")
-        mat = self._stack()
-        if linalg.rank(mat, self.cfg.p) != total:
+        span = linalg.row_space(self._stack(), self.cfg.p)
+        if span.shape[0] != total:
             raise DimensionError("component vectors are linearly dependent")
         if self.ambient == "sub":
             sub = np.array([_flatten(v) for v in self.sub_basis], dtype=np.int64)
-            if linalg.rank(sub, self.cfg.p) != len(self.sub_basis):
+            sub_span = linalg.row_space(sub, self.cfg.p)
+            if sub_span.shape[0] != len(self.sub_basis):
                 raise DimensionError("subalgebra basis is dependent")
-            joint = np.vstack([sub, mat])
-            if linalg.rank(joint, self.cfg.p) != len(self.sub_basis):
+            # Both spans have dimension total, so they agree iff their
+            # canonical bases do.
+            if not np.array_equal(span, sub_span):
                 raise DimensionError("component vectors leave the subalgebra")
 
     def _space(self, g: GElem) -> linalg.EchelonSpace:
@@ -138,14 +140,15 @@ class Grading:
         return self._space(g).contains(flat)
 
     def decompose(self, vec) -> dict:
-        """Coordinates of vec over the homogeneous basis, grouped by degree."""
-        if self._decomp is None:
-            cols = self._stack().T
-            slots = [g for g, vecs in self.components.items() for _ in vecs]
-            self._decomp = (cols, slots)
-        cols, slots = self._decomp
-        sol = linalg.solve(cols, _flatten(vec), self.cfg.p)
-        assert sol is not None, "homogeneous basis no longer spans the ambient space"
+        """Coordinates of vec over the homogeneous basis, grouped by degree.
+
+        The basis matrix is stacked afresh on each call rather than cached:
+        it would duplicate every component vector, and solve copies it anyway.
+        """
+        slots = [g for g, vecs in self.components.items() for _ in vecs]
+        sol = linalg.solve(self._stack().T, _flatten(vec), self.cfg.p)
+        if sol is None:
+            raise DimensionError("vector lies outside the span of the homogeneous basis")
         out = {}
         for g, c in zip(slots, sol):
             if c:
@@ -332,7 +335,8 @@ def admissible_degree(grading: Grading, which: str = "S"):
             slots.append(_degree_of_exponents(grading.group, degrees, alpha) * sub_deg)
     mat = np.array(cols, dtype=np.int64).T
     sol = linalg.solve(mat, omega.tables.reshape(-1), cfg.p)
-    assert sol is not None, "frame forms failed to span"
+    if sol is None:
+        raise InternalError("the frame forms do not span the form space")
     found = {slots[i] for i in np.flatnonzero(sol)}
     if len(found) != 1:
         return None
@@ -351,7 +355,8 @@ def induce_subalgebra(w_grading: Grading, sub_rows) -> Grading:
     cfg = w_grading.cfg
     sub = np.asarray(sub_rows, dtype=np.int64) % cfg.p
     sub_rank = linalg.rank(sub, cfg.p)
-    assert sub_rank == sub.shape[0], "subalgebra basis rows must be independent"
+    if sub_rank != sub.shape[0]:
+        raise DimensionError("subalgebra basis rows are dependent")
     comps = {}
     total = 0
     for g in w_grading.support():
@@ -435,6 +440,10 @@ def verify_grading(grading: Grading) -> GradingReport:
     if grading.dim() != grading.ambient_dim:
         failures.append(("dimension", None, f"{grading.dim()} != {grading.ambient_dim}"))
     pairs = 0
+    inside = None
+    if grading.ambient == "sub":
+        inside = linalg.EchelonSpace(grading.flat_size, cfg.p)
+        inside.add_batch(np.array([_flatten(b) for b in grading.sub_basis], dtype=np.int64))
     supp = grading.support()
     for g in supp:
         for h in supp:
@@ -446,13 +455,9 @@ def verify_grading(grading: Grading) -> GradingReport:
                     pairs += 1
                     if not prod:
                         continue
-                    if grading.ambient == "sub":
-                        sub = np.array([_flatten(b) for b in grading.sub_basis], dtype=np.int64)
-                        inside = linalg.EchelonSpace(grading.flat_size, cfg.p)
-                        inside.add_batch(sub)
-                        if not inside.contains(_flatten(prod)):
-                            failures.append((g.coords, h.coords, "product escapes the subalgebra"))
-                            continue
+                    if inside is not None and not inside.contains(_flatten(prod)):
+                        failures.append((g.coords, h.coords, "product escapes the subalgebra"))
+                        continue
                     if not target_exists:
                         failures.append((g.coords, h.coords, "degree product outside support"))
                     elif not grading.contains(gh, prod):

@@ -5,13 +5,25 @@ is deterministic: first row with a nonzero entry in the leftmost open
 column.  Row reductions are vectorized; float64 matmuls are used for bulk
 reduction steps where the integer bounds keep them exact (entries < p,
 inner dimension * (p-1)^2 < 2**53).
+
+rref eliminates on one int64 working copy and delays the reduction mod p.
+At each pivot it reduces only the pivot column and the pivot row, then
+subtracts multiples of the pivot row from the rows with a nonzero entry in
+the pivot column, from the pivot column rightward; the whole matrix is
+reduced once, at the end.  Multipliers and pivot rows lie in [0, p), so an
+update subtracts a product in [0, (p-1)^2], and an entry that started in
+[0, p) lies in [-k(p-1)^2, p) after k unreduced updates.  int64 holds that
+while p + k(p-1)^2 <= 2^63.  _reduction_interval(p) is the one check of the
+bound: it gives the largest such k, k_max, and rref reduces the trailing
+columns every k_max pivots.  k_max >= 1 up to p = 3037000500; it is 2 at
+p = 2^31 - 1 and above 10^12 for every p that Config admits by default.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoSuchBasisError
+from .errors import ConfigError, NoSuchBasisError
 
 
 def as_matrix(rows, ncols: int, p: int):
@@ -23,28 +35,71 @@ def as_matrix(rows, ncols: int, p: int):
     return a % p
 
 
+def _reduction_interval(p: int) -> int:
+    """k_max: pivot updates an entry may take between reductions mod p.
+
+    After k updates an entry lies in [-k(p-1)^2, p); this is the largest k
+    with p + k(p-1)^2 <= 2^63, so int64 arithmetic stays exact.
+    """
+    k_max = (2**63 - p) // (p - 1) ** 2
+    if k_max < 1:
+        raise ConfigError(f"p = {p} is too large for exact int64 elimination")
+    return k_max
+
+
+def _matmul(a, b, p: int):
+    """a @ b mod p for int64 entries in [0, p), exact for every p that
+    _reduction_interval admits: the inner dimension is summed k_max terms at
+    a time onto an accumulator already reduced below p."""
+    step = _reduction_interval(p)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, a.shape[1], step):
+        out += a[:, lo:lo + step] @ b[lo:lo + step]
+        out %= p
+    return out
+
+
 def rref(mat, p: int):
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.array(mat, dtype=np.int64, order="C")
+    a %= p
     rows, cols = a.shape
+    k_max = _reduction_interval(p)
+    pending = 0           # pivot updates since the matrix was last reduced
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        col = a[:, c]
+        col %= p
+        hit = col.nonzero()[0]
+        k = hit.searchsorted(r)
+        if k == hit.size:
             continue
-        i = r + int(nz[0])
+        i = int(hit[k])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+            low = a[i].copy()
+            a[i] = a[r]
+            a[r] = low
+        row = a[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        # After the swap the rows to clear are the old hits other than i:
+        # rows r..i-1 had a zero in column c.
+        hit = hit[hit != i]
+        if hit.size:
+            if pending == k_max:
+                a[:, c + 1:] %= p
+                pending = 0
+            a[:, c:][hit] -= col[hit][:, None] * row
+            pending += 1
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    a = a[:r]
+    a %= p
+    return a, pivots
 
 
 def rank(mat, p: int) -> int:
@@ -88,7 +143,7 @@ def inverse(mat, p: int):
     aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise NoSuchBasisError("matrix is singular mod p")
-    return aug[:n, n:]
+    return aug[:n, n:].copy()    # callers cache it: do not keep the left half alive
 
 
 def det(mat, p: int) -> int:
@@ -159,8 +214,8 @@ class EchelonSpace:
         if m.shape[0] == 0:
             return 0
         if self.dim:
-            red = (m[:, self.pivots].astype(np.float64) @ self.mat.astype(np.float64))
-            m = (m - red.astype(np.int64)) % self.p
+            m -= (m[:, self.pivots].astype(np.float64) @ self.mat.astype(np.float64)).astype(np.int64)
+            m %= self.p
         added = 0
         for v in m:
             if v.any() and self.add(v):
@@ -178,13 +233,14 @@ def row_space(mat, p: int):
 
 def intersect_row_spaces(a, b, p: int):
     """Canonical basis of rowspace(a) & rowspace(b)."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64)
     stacked = np.vstack([a, b])
+    stacked %= p
     ker = nullspace(stacked.T, p)
     if ker.shape[0] == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64)
-    combos = ker[:, : a.shape[0]] @ a % p
+    combos = _matmul(ker[:, : a.shape[0]], stacked[: a.shape[0]], p)
     return row_space(combos, p)

@@ -185,3 +185,23 @@ def test_subalgebra_induction_refuses_ungraded_subspaces():
     rows = (ds[0].flat() + ds[cfg.n + 1].flat()) % 5
     with pytest.raises(AdmissibilityError):
         induce_subalgebra(w, rows[None, :])
+
+def test_sub_ambient_refuses_vectors_outside_the_subalgebra():
+    from cartangrade.witt import w_basis
+    import numpy as np
+    cfg = Config(5, 2)
+    sub = fine_grading(cfg, 1, "S")
+    x1_d1 = w_basis(cfg)[cfg.index((1, 0))]      # divergence 1: not in S
+    first = next(iter(sub.components))
+    comps = dict(sub.components)
+    comps[first] = (x1_d1,) + sub.components[first][1:]
+    with pytest.raises(DimensionError, match="leave the subalgebra"):
+        Grading(cfg, sub.group, "sub", comps, sub_basis=sub.sub_basis)
+    twice = (sub.sub_basis[1],) + sub.sub_basis[1:]
+    with pytest.raises(DimensionError, match="subalgebra basis is dependent"):
+        Grading(cfg, sub.group, "sub", sub.components, sub_basis=twice)
+    with pytest.raises(DimensionError):
+        sub.decompose(x1_d1)
+    rows = np.array([d.flat() for d in sub.sub_basis[:1] + sub.sub_basis])
+    with pytest.raises(DimensionError):
+        induce_subalgebra(fine_grading(cfg, 1, "W"), rows)

@@ -1,0 +1,185 @@
+"""The GF(p) kernel against plain Gauss-Jordan elimination.
+
+Every entry point must agree exactly with _rref_oracle, which reduces the
+whole matrix mod p at every pivot.  p = 2**31 - 1 has k_max = 2, so there
+the delayed-reduction kernel also reduces in the middle of an elimination.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartangrade import linalg
+from cartangrade.errors import ConfigError, NoSuchBasisError
+
+PRIMES = (5, 7, 2399, 2**31 - 1)
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def _rref_oracle(mat, p):
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _mul(a, b, p):
+    """Exact a @ b mod p through Python integers."""
+    out = np.asarray(a, dtype=object) @ np.asarray(b, dtype=object) % p
+    return out.astype(np.int64)
+
+
+def _shape(rng, shape):
+    if shape == "square":
+        n = int(rng.integers(1, 13))
+        return n, n
+    small, large = int(rng.integers(1, 9)), int(rng.integers(9, 25))
+    return (small, large) if shape == "wide" else (large, small)
+
+
+def _matrix(rng, p, rows, cols, kind):
+    """Entries spread over [-2p, 3p), so some are negative and some >= p."""
+    wrap = p * rng.integers(-2, 3, size=(rows, cols))
+    if kind == "dense":
+        core = rng.integers(0, p, size=(rows, cols))
+    elif kind == "sparse":
+        core = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.05)
+    else:
+        k = int(rng.integers(0, min(rows, cols)))
+        core = _mul(rng.integers(0, p, size=(rows, k)), rng.integers(0, p, size=(k, cols)), p)
+    return core + wrap
+
+
+@st.composite
+def matrices(draw, p, shapes=("square", "wide", "tall")):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = _shape(rng, draw(st.sampled_from(shapes)))
+    kind = draw(st.sampled_from(("dense", "deficient", "sparse")))
+    return _matrix(rng, p, rows, cols, kind), rng
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data())
+def test_rref_and_rank_match_the_oracle(p, data):
+    a, _ = data.draw(matrices(p))
+    before = a.copy()
+    rows, pivots = linalg.rref(a, p)
+    want, want_pivots = _rref_oracle(a, p)
+    assert pivots == want_pivots
+    assert rows.dtype == np.int64 and np.array_equal(rows, want)
+    assert linalg.rank(a, p) == len(want_pivots)
+    assert np.array_equal(linalg.row_space(a, p), want)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data())
+def test_nullspace_is_the_canonical_kernel_basis(p, data):
+    # Unit vectors on the free columns plus a @ x = 0 determine each row.
+    a, _ = data.draw(matrices(p))
+    _, pivots = _rref_oracle(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    ker = linalg.nullspace(a, p)
+    assert ker.shape == (len(free), a.shape[1])
+    assert np.array_equal(ker[:, free], np.eye(len(free), dtype=np.int64))
+    assert not _mul(a, ker.T, p).any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data(), solvable=st.booleans())
+def test_solve_sets_free_variables_to_zero(p, data, solvable):
+    a, rng = data.draw(matrices(p))
+    rows, cols = a.shape
+    if solvable:
+        rhs = _mul(a, rng.integers(0, p, size=cols), p) + p * rng.integers(-2, 3, size=rows)
+    else:
+        rhs = rng.integers(-2 * p, 3 * p, size=rows)
+    _, pivots = _rref_oracle(a, p)
+    _, aug_pivots = _rref_oracle(np.hstack([a, rhs.reshape(-1, 1)]), p)
+    x = linalg.solve(a, rhs, p)
+    if cols in aug_pivots:
+        assert not solvable and x is None
+        return
+    free = [c for c in range(cols) if c not in pivots]
+    assert x is not None and not x[free].any()
+    assert np.array_equal(_mul(a, x, p), rhs % p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data())
+def test_inverse_or_singular_refusal(p, data):
+    a, _ = data.draw(matrices(p, shapes=("square",)))
+    n = a.shape[0]
+    if len(_rref_oracle(a, p)[1]) < n:
+        with pytest.raises(NoSuchBasisError):
+            linalg.inverse(a, p)
+        return
+    inv = linalg.inverse(a, p)
+    eye = np.eye(n, dtype=np.int64)
+    assert np.array_equal(_mul(a, inv, p), eye)
+    assert np.array_equal(_mul(inv, a, p), eye)
+
+
+def _intersection_oracle(a, b, p):
+    """Zassenhaus: rows of rref [[a, a], [b, 0]] with a zero left half."""
+    n = a.shape[1]
+    top = np.hstack([a, a])
+    bottom = np.hstack([b, np.zeros_like(b)])
+    rows, pivots = _rref_oracle(np.vstack([top, bottom]), p)
+    return rows[[i for i, c in enumerate(pivots) if c >= n], n:]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data(), shared=st.integers(0, 4))
+def test_intersect_row_spaces_matches_zassenhaus(p, data, shared):
+    a, rng = data.draw(matrices(p))
+    rows, cols = a.shape
+    own = _matrix(rng, p, int(rng.integers(1, 6)), cols, "dense")
+    b = np.vstack([_mul(rng.integers(0, p, size=(shared, rows)), a, p), own])
+    meet = linalg.intersect_row_spaces(a, b, p)
+    want = _intersection_oracle(a % p, b % p, p)
+    assert meet.shape == want.shape and np.array_equal(meet, want)
+
+
+def test_reduction_interval_keeps_the_int64_bound():
+    for p in PRIMES + (2, 3, 65521):
+        k_max = linalg._reduction_interval(p)
+        assert k_max >= 1
+        assert p + k_max * (p - 1) ** 2 <= 2**63
+        assert p + (k_max + 1) * (p - 1) ** 2 > 2**63
+    assert linalg._reduction_interval(2**31 - 1) == 2
+    with pytest.raises(ConfigError):
+        linalg._reduction_interval(2**33 - 9)
+
+
+def test_periodic_reduction_on_a_full_rank_large_prime_matrix():
+    # k_max = 2: the trailing columns are reduced at every second pivot.
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    a = rng.integers(p - 5, p, size=(30, 31))
+    rows, pivots = linalg.rref(a, p)
+    want, want_pivots = _rref_oracle(a, p)
+    assert pivots == want_pivots == list(range(30))
+    assert np.array_equal(rows, want)

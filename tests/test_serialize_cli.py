@@ -1,7 +1,11 @@
 """JSON payload round trips and command-line driver behaviour."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,41 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(g3)]) == 0
     assert cli.main(["grade", "verify", "--grading", str(g3)]) == 0
     assert cli.main(["grade", "classify", "--grading", str(g3)]) == 3
+
+
+DEPENDENT_S_REQUEST = {"p": 5, "m": 2, "kind": "S",
+                       "group": {"free_rank": 0, "torsion": [5, 5]},
+                       "basis": [[1, 2], [2, 4]], "gamma": [], "g0": [3, 1]}
+
+
+def test_cli_dependent_toral_basis_is_refused(tmp_path, capsys):
+    req = write_request(tmp_path / "dep.json", **DEPENDENT_S_REQUEST)
+    assert cli.main(["grade", "construct", "--request", str(req)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "independent" in err
+
+
+def test_cli_dependent_toral_basis_is_refused_without_asserts(tmp_path):
+    # python -O strips assert statements; the refusal must not depend on them.
+    req = write_request(tmp_path / "dep.json", **DEPENDENT_S_REQUEST)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-m", "cartangrade.cli", "grade",
+                          "construct", "--request", str(req)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "independent" in run.stderr
+
+
+def test_cli_malformed_dimension_cap_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "abc")
+    assert cli.main(["dims", "--p", "5", "--m", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: CARTAN_GRADE_MAX_DIM")
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "20")
+    assert cli.main(["dims", "--p", "5", "--m", "2"]) == 3
+    assert "exceeds the dimension cap 20" in capsys.readouterr().err
 
 
 def test_cli_paper_check_and_dims(tmp_path):
