@@ -8,10 +8,9 @@ with explicit witnesses for every positive decision.
 
 from .abgroup import (AbGroup, GElem, PSubgroup, basis_with_product, coset_eq,
                       coset_rep, p_independent, subgroup_key)
-from .autos import (AutO, basis_change_auto, in_aut_S, normalize_omega_S,
+from .autos import (AutO, basis_change_auto, normalize_omega_S,
                     permutation_auto, push_grading, random_auto,
-                    random_graded_auto, scale_auto, shift_auto, standard_auto,
-                    volume_factor)
+                    random_graded_auto, scale_auto, shift_auto, volume_factor)
 from .classify import (FLAVORS, OPEN_IN_PAPER, GradingInvariants,
                        canonical_key, enumerate_fine, iso_decide,
                        o_grading_from_w, orbit_probe, recognize_O, recognize_S)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .errors import DimensionError, GroupMismatchError, NoSuchBasisError
+from .errors import (ConfigError, DimensionError, GroupMismatchError, InternalError,
+                     NoSuchBasisError)
 
 
 class AbGroup:
@@ -55,7 +56,8 @@ class AbGroup:
 
     def elements(self):
         """All elements of a finite group, lex-ordered by coordinates."""
-        assert self.is_finite, "cannot enumerate an infinite group"
+        if not self.is_finite:
+            raise ConfigError(f"cannot enumerate the infinite group {self!r}")
         return [GElem(self, c) for c in product(*(range(d) for d in self.torsion))]
 
     def __eq__(self, other) -> bool:
@@ -267,7 +269,8 @@ def basis_with_product(sub: PSubgroup, g0: GElem) -> list:
         if i != pivot:
             folded = folded * b.inverse()
     new_basis[pivot] = folded
-    assert p_independent(new_basis)
+    if not p_independent(new_basis):
+        raise InternalError("folding the target into one basis member must keep the basis independent")
     return new_basis
 
 

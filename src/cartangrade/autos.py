@@ -22,14 +22,15 @@ from .errors import (
     CartanGradeError,
     ConfigMismatchError,
     DimensionError,
+    InternalError,
     ObstructionError,
     ValidityError,
 )
-from .gfp import Config, alpha_table, radix_weights
-from .gradings import Grading, induce_W
+from .gfp import Config, alpha_table, radix_weights, weight_table
+from .gradings import Grading, _degree_of_exponents, induce_W
 from .oalg import OElem, mult_operator, z_basis_matrix
-from .forms import KForm, differential
-from .witt import WElem, _exact_matmul
+from .forms import KForm, _merge_sign, differential
+from .witt import WElem
 
 
 class AutO:
@@ -38,8 +39,7 @@ class AutO:
     Validity requires every image to lie in the maximal ideal (zero constant
     term) and the linear parts to be independent mod squares; both are
     checked at construction.  The action on the whole algebra is cached as a
-    matrix on the monomial basis, built column by column from products of
-    the images.
+    matrix on the monomial basis, built from products of the images.
     """
 
     def __init__(self, images):
@@ -73,22 +73,24 @@ class AutO:
         """Matrix of the algebra map on the monomial basis.
 
         Column at the index of x^alpha holds the table of the product of the
-        variable images with exponents alpha; columns are filled in index
-        order, each as one multiplication applied to an earlier column.
+        variable images with exponents alpha: the image of its first variable
+        x_j times the column of alpha - e_j.  Columns are filled one total
+        degree at a time, with one product per first variable.
         """
         if self._matrix is None:
             cfg = self.cfg
             p, n = cfg.p, cfg.n
-            at = alpha_table(p, cfg.m)
-            radix = radix_weights(p, cfg.m)
-            ops = [mult_operator(cfg, u.table).astype(np.float64) for u in self.images]
-            cols = np.zeros((n, n), dtype=np.float64)
-            cols[0, 0] = 1.0
-            for idx in range(1, n):
-                j = int(np.argmax(at[idx] > 0))
-                prev = idx - radix[j]
-                cols[:, idx] = np.floor(ops[j] @ cols[:, prev]) % p
-            mat = cols.astype(np.int64)
+            first = np.argmax(alpha_table(p, cfg.m) > 0, axis=1)
+            prev = np.arange(n) - radix_weights(p, cfg.m)[first]
+            degree = weight_table(p, cfg.m)
+            ops = [mult_operator(cfg, u.table) for u in self.images]
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[0, 0] = 1
+            for d in range(1, int(degree.max()) + 1):
+                for j, op in enumerate(ops):
+                    cols = np.flatnonzero((degree == d) & (first == j))
+                    if cols.size:
+                        mat[:, cols] = linalg.matmul(op, mat[:, prev[cols]], p)
             mat.setflags(write=False)
             self._matrix = mat
         return self._matrix
@@ -97,7 +99,7 @@ class AutO:
         """Image of an algebra element under the substitution map."""
         if f.cfg != self.cfg:
             raise ConfigMismatchError("element built over a different configuration")
-        return OElem(self.cfg, _exact_matmul(self.matrix, f.table.reshape(-1, 1), self.cfg.p).ravel())
+        return OElem(self.cfg, linalg.matmul(self.matrix, f.table, self.cfg.p))
 
     def compose(self, other: "AutO") -> "AutO":
         """Map sending f to self(other(f))."""
@@ -134,7 +136,7 @@ class AutO:
             term = OElem.one(cfg)
             for i in range(cfg.m):
                 term = term * rows[i][perm[i]]
-            total = total + (term if _perm_sign(perm) == 1 else -term)
+            total = total + (term if _merge_sign(perm) == 1 else -term)
         return total
 
     def act_on_form(self, omega: KForm) -> KForm:
@@ -163,14 +165,6 @@ class AutO:
         return f"AutO({body})"
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(perm)), 2):
-        if perm[a] > perm[b]:
-            sign = -sign
-    return sign
-
-
 def volume_factor(mu: AutO):
     """The scalar c with mu(volume form) = c * volume form, or None.
 
@@ -182,11 +176,6 @@ def volume_factor(mu: AutO):
     if c != 0 and not jac.table[1:].any():
         return c
     return None
-
-
-def in_aut_S(mu: AutO):
-    """Alias of volume_factor: scalar when the volume line is stabilized."""
-    return volume_factor(mu)
 
 
 # -- standard families ----------------------------------------------------
@@ -253,17 +242,6 @@ def scale_auto(cfg: Config, i: int, c: int) -> AutO:
     return AutO(images)
 
 
-def standard_auto(cfg: Config, kind: str, **params) -> AutO:
-    """Dispatch to the named family: permutation, shift, or basis_change."""
-    if kind == "permutation":
-        return permutation_auto(cfg, params["s"], params["perm"])
-    if kind == "shift":
-        return shift_auto(cfg, params["s"], params["exps"])
-    if kind == "basis_change":
-        return basis_change_auto(cfg, params["s"], params["alpha"])
-    raise ValidityError(f"unknown automorphism family {kind!r}")
-
-
 def random_auto(cfg: Config, rng, extra_terms: int = 3) -> AutO:
     """Seeded random automorphism: invertible linear part plus sparse tail."""
     p, m, n = cfg.p, cfg.m, cfg.n
@@ -301,7 +279,7 @@ def random_graded_auto(grading: Grading, rng, tries: int = 200) -> AutO:
     radix = radix_weights(p, m)
     buckets = {}
     for idx in range(n):
-        g = _exponent_degree(degrees, at[idx])
+        g = _degree_of_exponents(grading.group, degrees, at[idx])
         buckets.setdefault(g, []).append(idx)
     for _ in range(tries):
         images = []
@@ -327,15 +305,6 @@ def random_graded_auto(grading: Grading, rng, tries: int = 200) -> AutO:
         except ValidityError:
             continue
     raise ValidityError("could not draw a graded automorphism for this degree data")
-
-
-def _exponent_degree(degrees, alpha):
-    g = degrees[0].group.identity()
-    for d, a in zip(degrees, alpha):
-        a = int(a)
-        if a:
-            g = g * d ** a
-    return g
 
 
 # -- action on gradings ----------------------------------------------------
@@ -383,27 +352,6 @@ def volume_vector_field(mu: AutO) -> WElem:
         h = xi.coeff(subset)
         coeffs.append(h if i % 2 == 1 else -h)
     return WElem.from_coeffs(coeffs)
-
-
-def divergence_preimage(w_grading: Grading, target: OElem, degree):
-    """A derivation of the given degree whose divergence is target, or None.
-
-    Direct linear solve inside one component of a derivation grading; used
-    as a cross-check of the constructive route above.
-    """
-    vecs = w_grading.component(degree)
-    if not vecs:
-        return None
-    cfg = w_grading.cfg
-    cols = np.stack([v.divergence().table for v in vecs], axis=1)
-    sol = linalg.solve(cols, target.table, cfg.p)
-    if sol is None:
-        return None
-    flat = np.zeros(cfg.m * cfg.n, dtype=np.int64)
-    for c, v in zip(sol, vecs):
-        if c:
-            flat = (flat + int(c) * v.flat()) % cfg.p
-    return WElem.from_flat(cfg, flat)
 
 
 def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
@@ -480,8 +428,8 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         piece = WElem.from_flat(cfg, flat)
         slice_tbl = jac.table.copy()
         slice_tbl[free_weight != ell] = 0
-        assert piece.divergence() == OElem(cfg, slice_tbl), \
-            "weight slice of the volume field must account for the jacobian slice"
+        if piece.divergence() != OElem(cfg, slice_tbl):
+            raise InternalError("weight slice of the volume field must account for the jacobian slice")
         images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
         cur = AutO(images).compose(cur)
 

@@ -40,12 +40,13 @@ from .errors import (
     AdmissibilityError,
     ConfigMismatchError,
     GroupMismatchError,
+    InternalError,
     NoSuchBasisError,
     ObstructionError,
 )
-from .gfp import Config, mul_index_table
+from .gfp import Config
 from .gradings import Grading, admissible_degree, fine_grading, grade_O_construct, induce_W
-from .oalg import OElem
+from .oalg import OElem, mult_operator
 
 # Status returned for the symplectic flavor at half-rank > 1, whose
 # classification is an open problem; distinct from a negative decision.
@@ -150,7 +151,8 @@ def recognize_O(grading: Grading):
                 toral.append((cfg.inv(v.constant_term) * v - one, g))
             else:
                 free.append((v, g))
-    assert ech.dim == cfg.m, "homogeneous components must span all cotangent directions"
+    if ech.dim != cfg.m:
+        raise InternalError("homogeneous components must span all cotangent directions")
     while True:
         degs = [g for _, g in toral]
         culprit = None
@@ -165,7 +167,8 @@ def recognize_O(grading: Grading):
             break
         sub = PSubgroup(group, tuple(degs[:culprit]))
         exps = sub.exponents_of(degs[culprit])
-        assert exps is not None, "a failing unit degree must lie over the earlier ones"
+        if exps is None:
+            raise InternalError("a failing unit degree must lie over the earlier ones")
         y, a = toral.pop(culprit)
         prod = one
         for (yi, _), l in zip(toral[:culprit], exps):
@@ -237,17 +240,6 @@ def recognize_S(grading: Grading) -> GradingInvariants:
     return _recognize_S_frame(grading)[1]
 
 
-def _mul_matrix(cfg: Config, table):
-    """n x n matrix of multiplication by the function with the given table."""
-    n = cfg.n
-    idx = mul_index_table(cfg.p, cfg.m)
-    out = np.zeros((n + 1, n), dtype=np.int64)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    vals = np.broadcast_to(np.asarray(table, dtype=np.int64)[:, None], (n, n))
-    np.add.at(out, (idx, cols), vals)
-    return out[:n] % cfg.p
-
-
 def o_grading_from_w(w_grading: Grading) -> Grading:
     """The algebra grading that induces a given derivation grading.
 
@@ -273,7 +265,7 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     if anchor is None:
         raise AdmissibilityError(
             "no homogeneous derivation has a unit coefficient; grading is not induced")
-    stack = np.vstack([_mul_matrix(cfg, anchor.coeff(i).table) for i in range(1, m + 1)])
+    stack = np.vstack([mult_operator(cfg, anchor.coeff(i).table) for i in range(1, m + 1)])
     comps = {}
     total = 0
     for g in w_grading.support():
@@ -320,7 +312,8 @@ def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgrou
         alpha = [[0] * s for _ in range(s)]
         for j in range(s):
             exps = sub2.exponents_of(basis1[j])
-            assert exps is not None, "both bases span the same subgroup"
+            if exps is None:
+                raise InternalError("both bases span the same subgroup")
             for i in range(s):
                 alpha[i][j] = int(exps[i])
         step = basis_change_auto(cfg, s, alpha).compose(step)
@@ -328,7 +321,8 @@ def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgrou
     for k in range(t):
         d = gamma1[rho[k]] * gamma2[k].inverse()
         exps = sub2.exponents_of(d)
-        assert exps is not None, "matched cosets differ by a subgroup element"
+        if exps is None:
+            raise InternalError("matched cosets differ by a subgroup element")
         rows.append([int(x) for x in exps])
     return shift_auto(cfg, s, rows).compose(step)
 
@@ -359,8 +353,7 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
             raise AdmissibilityError("derivation flavor expects derivation gradings")
         wit = iso_decide(o_grading_from_w(g1), o_grading_from_w(g2), "O")
         if wit is not None:
-            assert push_grading(wit, g1).same_components(g2), \
-                "witness must transport the derivation grading"
+            _check_witness(wit, g1, g2)
         return wit
     if flavor == "S" and g1.ambient == "sub" and g2.ambient == "sub":
         o1 = (g1.origin or {}).get("o_grading")
@@ -370,8 +363,7 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
                 "subalgebra gradings carry no inducing algebra grading; decide on that instead")
         wit = iso_decide(o1, o2, "S")
         if isinstance(wit, AutO):
-            assert push_grading(wit, g1).same_components(g2), \
-                "witness must transport the subalgebra grading"
+            _check_witness(wit, g1, g2)
         return wit
     if g1.ambient != "O" or g2.ambient != "O":
         raise AdmissibilityError("this flavor expects gradings of the algebra")
@@ -384,7 +376,7 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
         gamma2 = [g2.degree_of(y) for y in f2[i2.s:]]
         nu = _standard_bridge(cfg, list(i1.P.basis), gamma1, list(i2.P.basis), gamma2, i1.P)
         psi = AutO(f2).compose(nu).compose(AutO(f1).inverse())
-        assert push_grading(psi, g1).same_components(g2), "witness must transport the grading"
+        _check_witness(psi, g1, g2)
         return psi
     fr1, i1, axes1 = _recognize_S_frame(g1)
     fr2, i2, axes2 = _recognize_S_frame(g2)
@@ -400,11 +392,18 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
         mu2 = normalize_omega_S(mu2, std2)
     psi = mu2.inverse().compose(mu1)
     if s == m:
-        assert volume_factor(psi) is not None, "full-rank witness must scale the volume form"
-    else:
-        assert psi.jacobian() == OElem.one(cfg), "witness must fix the volume form exactly"
-    assert push_grading(psi, g1).same_components(g2), "witness must transport the grading"
+        if volume_factor(psi) is None:
+            raise InternalError("full-rank witness must scale the volume form")
+    elif psi.jacobian() != OElem.one(cfg):
+        raise InternalError("witness must fix the volume form exactly")
+    _check_witness(psi, g1, g2)
     return psi
+
+
+def _check_witness(psi: AutO, g1: Grading, g2: Grading) -> None:
+    """Self-check of a positive decision: the witness carries g1 onto g2."""
+    if not push_grading(psi, g1).same_components(g2):
+        raise InternalError(f"witness does not transport the {g1.ambient} grading")
 
 
 def enumerate_fine(cfg: Config, ambient: str = "O"):

@@ -55,15 +55,14 @@ import numpy as np
 
 from . import serialize
 from .abgroup import PSubgroup
-from .classify import (OPEN_IN_PAPER, iso_decide, o_grading_from_w,
-                       recognize_O, recognize_S)
+from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
+                       o_grading_from_w, recognize_O, recognize_S)
 from .errors import (CartanGradeError, ConfigError, InternalError, ObstructionError,
                      ParseError)
 from .forms import algebra_rows, derived_rows
 from .gfp import Config, max_dim_limit
-from .gradings import (fine_grading, grade_O_construct, grade_S_construct,
-                       induce_W, verify_grading)
-from .linalg import row_space
+from .gradings import grade_O_construct, grade_S_construct, induce_W, verify_grading
+from .linalg import matmul, row_space
 from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                    closed_form_h_bracket, closed_form_h_partial, d_h_z,
                    d_ij_z, w_basis)
@@ -300,7 +299,7 @@ def _check_restricted_power(cfg: Config, seed: int) -> dict:
             ad = dd.ad_matrix()
             power = ad
             for _ in range(p - 1):
-                power = (power @ ad) % p
+                power = matmul(power, ad, p)
             cases += 1
             if not np.array_equal(power, dd.p_power().ad_matrix()):
                 fails.append({"sample": k})
@@ -551,7 +550,7 @@ def _render_iso(payload) -> str:
 def cmd_grade_fine(args) -> int:
     cfg = _make_config(args.p, args.m)
     _require_classical(cfg, "fine grading enumeration")
-    gradings = [fine_grading(cfg, s, args.ambient) for s in range(cfg.m + 1)]
+    gradings = enumerate_fine(cfg, args.ambient)
     payload = {
         "ambient": args.ambient,
         "count": len(gradings),

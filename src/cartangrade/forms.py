@@ -121,19 +121,6 @@ class KForm:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def evaluate(self, ds) -> OElem:
-        """Value on k derivations: sum over subsets of coeff * det of the
-        relevant coefficient columns."""
-        if len(ds) != self.k:
-            raise DimensionError(f"need {self.k} derivations, got {len(ds)}")
-        for d in ds:
-            if d.cfg != self.cfg:
-                raise ConfigMismatchError("argument built over a different configuration")
-        acc = OElem.zero(self.cfg)
-        for subset, f in self.terms():
-            acc = acc + f * _minor_det([d.coeffs() for d in ds], subset, self.cfg)
-        return acc
-
     def wedge(self, other: "KForm") -> "KForm":
         if self.cfg != other.cfg:
             raise ConfigMismatchError("operands built over different configurations")
@@ -169,27 +156,6 @@ def _merge_sign(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def _minor_det(coeff_rows, subset, cfg: Config) -> OElem:
-    """det of the matrix (D_r(x_{subset[c]}))_{r,c} over the algebra."""
-    k = len(subset)
-    acc = OElem.zero(cfg)
-    from itertools import permutations
-
-    for perm in permutations(range(k)):
-        sign = _merge_sign(perm)
-        term = OElem.one(cfg)
-        ok = True
-        for r in range(k):
-            f = coeff_rows[r][subset[perm[r]] - 1]
-            if f.is_zero():
-                ok = False
-                break
-            term = term * f
-        if ok:
-            acc = acc + (term if sign > 0 else -term)
-    return acc
 
 
 def differential(f: OElem) -> KForm:
@@ -359,10 +325,9 @@ def derived_rows(cfg: Config, rows, iterations: int = 1, cap: int = 3):
         space = linalg.EchelonSpace(cfg.m * cfg.n, cfg.p)
         basis = cur
         for row in basis:
-            # One expression, so ad(row) and the float product are freed
-            # before add_batch runs; add_batch reduces the products mod p.
-            space.add_batch((WElem.from_flat(cfg, row).ad_matrix().astype(np.float64)
-                             @ basis.T.astype(np.float64)).T.astype(np.int64))
+            # Rows [row, b] = ad(row) b for b in basis, as basis @ ad(row)^T;
+            # one expression, so ad(row) is freed before add_batch runs.
+            space.add_batch(linalg.matmul(basis, WElem.from_flat(cfg, row).ad_matrix().T, cfg.p))
         nxt = space.basis()
         stable = nxt.shape == cur.shape and np.array_equal(nxt, cur)
         cur = nxt

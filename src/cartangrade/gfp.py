@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import AxisRangeError, ConfigError, DimensionError
+from .linalg import float_exact
 
 DEFAULT_MAX_DIM = 2401
 
@@ -65,6 +66,10 @@ class Config:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.p ** self.m > max_dim_limit():
             raise ConfigError(f"p**m = {self.p ** self.m} exceeds the configured limit {max_dim_limit()}")
+        # The widest exact product is an ad matrix, inner dimension m * p**m.
+        if not float_exact(self.m * self.p ** self.m, self.p):
+            raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "
+                              "are not exact in double precision")
 
     @property
     def n(self) -> int:

@@ -182,11 +182,6 @@ class Grading:
         return f"Grading(ambient={self.ambient}, group={self.group!r}, dims={dims})"
 
 
-def axis_degrees(group: AbGroup, b_list, gamma) -> tuple:
-    """The m degrees (b_1..b_s, g_1..g_t) attached to the coordinate axes."""
-    return tuple(b_list) + tuple(gamma)
-
-
 def _degree_of_exponents(group: AbGroup, degrees, alpha) -> GElem:
     g = group.identity()
     for a, e in zip(degrees, alpha):
@@ -194,12 +189,6 @@ def _degree_of_exponents(group: AbGroup, degrees, alpha) -> GElem:
         if e:
             g = g * a**e
     return g
-
-
-def mixed_monomial(cfg: Config, s: int, alpha) -> OElem:
-    """The basis element (1+x_1)^a1 .. (1+x_s)^as  x_{s+1}^a_{s+1} .. x_m^am."""
-    idx = cfg.index(alpha)
-    return OElem(cfg, z_basis_matrix(cfg, s)[:, idx])
 
 
 def grade_O_construct(cfg: Config, group: AbGroup, b_list, gamma) -> Grading:
@@ -223,7 +212,7 @@ def grade_O_construct(cfg: Config, group: AbGroup, b_list, gamma) -> Grading:
     if not p_independent(b_list):
         raise NoSuchBasisError("toral degrees are dependent")
     s = len(b_list)
-    degrees = axis_degrees(group, b_list, gamma)
+    degrees = b_list + gamma
     zb = z_basis_matrix(cfg, s)
     comps = {}
     for idx, alpha in enumerate(alpha_table(cfg.p, cfg.m)):

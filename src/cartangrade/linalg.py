@@ -1,22 +1,25 @@
 """Dense exact linear algebra over GF(p).
 
-Everything works on numpy int64 matrices with entries in [0, p).  Pivoting
-is deterministic: first row with a nonzero entry in the leftmost open
-column.  Row reductions are vectorized; float64 matmuls are used for bulk
-reduction steps where the integer bounds keep them exact (entries < p,
-inner dimension * (p-1)^2 < 2**53).
-
-rref eliminates on one int64 working copy and delays the reduction mod p.
-At each pivot it reduces only the pivot column and the pivot row, then
-subtracts multiples of the pivot row from the rows with a nonzero entry in
-the pivot column, from the pivot column rightward; the whole matrix is
-reduced once, at the end.  Multipliers and pivot rows lie in [0, p), so an
-update subtracts a product in [0, (p-1)^2], and an entry that started in
-[0, p) lies in [-k(p-1)^2, p) after k unreduced updates.  int64 holds that
-while p + k(p-1)^2 <= 2^63.  _reduction_interval(p) is the one check of the
-bound: it gives the largest such k, k_max, and rref reduces the trailing
-columns every k_max pivots.  k_max >= 1 up to p = 3037000500; it is 2 at
-p = 2^31 - 1 and above 10^12 for every p that Config admits by default.
+Matrices are numpy int64 arrays with entries in [0, p), and pivoting is
+deterministic: the first row with a nonzero entry in the leftmost open
+column.  Two bounds keep the arithmetic exact, each checked in one helper.
+A product of two such matrices sums `inner` terms in [0, (p-1)^2]: float64
+holds every such sum exactly while inner * (p-1)^2 < 2^53 (float_exact),
+and int64 holds an accumulator below p plus k of them while
+p + k(p-1)^2 <= 2^63, k <= k_max (_reduction_interval; k_max is 2 at
+p = 2^31 - 1 and at least 1 up to p = 3037000500).  matmul is the one exact
+product.  It multiplies two matrices with one float64 BLAS product and one
+reduction mod p while the float64 bound holds; a product with a vector
+operand, or past the float64 bound, sums the inner dimension in int64,
+k_max terms at a time, reducing after each chunk.  Config refuses every
+(p, m) for which the widest product of the package, with an ad matrix of
+side m*p^m, breaks the float64 bound; that also keeps the bincount sums in
+oalg exact.  rref eliminates on one int64 working copy: at each pivot it
+reduces only the pivot column and the pivot row, subtracts multiples of the
+pivot row from the rows with a nonzero entry in the pivot column, from the
+pivot column rightward, and so leaves an entry in [-k(p-1)^2, p) after k
+updates; it reduces the trailing columns every k_max pivots and the whole
+matrix once, at the end.
 """
 
 from __future__ import annotations
@@ -27,12 +30,16 @@ from .errors import ConfigError, NoSuchBasisError
 
 
 def as_matrix(rows, ncols: int, p: int):
-    a = np.asarray(rows, dtype=np.int64)
+    """rows as a fresh 2-D int64 array reduced mod p.  Rows already in
+    [0, p), such as matmul products, are copied without a second reduction."""
+    a = np.array(rows, dtype=np.int64)
     if a.size == 0:
         return np.zeros((0, ncols), dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    return a % p
+    if a.min() < 0 or a.max() >= p:
+        a %= p
+    return a
 
 
 def _reduction_interval(p: int) -> int:
@@ -47,14 +54,33 @@ def _reduction_interval(p: int) -> int:
     return k_max
 
 
-def _matmul(a, b, p: int):
-    """a @ b mod p for int64 entries in [0, p), exact for every p that
-    _reduction_interval admits: the inner dimension is summed k_max terms at
-    a time onto an accumulator already reduced below p."""
+def float_exact(inner: int, p: int) -> bool:
+    """Whether float64 sums `inner` products of entries in [0, p) exactly:
+    every partial sum is an integer in [0, inner * (p-1)^2], below 2^53."""
+    return inner * (p - 1) ** 2 < 2**53
+
+
+def matmul(a, b, p: int):
+    """a @ b mod p, exactly, for int64 entries in [0, p); a fresh int64 array.
+
+    A product of two matrices is one float64 BLAS product while float_exact
+    holds for the inner dimension.  Wider products, and products with a
+    vector operand (where the casts to float64 and back cost more than the
+    product), sum the inner dimension in int64, k_max terms at a time, onto
+    an accumulator already reduced below p: exact for every p that
+    _reduction_interval admits.
+    """
+    inner = b.shape[0]
+    if a.ndim == b.ndim == 2 and float_exact(inner, p):
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
     step = _reduction_interval(p)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], step):
-        out += a[:, lo:lo + step] @ b[lo:lo + step]
+    if inner <= step:
+        return (a @ b) % p
+    out = (a[..., :step] @ b[:step]) % p
+    for lo in range(step, inner, step):
+        out += a[..., lo:lo + step] @ b[lo:lo + step]
         out %= p
     return out
 
@@ -187,9 +213,11 @@ class EchelonSpace:
         return len(self.pivots)
 
     def residual(self, vec):
+        """vec reduced against the space, left in (-p, p): it is zero exactly
+        when vec lies in the space, and callers reduce what they keep."""
         v = np.asarray(vec, dtype=np.int64) % self.p
         if self.dim:
-            v = (v - v[self.pivots] @ self.mat) % self.p
+            v -= matmul(v[self.pivots], self.mat, self.p)
         return v
 
     def contains(self, vec) -> bool:
@@ -214,7 +242,7 @@ class EchelonSpace:
         if m.shape[0] == 0:
             return 0
         if self.dim:
-            m -= (m[:, self.pivots].astype(np.float64) @ self.mat.astype(np.float64)).astype(np.int64)
+            m -= matmul(m[:, self.pivots], self.mat, self.p)
             m %= self.p
         added = 0
         for v in m:
@@ -242,5 +270,5 @@ def intersect_row_spaces(a, b, p: int):
     ker = nullspace(stacked.T, p)
     if ker.shape[0] == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64)
-    combos = _matmul(ker[:, : a.shape[0]], stacked[: a.shape[0]], p)
+    combos = matmul(ker[:, : a.shape[0]], stacked[: a.shape[0]], p)
     return row_space(combos, p)

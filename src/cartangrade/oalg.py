@@ -39,7 +39,8 @@ def mul_tables(cfg: Config, a, b):
         return np.zeros(n, dtype=np.int64)
     tbl = mul_index_table(p, cfg.m)
     tgt = tbl[np.ix_(ia, ib)]
-    # float64 accumulation is exact here: products < p^2, at most n summands
+    # Each slot sums at most n products below p^2, exactly in double
+    # precision: Config refuses every (p, m) past linalg.float_exact(m * n, p).
     vals = (a[ia][:, None] * b[ib][None, :]).astype(np.float64)
     out = np.bincount(tgt.ravel(), weights=vals.ravel(), minlength=n + 1)
     return out[:n].astype(np.int64) % p
@@ -77,7 +78,7 @@ def mult_operator(cfg: Config, table):
         return np.zeros((n, n), dtype=np.int64)
     cols = np.broadcast_to(np.arange(n, dtype=np.int64), (ia.size, n))
     flat = tbl[ia].astype(np.int64) * n + cols
-    w = np.repeat(table[ia].astype(np.float64), n)
+    w = np.repeat(table[ia].astype(np.float64), n)  # exact: see mul_tables
     out = np.bincount(flat.ravel(), weights=w, minlength=(n + 1) * n)
     return out[: n * n].reshape(n, n).astype(np.int64) % p
 

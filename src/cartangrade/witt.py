@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import AxisRangeError, ConfigError, ConfigMismatchError, DimensionError
 from .gfp import Config
+from .linalg import matmul
 from .oalg import OElem, mul_tables, mult_operator, partial_matrix, partial_table, z_monomial
 
 
@@ -167,7 +168,7 @@ class WElem:
         act = np.zeros((n, n), dtype=np.int64)
         for k in range(m):
             if mult_ops[k] is not None:
-                act = (act + _exact_matmul(mult_ops[k], partials[k], cfg.p)) % cfg.p
+                act = (act + matmul(mult_ops[k], partials[k], cfg.p)) % cfg.p
         out = np.zeros((m * n, m * n), dtype=np.int64)
         for j in range(m):
             out[j * n: (j + 1) * n, j * n: (j + 1) * n] = act
@@ -187,12 +188,6 @@ class WElem:
             if self.tables[i].any():
                 parts.append(f"({OElem(self.cfg, self.tables[i].copy())!r})*d{i + 1}")
         return " + ".join(parts) if parts else "0"
-
-
-def _exact_matmul(a, b, p: int):
-    """Integer matmul via float64; exact because entries < p and the inner
-    dimension keeps sums below 2**53."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def w_basis(cfg: Config):

@@ -22,6 +22,26 @@ def test_config_rejects_bad_parameters():
         Config(5, 6)  # 5**6 blows the dimension cap
 
 
+@pytest.mark.parametrize("m, below, above", [(1, 208057, 208067), (2, 8191, 8209)])
+def test_config_refuses_past_the_float_bound(monkeypatch, m, below, above):
+    # Consecutive primes on either side of m * p**m * (p-1)**2 = 2**53, the
+    # bound for an exact float64 product as wide as an ad matrix.
+    assert m * below**m * (below - 1) ** 2 < 2**53 <= m * above**m * (above - 1) ** 2
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", str(above**m))
+    assert Config(below, m).n == below**m
+    with pytest.raises(ConfigError, match="double precision"):
+        Config(above, m)
+
+
+def test_every_configuration_under_the_default_cap_passes_the_float_bound():
+    for m in range(1, 12):
+        for p in range(2, 2402):
+            if p**m > 2401:
+                break
+            if all(p % d for d in range(2, p)):
+                assert Config(p, m, allow_small_p=True).n == p**m
+
+
 def test_small_characteristic_needs_explicit_unlock():
     with pytest.raises(ConfigError):
         Config(3, 2)

@@ -1,8 +1,11 @@
 """The GF(p) kernel against plain Gauss-Jordan elimination.
 
 Every entry point must agree exactly with _rref_oracle, which reduces the
-whole matrix mod p at every pivot.  p = 2**31 - 1 has k_max = 2, so there
-the delayed-reduction kernel also reduces in the middle of an elimination.
+whole matrix mod p at every pivot, and matmul with _mul, which multiplies
+Python integers.  p = 2**31 - 1 has k_max = 2, so there the delayed-reduction
+kernel also reduces in the middle of an elimination and matmul sums in
+int64 chunks; at p = 67108859 float64 products are exact up to an inner
+dimension of 2, so both branches of matmul run on small matrices.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from cartangrade import linalg
 from cartangrade.errors import ConfigError, NoSuchBasisError
 
 PRIMES = (5, 7, 2399, 2**31 - 1)
+FLOAT_EDGE = 67108859      # the largest prime below 2**26
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
 
 
@@ -183,3 +187,50 @@ def test_periodic_reduction_on_a_full_rank_large_prime_matrix():
     want, want_pivots = _rref_oracle(a, p)
     assert pivots == want_pivots == list(range(30))
     assert np.array_equal(rows, want)
+
+
+def test_float_bound_splits_at_the_largest_prime_below_2_26():
+    assert linalg.float_exact(2, FLOAT_EDGE) and not linalg.float_exact(3, FLOAT_EDGE)
+    assert linalg.float_exact(2401 * 4, 7) and not linalg.float_exact(2**53, 2)
+
+
+@pytest.mark.parametrize("p", PRIMES + (FLOAT_EDGE,))
+@EXAMPLES
+@given(data=st.data())
+def test_matmul_matches_exact_integer_products(p, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows, inner, cols = (int(x) for x in rng.integers(1, 9, size=3))
+    # Half the entries are p - 1, the worst case for every bound.
+    a, b = (np.where(rng.random(shape) < 0.5, p - 1, rng.integers(0, p, size=shape))
+            for shape in ((rows, inner), (inner, cols)))
+    want = _mul(a, b, p)
+    got = linalg.matmul(a, b, p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(linalg.matmul(a[0], b, p), want[0])
+    assert np.array_equal(linalg.matmul(a, b[:, 0], p), want[:, 0])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
+@given(data=st.data())
+def test_echelon_space_matches_the_row_space(p, data):
+    a, rng = data.draw(matrices(p))
+    rows, cols = a.shape
+    split = int(rng.integers(0, rows + 1))
+    space = linalg.EchelonSpace(cols, p)
+    grew = [space.add(row) for row in a[:split]]
+    added = space.add_batch(a[split:])
+    ranks = [len(_rref_oracle(a[:i], p)[1]) for i in range(rows + 1)]
+    assert grew == [ranks[i + 1] > ranks[i] for i in range(split)]
+    assert added == ranks[rows] - ranks[split]
+    want, pivots = _rref_oracle(a, p)
+    assert space.dim == len(pivots) and np.array_equal(space.basis(), want)
+    # A vector of the span is fixed by its entries on the pivot columns, so
+    # adding a multiple of a unit vector off them leaves the span.
+    combo = _mul(rng.integers(0, p, size=rows), a, p) + p * rng.integers(-2, 3, size=cols)
+    assert space.contains(combo)
+    for c in range(cols):
+        if c not in pivots:
+            off = combo.copy()
+            off[c] += int(rng.integers(1, p))
+            assert not space.contains(off)

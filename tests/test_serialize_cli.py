@@ -1,5 +1,6 @@
 """JSON payload round trips and command-line driver behaviour."""
 
+import ast
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartangrade import cli, serialize
+from cartangrade import cli, gradings, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import AutO, push_grading, random_auto, shift_auto
 from cartangrade.classify import GradingInvariants, canonical_key, recognize_O
@@ -284,6 +285,34 @@ def test_cli_dependent_toral_basis_is_refused_without_asserts(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 3 and run.stdout == ""
     assert run.stderr.startswith("error: ") and "independent" in run.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    package = Path(cli.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cli_failed_witness_self_check_exits_4(tmp_path, monkeypatch, capsys):
+    req = write_request(tmp_path / "req.json")
+    f1 = tmp_path / "g1.json"
+    assert cli.main(["grade", "construct", "--request", str(req), "--out", str(f1)]) == 0
+    monkeypatch.setattr(gradings.Grading, "same_components", lambda self, other: False)
+    assert cli.main(["grade", "iso", "--g1", str(f1), "--g2", str(f1)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: witness")
+
+
+def test_cli_refuses_a_prime_past_the_float_bound(tmp_path, monkeypatch, capsys):
+    # 208067 * 208066**2 >= 2**53: products at m = 1 would not be exact.
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "1000000")
+    req = write_request(tmp_path / "big.json", p=208067, m=1,
+                        group={"free_rank": 1, "torsion": []}, basis=[], gamma=[[1]])
+    assert cli.main(["grade", "construct", "--request", str(req)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "double precision" in err
 
 
 def test_cli_malformed_dimension_cap_is_an_error(monkeypatch, capsys):
