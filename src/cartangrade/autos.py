@@ -315,16 +315,19 @@ def push_grading(mu: AutO, grading: Grading) -> Grading:
     Algebra components map through the substitution, derivation components
     through conjugation; the result is a raw grading (no standard origin).
     """
-    if grading.cfg != mu.cfg:
+    cfg = grading.cfg
+    if cfg != mu.cfg:
         raise ConfigMismatchError("grading built over a different configuration")
     if grading.ambient == "O":
-        comps = {g: [mu.apply(v) for v in vecs] for g, vecs in grading.components.items()}
-        return Grading(grading.cfg, grading.group, "O", comps)
-    comps = {g: [mu.push_derivation(v) for v in vecs] for g, vecs in grading.components.items()}
-    if grading.ambient == "W":
-        return Grading(grading.cfg, grading.group, "W", comps)
-    sub = [mu.push_derivation(v) for v in grading.sub_basis]
-    return Grading(grading.cfg, grading.group, "sub", comps, sub_basis=sub)
+        rows = linalg.matmul(grading.basis, mu.matrix.T, cfg.p)
+        return Grading(cfg, grading.group, "O", rows, grading.labels)
+
+    def push(rows):
+        return [mu.push_derivation(WElem.from_flat(cfg, row)).flat() for row in rows]
+
+    sub = None if grading.sub is None else push(grading.sub)
+    return Grading(cfg, grading.group, grading.ambient, push(grading.basis), grading.labels,
+                   sub=sub)
 
 
 # -- volume form normalization ----------------------------------------------
@@ -374,7 +377,7 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         raise ConfigMismatchError("grading built over a different configuration")
     if grading.ambient != "O" or grading.origin is None:
         raise AdmissibilityError("normalization needs a standard grading of the algebra")
-    p, m, n = cfg.p, cfg.m, cfg.n
+    p, m = cfg.p, cfg.m
     s = grading.origin["s"]
     e = grading.group.identity()
     jac = mu.jacobian()
@@ -420,10 +423,7 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         coeffs = parts.get(e)
         if coeffs is None:
             raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
-        flat = np.zeros(m * n, dtype=np.int64)
-        for c, v in zip(coeffs, gw.component(e)):
-            if c:
-                flat = (flat + int(c) * v.flat()) % p
+        flat = linalg.matmul(np.array(coeffs, dtype=np.int64), gw.basis[gw.blocks()[e]], p)
         flat = flat * w_masks[ell] % p
         piece = WElem.from_flat(cfg, flat)
         slice_tbl = jac.table.copy()

@@ -44,7 +44,7 @@ from .errors import (
     NoSuchBasisError,
     ObstructionError,
 )
-from .gfp import Config
+from .gfp import Config, radix_weights
 from .gradings import Grading, admissible_degree, fine_grading, grade_O_construct, induce_W
 from .oalg import OElem, mult_operator
 
@@ -139,18 +139,18 @@ def recognize_O(grading: Grading):
     cfg = grading.cfg
     group = grading.group
     one = OElem.one(cfg)
+    radix = radix_weights(cfg.p, cfg.m)
     ech = linalg.EchelonSpace(cfg.m, cfg.p)
     toral, free = [], []
-    for g in sorted(grading.components, key=lambda d: d.coords):
-        for v in grading.components[g]:
-            if ech.dim == cfg.m:
-                break
-            if not ech.add(v.linear_part()):
-                continue
-            if v.constant_term:
-                toral.append((cfg.inv(v.constant_term) * v - one, g))
-            else:
-                free.append((v, g))
+    for row, g in zip(grading.basis, grading.labels):
+        if ech.dim == cfg.m:
+            break
+        if not ech.add(row[radix]):
+            continue
+        if row[0]:
+            toral.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
+        else:
+            free.append((OElem(cfg, row), g))
     if ech.dim != cfg.m:
         raise InternalError("homogeneous components must span all cotangent directions")
     while True:
@@ -254,32 +254,25 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
         raise AdmissibilityError("reconstruction expects a grading of the derivations")
     cfg = w_grading.cfg
     p, m, n = cfg.p, cfg.m, cfg.n
+    # Coefficient i of a row is row[i*n:(i+1)*n], so row[::n] holds their constant terms.
     anchor = g_star = None
-    for g in sorted(w_grading.support(), key=lambda d: d.coords):
-        for d in w_grading.components[g]:
-            if any(d.coeff(i).constant_term for i in range(1, m + 1)):
-                anchor, g_star = d, g
-                break
-        if anchor is not None:
+    for row, g in zip(w_grading.basis, w_grading.labels):
+        if row[::n].any():
+            anchor, g_star = row, g
             break
     if anchor is None:
         raise AdmissibilityError(
             "no homogeneous derivation has a unit coefficient; grading is not induced")
-    stack = np.vstack([mult_operator(cfg, anchor.coeff(i).table) for i in range(1, m + 1)])
-    comps = {}
-    total = 0
-    for g in w_grading.support():
-        basis_mat = np.array([v.flat() for v in w_grading.components[g]], dtype=np.int64)
-        aug = np.hstack([stack, (-basis_mat.T) % p])
+    stack = np.vstack([mult_operator(cfg, anchor[i * n:(i + 1) * n]) for i in range(m)])
+    rows, labels = [], []
+    for g, sl in w_grading.blocks().items():
+        aug = np.hstack([stack, (-w_grading.basis[sl].T) % p])
         null = linalg.nullspace(aug, p)
-        if null.shape[0] == 0:
-            continue
-        vecs = [OElem(cfg, row) for row in null[:, :n] % p]
-        comps[g * g_star.inverse()] = vecs
-        total += len(vecs)
-    if total != n:
+        rows.append(null[:, :n])
+        labels += [g * g_star.inverse()] * null.shape[0]
+    if len(labels) != n:
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")
-    out = Grading(cfg, w_grading.group, "O", comps)
+    out = Grading(cfg, w_grading.group, "O", np.vstack(rows), labels)
     if not induce_W(out).same_components(w_grading):
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")
     return out

@@ -438,7 +438,7 @@ def _render_dims(payload) -> str:
 
 
 def _request_elements(group, data, key):
-    vecs = serialize._need(data, key, list)
+    vecs = serialize._need(data, key, "construct request", list)
     out = []
     for k, coords in enumerate(vecs):
         if not isinstance(coords, list):
@@ -451,15 +451,15 @@ def cmd_grade_construct(args) -> int:
     data = _load_json(args.request)
     if not isinstance(data, dict):
         raise ParseError("construct request must be a JSON object")
-    p = serialize._need(data, "p", int)
-    m = serialize._need(data, "m", int)
-    kind = serialize._need(data, "kind", str)
+    p = serialize._need(data, "p", "construct request", int)
+    m = serialize._need(data, "m", "construct request", int)
+    kind = serialize._need(data, "kind", "construct request", str)
     if kind not in ("O", "W", "S"):
         raise ParseError(f"kind must be one of O, W, S, got {kind!r}")
     cfg = _make_config(p, m)
     if kind == "S":
         _require_classical(cfg, "the volume flavor")
-    group = serialize.group_from_data(serialize._need(data, "group", dict))
+    group = serialize.group_from_data(serialize._need(data, "group", "construct request", dict))
     b_list = _request_elements(group, data, "basis")
     gamma = _request_elements(group, data, "gamma")
     if kind == "S":

@@ -64,8 +64,11 @@ class Config:
             raise ConfigError(f"p={self.p} needs allow_small_p=True and is supported for the derivation algebra only")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.p ** self.m > max_dim_limit():
-            raise ConfigError(f"p**m = {self.p ** self.m} exceeds the configured limit {max_dim_limit()}")
+        cap = max_dim_limit()
+        # p >= 2 here, so p**m > cap once m >= cap.bit_length(): a huge m from
+        # a payload is refused without building p**m.
+        if self.m >= cap.bit_length() or self.p ** self.m > cap:
+            raise ConfigError(f"p**m = {self.p}**{self.m} exceeds the configured limit {cap}")
         # The widest exact product is an ad matrix, inner dimension m * p**m.
         if not float_exact(self.m * self.p ** self.m, self.p):
             raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "

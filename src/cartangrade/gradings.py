@@ -1,13 +1,20 @@
 """Group gradings on the truncated algebra, its derivations, and subalgebras.
 
-A grading is stored as a finite map degree -> homogeneous basis vectors;
-degrees outside the map have zero component.  Constructors produce the
+A grading is stored as one labelled basis matrix: a read-only int64 matrix
+whose rows are homogeneous basis vectors in flat coordinates (coefficient
+tables for ambient "O", stacked coefficient tables for "W" and "sub"), and
+one degree label per row.  The rows are grouped by degree, the groups
+sorted by degree coordinates, and rows keep their given order within a
+group, so every degree of the support owns one contiguous block of rows;
+degrees without rows have zero component.  Constructors produce the
 standard gradings (degrees assigned to 1+x_i for toral axes and to x_i for
 the rest), inductions transport them to derivations and to form-stabilizer
 subalgebras, and the verifier checks the grading axioms from scratch.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -16,7 +23,6 @@ from .abgroup import AbGroup, GElem, PSubgroup, p_independent
 from .errors import (
     AdmissibilityError,
     ConfigError,
-    ConfigMismatchError,
     DimensionError,
     GroupMismatchError,
     InternalError,
@@ -24,62 +30,88 @@ from .errors import (
     ObstructionError,
 )
 from .gfp import Config, alpha_table
-from .oalg import OElem, z_basis_matrix
+from .oalg import OElem, mult_operator, z_basis_matrix
 from .witt import WElem
 
 AMBIENTS = ("O", "W", "sub")
 
-
-def _flatten(vec) -> np.ndarray:
-    if isinstance(vec, OElem):
-        return vec.table
-    if isinstance(vec, WElem):
-        return vec.flat()
-    raise DimensionError(f"cannot flatten {type(vec).__name__}")
+# verify_grading's failure messages, indexed by the status codes it assigns.
+_FAILURES = (None, "product escapes the subalgebra", "degree product outside support",
+             "product misses its component")
 
 
 class Grading:
     """Finite-support decomposition of an ambient space by group degrees.
 
-    ambient is "O" (vectors are algebra elements), "W" (derivations), or
-    "sub" (derivations spanning the subalgebra sub_basis).  The constructor
-    checks that the listed vectors are independent and exhaust the ambient
-    dimension; multiplicativity is checked separately by verify_grading.
-    origin optionally records standard construction data (toral rank s and
-    the m axis degrees) used by fast induction paths; raw gradings carry
-    origin=None and are handled through recognition.
+    ambient is "O" (rows are algebra elements), "W" (derivations), or "sub"
+    (derivations spanning the subalgebra whose basis rows are sub).  basis
+    is a read-only (dim x flat_size) int64 matrix of homogeneous rows and
+    labels the degree of each row; the constructor sorts the rows stably by
+    degree coordinates, so each degree of the support owns one block of
+    consecutive rows (blocks()).  It checks that the rows are independent
+    and exhaust the ambient dimension, and for "sub" that they span the
+    rows of sub; multiplicativity is checked separately by verify_grading.
+    components (degree -> elements) and sub_basis are views built from the
+    matrices on each access and never cached.  origin optionally records
+    standard construction data (toral rank s and the m axis degrees) used
+    by fast induction paths; raw gradings carry origin=None and are handled
+    through recognition.
     """
 
-    def __init__(self, cfg: Config, group: AbGroup, ambient: str, components,
-                 sub_basis=None, origin=None):
+    def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels,
+                 sub=None, origin=None):
         if ambient not in AMBIENTS:
             raise ConfigError(f"unknown ambient {ambient!r}")
         self.cfg = cfg
         self.group = group
         self.ambient = ambient
-        comp = {}
-        for g, vecs in (components.items() if isinstance(components, dict) else components):
+        canon = {}      # equal labels share one object
+        for g in labels:
             if not isinstance(g, GElem) or g.group != group:
                 raise GroupMismatchError(f"degree {g!r} does not live in {group!r}")
-            vecs = tuple(vecs)
-            if not vecs:
-                continue
-            for v in vecs:
-                if v.cfg != cfg:
-                    raise ConfigMismatchError("component vector built over a different config")
-            if g in comp:
-                raise DimensionError(f"degree {g!r} listed twice")
-            comp[g] = vecs
-        self.components = {g: comp[g] for g in sorted(comp, key=lambda e: e.coords)}
+            canon.setdefault(g, g)
+        order = sorted(range(len(labels)), key=lambda k: labels[k].coords)
+        self.labels = tuple(canon[labels[k]] for k in order)
+        rows = np.asarray(basis, dtype=np.int64)
+        if rows.size != len(labels) * self.flat_size:
+            raise DimensionError(f"basis holds {rows.size} entries, not {len(labels)} rows "
+                                 f"of {self.flat_size}")
+        self.basis = rows.reshape(len(labels), self.flat_size)[order]     # a new array
+        self.basis %= cfg.p
+        self.basis.setflags(write=False)
+        self.sub = None
         if ambient == "sub":
-            if sub_basis is None:
+            if sub is None:
                 raise DimensionError("sub ambient needs the subalgebra basis")
-            self.sub_basis = tuple(sub_basis)
-        else:
-            self.sub_basis = None
+            self.sub = np.asarray(sub, dtype=np.int64) % cfg.p
+            self.sub.setflags(write=False)
         self.origin = origin
-        self._membership = {}
-        self._check_direct_sum()
+        if self.dim() != self.ambient_dim:
+            raise DimensionError(
+                f"components span dimension {self.dim()}, ambient needs {self.ambient_dim}")
+        span = linalg.row_space(self.basis, cfg.p)
+        if span.shape[0] != self.dim():
+            raise DimensionError("component vectors are linearly dependent")
+        if self.sub is not None:
+            sub_span = linalg.row_space(self.sub, cfg.p)
+            if sub_span.shape[0] != self.sub.shape[0]:
+                raise DimensionError("subalgebra basis is dependent")
+            # Both spans have dimension dim, so they agree iff their
+            # canonical bases do.
+            if not np.array_equal(span, sub_span):
+                raise DimensionError("component vectors leave the subalgebra")
+
+    @classmethod
+    def from_components(cls, cfg: Config, group: AbGroup, ambient: str, components,
+                        sub_basis=None, origin=None) -> "Grading":
+        """The grading given as a dict degree -> OElem or WElem objects, rows
+        in the order listed: the element form for payload parsing and tests.
+        Elements over another config fail the constructor's shape check."""
+        pairs = [(g, v.table if ambient == "O" else v.flat())
+                 for g, vecs in components.items() for v in vecs]
+        sub = None if sub_basis is None else [v.flat() for v in sub_basis]
+        return cls(cfg, group, ambient, [row for _, row in pairs], [g for g, _ in pairs],
+                   sub=sub, origin=origin)
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -88,74 +120,48 @@ class Grading:
             return self.cfg.n
         if self.ambient == "W":
             return self.cfg.m * self.cfg.n
-        return len(self.sub_basis)
+        return self.sub.shape[0]
 
     @property
     def flat_size(self) -> int:
         return self.cfg.n if self.ambient == "O" else self.cfg.m * self.cfg.n
 
     def dim(self) -> int:
-        return sum(len(v) for v in self.components.values())
+        return self.basis.shape[0]
+
+    def blocks(self) -> dict:
+        """degree -> slice of its rows in basis, in support order."""
+        out, lo = {}, 0
+        for g, run in itertools.groupby(self.labels):
+            hi = lo + sum(1 for _ in run)
+            out[g] = slice(lo, hi)
+            lo = hi
+        return out
 
     def support(self) -> tuple:
-        return tuple(self.components)
+        return tuple(self.blocks())
 
-    def component(self, g: GElem) -> tuple:
-        return self.components.get(g, ())
+    @property
+    def components(self) -> dict:
+        """degree -> tuple of its basis rows as OElem or WElem objects."""
+        element = OElem if self.ambient == "O" else WElem.from_flat
+        return {g: tuple(element(self.cfg, row) for row in self.basis[sl])
+                for g, sl in self.blocks().items()}
 
-    def _stack(self) -> np.ndarray:
-        rows = [_flatten(v) for vecs in self.components.values() for v in vecs]
-        return np.array(rows, dtype=np.int64)
-
-    def _check_direct_sum(self):
-        total = self.dim()
-        if total != self.ambient_dim:
-            raise DimensionError(f"components span dimension {total}, ambient needs {self.ambient_dim}")
-        span = linalg.row_space(self._stack(), self.cfg.p)
-        if span.shape[0] != total:
-            raise DimensionError("component vectors are linearly dependent")
-        if self.ambient == "sub":
-            sub = np.array([_flatten(v) for v in self.sub_basis], dtype=np.int64)
-            sub_span = linalg.row_space(sub, self.cfg.p)
-            if sub_span.shape[0] != len(self.sub_basis):
-                raise DimensionError("subalgebra basis is dependent")
-            # Both spans have dimension total, so they agree iff their
-            # canonical bases do.
-            if not np.array_equal(span, sub_span):
-                raise DimensionError("component vectors leave the subalgebra")
-
-    def _space(self, g: GElem) -> linalg.EchelonSpace:
-        if g not in self._membership:
-            space = linalg.EchelonSpace(self.flat_size, self.cfg.p)
-            vecs = self.components.get(g, ())
-            if vecs:
-                space.add_batch(np.array([_flatten(v) for v in vecs], dtype=np.int64))
-            self._membership[g] = space
-        return self._membership[g]
-
-    def contains(self, g: GElem, vec) -> bool:
-        flat = _flatten(vec)
-        if not flat.any():
-            return True
-        return self._space(g).contains(flat)
+    @property
+    def sub_basis(self):
+        """The rows of sub as WElem objects, or None outside ambient "sub"."""
+        return None if self.sub is None else tuple(WElem.from_flat(self.cfg, r) for r in self.sub)
 
     def decompose(self, vec) -> dict:
-        """Coordinates of vec over the homogeneous basis, grouped by degree.
-
-        The basis matrix is stacked afresh on each call rather than cached:
-        it would duplicate every component vector, and solve copies it anyway.
-        """
-        slots = [g for g, vecs in self.components.items() for _ in vecs]
-        sol = linalg.solve(self._stack().T, _flatten(vec), self.cfg.p)
+        """Coordinates of vec over the basis rows, grouped by degree: degree ->
+        one coefficient per row of its block, for the degrees where any is
+        nonzero.  One solve against the basis matrix."""
+        flat = vec.table if self.ambient == "O" else vec.flat()
+        sol = linalg.solve(self.basis.T, flat, self.cfg.p)
         if sol is None:
             raise DimensionError("vector lies outside the span of the homogeneous basis")
-        out = {}
-        for g, c in zip(slots, sol):
-            if c:
-                out.setdefault(g, []).append(int(c))
-            else:
-                out.setdefault(g, []).append(0)
-        return {g: coeffs for g, coeffs in out.items() if any(coeffs)}
+        return {g: [int(c) for c in sol[sl]] for g, sl in self.blocks().items() if sol[sl].any()}
 
     def degree_of(self, vec):
         """The degree of a homogeneous vector, or None if it straddles degrees."""
@@ -168,17 +174,16 @@ class Grading:
         """Equality of the decompositions as spans, degree by degree."""
         if (self.cfg, self.group, self.ambient) != (other.cfg, other.group, other.ambient):
             return False
-        if self.support() != other.support():
+        mine, theirs = self.blocks(), other.blocks()
+        if tuple(mine) != tuple(theirs):
             return False
-        for g in self.components:
-            a = linalg.row_space(np.array([_flatten(v) for v in self.components[g]], dtype=np.int64), self.cfg.p)
-            b = linalg.row_space(np.array([_flatten(v) for v in other.components[g]], dtype=np.int64), self.cfg.p)
-            if a.shape != b.shape or not np.array_equal(a, b):
-                return False
-        return True
+        p = self.cfg.p
+        return all(np.array_equal(linalg.row_space(self.basis[sl], p),
+                                  linalg.row_space(other.basis[theirs[g]], p))
+                   for g, sl in mine.items())
 
     def __repr__(self) -> str:
-        dims = {g.coords: len(v) for g, v in self.components.items()}
+        dims = {g.coords: sl.stop - sl.start for g, sl in self.blocks().items()}
         return f"Grading(ambient={self.ambient}, group={self.group!r}, dims={dims})"
 
 
@@ -213,13 +218,9 @@ def grade_O_construct(cfg: Config, group: AbGroup, b_list, gamma) -> Grading:
         raise NoSuchBasisError("toral degrees are dependent")
     s = len(b_list)
     degrees = b_list + gamma
-    zb = z_basis_matrix(cfg, s)
-    comps = {}
-    for idx, alpha in enumerate(alpha_table(cfg.p, cfg.m)):
-        g = _degree_of_exponents(group, degrees, alpha)
-        comps.setdefault(g, []).append(OElem(cfg, zb[:, idx]))
-    origin = {"s": s, "degrees": degrees}
-    return Grading(cfg, group, "O", comps, origin=origin)
+    labels = [_degree_of_exponents(group, degrees, alpha) for alpha in alpha_table(cfg.p, cfg.m)]
+    return Grading(cfg, group, "O", z_basis_matrix(cfg, s).T, labels,
+                   origin={"s": s, "degrees": degrees})
 
 
 def induce_W(grading: Grading) -> Grading:
@@ -233,32 +234,29 @@ def induce_W(grading: Grading) -> Grading:
     if grading.ambient != "O":
         raise AdmissibilityError(f"can only induce from the algebra grading, got {grading.ambient!r}")
     cfg = grading.cfg
+    m, n = cfg.m, cfg.n
     if grading.origin is not None:
         s = grading.origin["s"]
         degrees = grading.origin["degrees"]
-        zb = z_basis_matrix(cfg, s)
         inv = [a.inverse() for a in degrees]
-        comps = {}
-        for idx, alpha in enumerate(alpha_table(cfg.p, cfg.m)):
+        labels = []
+        for alpha in alpha_table(cfg.p, m):
             base = _degree_of_exponents(grading.group, degrees, alpha)
-            col = zb[:, idx]
-            for i in range(cfg.m):
-                tables = np.zeros((cfg.m, cfg.n), dtype=np.int64)
-                tables[i] = col
-                comps.setdefault(base * inv[i], []).append(WElem(cfg, tables))
-        return Grading(cfg, grading.group, "W", comps,
+            labels += [base * a for a in inv]
+        # Row (alpha, i) is u(alpha) d/dx_i: coefficient table i is u(alpha).
+        rows = np.zeros((n, m, m, n), dtype=np.int64)
+        zt = z_basis_matrix(cfg, s).T
+        for i in range(m):
+            rows[:, i, i, :] = zt
+        return Grading(cfg, grading.group, "W", rows.reshape(n * m, m * n), labels,
                        origin={"s": s, "degrees": degrees})
-    from .autos import AutO
+    from .autos import AutO, push_grading
     from .classify import recognize_O
 
     frame, inv = recognize_O(grading)
     gamma = [grading.degree_of(y) for y in frame[inv.s:]]
     standard = grade_O_construct(cfg, grading.group, list(inv.P.basis), gamma)
-    w_std = induce_W(standard)
-    frame_auto = AutO(frame)
-    comps = {g: [frame_auto.push_derivation(d) for d in vecs]
-             for g, vecs in w_std.components.items()}
-    return Grading(cfg, grading.group, "W", comps)
+    return push_grading(AutO(frame), induce_W(standard))
 
 
 def _frame_data(grading: Grading):
@@ -346,19 +344,15 @@ def induce_subalgebra(w_grading: Grading, sub_rows) -> Grading:
     sub_rank = linalg.rank(sub, cfg.p)
     if sub_rank != sub.shape[0]:
         raise DimensionError("subalgebra basis rows are dependent")
-    comps = {}
-    total = 0
-    for g in w_grading.support():
-        wg = np.array([_flatten(v) for v in w_grading.components[g]], dtype=np.int64)
-        meet = linalg.intersect_row_spaces(sub, wg, cfg.p)
-        if meet.shape[0]:
-            comps[g] = [WElem.from_flat(cfg, row) for row in meet]
-            total += meet.shape[0]
-    if total != sub_rank:
+    rows, labels = [], []
+    for g, sl in w_grading.blocks().items():
+        meet = linalg.intersect_row_spaces(sub, w_grading.basis[sl], cfg.p)
+        rows.append(meet)
+        labels += [g] * meet.shape[0]
+    if len(labels) != sub_rank:
         raise AdmissibilityError(
-            f"subspace is not graded: components cover {total} of {sub_rank} dimensions")
-    basis = [WElem.from_flat(cfg, row) for row in sub]
-    return Grading(cfg, w_grading.group, "sub", comps, sub_basis=basis)
+            f"subspace is not graded: components cover {len(labels)} of {sub_rank} dimensions")
+    return Grading(cfg, w_grading.group, "sub", np.vstack(rows), labels, sub=sub)
 
 
 def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: GElem,
@@ -422,36 +416,46 @@ def verify_grading(grading: Grading) -> GradingReport:
     re-checks it cheaply and then sweeps all products (algebra products for
     ambient "O", brackets otherwise) of homogeneous basis vectors, requiring
     each to land in the component of the degree product — or to vanish when
-    that degree is outside the support.
+    that degree is outside the support.  It takes one basis row u at a time:
+    one product with the operator of u (multiplication by u, or ad(u)) gives
+    u times every row, and the coordinates of those products over the basis
+    come from the inverse of basis[:, pivots], computed once per call.  A
+    product lies in its target component when its coordinates vanish off
+    that degree's block; on "sub" it must first lie in the subalgebra at
+    all.  Failures are listed by degree pair (g, h) in support order, then
+    by row pair.
     """
-    cfg = grading.cfg
+    cfg, p = grading.cfg, grading.cfg.p
+    basis, labels = grading.basis, grading.labels
+    dim = grading.dim()
     failures = []
-    if grading.dim() != grading.ambient_dim:
-        failures.append(("dimension", None, f"{grading.dim()} != {grading.ambient_dim}"))
-    pairs = 0
-    inside = None
-    if grading.ambient == "sub":
-        inside = linalg.EchelonSpace(grading.flat_size, cfg.p)
-        inside.add_batch(np.array([_flatten(b) for b in grading.sub_basis], dtype=np.int64))
+    if dim != grading.ambient_dim:
+        failures.append(("dimension", None, f"{dim} != {grading.ambient_dim}"))
     supp = grading.support()
-    for g in supp:
-        for h in supp:
-            gh = g * h
-            target_exists = gh in grading.components
-            for u in grading.components[g]:
-                for v in grading.components[h]:
-                    prod = u * v if grading.ambient == "O" else u.bracket(v)
-                    pairs += 1
-                    if not prod:
-                        continue
-                    if inside is not None and not inside.contains(_flatten(prod)):
-                        failures.append((g.coords, h.coords, "product escapes the subalgebra"))
-                        continue
-                    if not target_exists:
-                        failures.append((g.coords, h.coords, "degree product outside support"))
-                    elif not grading.contains(gh, prod):
-                        failures.append((g.coords, h.coords, "product misses its component"))
-    return GradingReport(not failures, failures, pairs)
+    index = {g: k for k, g in enumerate(supp)}
+    block = np.array([index[g] for g in labels])
+    target = np.array([[index.get(g * h, -1) for h in supp] for g in supp])
+    pivots = linalg.rref(basis, p)[1]
+    coords_of = linalg.inverse(basis[:, pivots], p)
+    status = np.zeros((dim, dim), dtype=np.int8)      # index into _FAILURES
+    for k, row in enumerate(basis):
+        if grading.ambient == "O":
+            op = mult_operator(cfg, row)
+        else:
+            op = WElem.from_flat(cfg, row).ad_matrix()
+        prods = linalg.matmul(basis, op.T, p)          # row j: u * v_j or [u, v_j]
+        coords = linalg.matmul(prods[:, pivots], coords_of, p)
+        tgt = target[block[k]][block]
+        stray = ((coords != 0) & (block != tgt[:, None])).any(axis=1)
+        escaped = np.zeros(dim, dtype=bool)
+        if grading.sub is not None:
+            escaped = (linalg.matmul(coords, basis, p) != prods).any(axis=1)
+        status[k] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray], [0, 1, 2, 3])
+    us, vs = np.nonzero(status)
+    for i in np.lexsort((vs, us, block[vs], block[us])):
+        u, v = us[i], vs[i]
+        failures.append((labels[u].coords, labels[v].coords, _FAILURES[status[u, v]]))
+    return GradingReport(not failures, failures, dim * dim)
 
 
 def fine_grading(cfg: Config, s: int, ambient: str = "O") -> Grading:
@@ -484,4 +488,4 @@ def fine_grading(cfg: Config, s: int, ambient: str = "O") -> Grading:
 
 def support_subgroup(grading: Grading) -> tuple:
     """The support, sorted; generates the same subgroup across O/W/S gradings."""
-    return tuple(sorted(grading.support(), key=lambda g: g.coords))
+    return grading.support()

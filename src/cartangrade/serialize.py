@@ -35,10 +35,19 @@ from .oalg import OElem
 from .witt import WElem
 
 
-def _need(data, key, kind):
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _need(data, key, kind, typ):
+    """data[key], checked to be a typ (int, str, list or dict); a ParseError
+    when data is not an object, lacks the field or holds another type."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"missing field {key!r} in {kind} payload")
-    return data[key]
+    val = data[key]
+    if not isinstance(val, typ):
+        raise ParseError(f"field {key!r} in {kind} payload must be {_JSON_TYPES[typ]}, "
+                         f"got {val!r:.60}")
+    return val
 
 
 def _int_list(val, kind):
@@ -48,22 +57,15 @@ def _int_list(val, kind):
 
 
 def oelem_to_data(f: OElem) -> dict:
-    cfg = f.cfg
-    terms = []
-    for idx in range(cfg.n):
-        c = int(f.table[idx])
-        if c:
-            terms.append({"alpha": [int(a) for a in cfg.alpha(idx)], "c": c})
-    return {"basis": "x", "m": cfg.m, "p": cfg.p, "terms": terms}
+    terms = [{"alpha": list(alpha), "c": c} for alpha, c in f.terms()]
+    return {"basis": "x", "m": f.cfg.m, "p": f.cfg.p, "terms": terms}
 
 
 def oelem_from_data(data, cfg: Config | None = None) -> OElem:
-    if _need(data, "basis", "function") != "x":
+    if _need(data, "basis", "function", str) != "x":
         raise ParseError(f"unknown basis tag {data['basis']!r}")
-    p = _need(data, "p", "function")
-    m = _need(data, "m", "function")
-    if not isinstance(p, int) or not isinstance(m, int):
-        raise ParseError("p and m must be integers")
+    p = _need(data, "p", "function", int)
+    m = _need(data, "m", "function", int)
     if cfg is None:
         try:
             cfg = Config(p, m) if p > 3 else Config(p, m, allow_small_p=True)
@@ -72,14 +74,11 @@ def oelem_from_data(data, cfg: Config | None = None) -> OElem:
     elif (cfg.p, cfg.m) != (p, m):
         raise ParseError(f"payload is for p={p}, m={m}, expected p={cfg.p}, m={cfg.m}")
     table = np.zeros(cfg.n, dtype=np.int64)
-    for term in _need(data, "terms", "function"):
-        alpha = _int_list(_need(term, "alpha", "term"), "alpha")
+    for term in _need(data, "terms", "function", list):
+        alpha = _int_list(_need(term, "alpha", "term", list), "alpha")
         if len(alpha) != m or not all(0 <= a < p for a in alpha):
             raise ParseError(f"bad exponent vector {alpha!r}")
-        c = _need(term, "c", "term")
-        if not isinstance(c, int):
-            raise ParseError(f"coefficient {c!r} is not an integer")
-        table[cfg.index(alpha)] = c % p
+        table[cfg.index(alpha)] = _need(term, "c", "term", int) % p
     return OElem(cfg, table)
 
 
@@ -88,8 +87,8 @@ def welem_to_data(d: WElem) -> dict:
 
 
 def welem_from_data(data, cfg: Config | None = None) -> WElem:
-    coeffs = _need(data, "coeffs", "derivation")
-    if not isinstance(coeffs, list) or not coeffs:
+    coeffs = _need(data, "coeffs", "derivation", list)
+    if not coeffs:
         raise ParseError("derivation payload needs a nonempty coefficient list")
     parsed = []
     for item in coeffs:
@@ -112,15 +111,15 @@ def kform_to_data(w) -> dict:
 def kform_from_data(data, cfg: Config | None = None):
     from .forms import KForm
 
-    k = _need(data, "k", "form")
-    if not isinstance(k, int) or k < 0:
+    k = _need(data, "k", "form", int)
+    if k < 0:
         raise ParseError(f"bad form degree {k!r}")
     parsed = []
-    for item in _need(data, "terms", "form"):
-        subset = tuple(_int_list(_need(item, "subset", "form term"), "subset"))
+    for item in _need(data, "terms", "form", list):
+        subset = tuple(_int_list(_need(item, "subset", "form term", list), "subset"))
         if len(subset) != k:
             raise ParseError(f"subset {subset!r} does not have {k} axes")
-        coeff = oelem_from_data(_need(item, "coeff", "form term"), cfg)
+        coeff = oelem_from_data(_need(item, "coeff", "form term", dict), cfg)
         cfg = coeff.cfg
         parsed.append((subset, coeff))
     if cfg is None:
@@ -136,9 +135,9 @@ def group_to_data(group: AbGroup) -> dict:
 
 
 def group_from_data(data) -> AbGroup:
-    free_rank = _need(data, "free_rank", "group")
-    torsion = _int_list(_need(data, "torsion", "group"), "torsion")
-    if not isinstance(free_rank, int) or free_rank < 0:
+    free_rank = _need(data, "free_rank", "group", int)
+    torsion = _int_list(_need(data, "torsion", "group", list), "torsion")
+    if free_rank < 0:
         raise ParseError(f"bad free rank {free_rank!r}")
     try:
         return AbGroup(free_rank, tuple(torsion))
@@ -158,14 +157,9 @@ def gelem_from_data(data, group: AbGroup) -> GElem:
 
 
 def grading_to_data(grading) -> dict:
-    if grading.ambient == "O":
-        vec_data = oelem_to_data
-    else:
-        vec_data = welem_to_data
-    comps = []
-    for g in sorted(grading.components, key=lambda d: d.coords):
-        comps.append({"degree": gelem_to_data(g),
-                      "basis": [vec_data(v) for v in grading.components[g]]})
+    vec_data = oelem_to_data if grading.ambient == "O" else welem_to_data
+    comps = [{"degree": gelem_to_data(g), "basis": [vec_data(v) for v in vecs]}
+             for g, vecs in grading.components.items()]
     return {"group": group_to_data(grading.group),
             "ambient": grading.ambient,
             "components": comps}
@@ -174,17 +168,16 @@ def grading_to_data(grading) -> dict:
 def grading_from_data(data, cfg: Config | None = None):
     from .gradings import Grading
 
-    group = group_from_data(_need(data, "group", "grading"))
-    ambient = _need(data, "ambient", "grading")
+    group = group_from_data(_need(data, "group", "grading", dict))
+    ambient = _need(data, "ambient", "grading", str)
     if ambient not in ("O", "W", "sub"):
         raise ParseError(f"unknown ambient {ambient!r}")
     vec_from = oelem_from_data if ambient == "O" else welem_from_data
     comps = {}
-    order = []
-    for item in _need(data, "components", "grading"):
-        degree = gelem_from_data(_need(item, "degree", "component"), group)
+    for item in _need(data, "components", "grading", list):
+        degree = gelem_from_data(_need(item, "degree", "component", list), group)
         vecs = []
-        for payload in _need(item, "basis", "component"):
+        for payload in _need(item, "basis", "component", list):
             v = vec_from(payload, cfg)
             cfg = v.cfg
             vecs.append(v)
@@ -193,14 +186,13 @@ def grading_from_data(data, cfg: Config | None = None):
         if not vecs:
             raise ParseError("empty component in grading payload")
         comps[degree] = vecs
-        order.append(degree)
     if not comps:
         raise ParseError("grading payload has no components")
     sub_basis = None
     if ambient == "sub":
-        sub_basis = [v for degree in order for v in comps[degree]]
+        sub_basis = [v for vecs in comps.values() for v in vecs]
     try:
-        return Grading(cfg, group, ambient, comps, sub_basis=sub_basis)
+        return Grading.from_components(cfg, group, ambient, comps, sub_basis=sub_basis)
     except CartanGradeError as exc:
         raise ValidityError(f"parsed grading is inconsistent: {exc}") from exc
 
@@ -212,8 +204,8 @@ def auto_to_data(mu) -> dict:
 def auto_from_data(data, cfg: Config | None = None):
     from .autos import AutO
 
-    images = _need(data, "images", "automorphism")
-    if not isinstance(images, list) or not images:
+    images = _need(data, "images", "automorphism", list)
+    if not images:
         raise ParseError("automorphism payload needs a nonempty image list")
     parsed = []
     for item in images:
@@ -244,15 +236,15 @@ def invariants_to_data(inv) -> dict:
 def invariants_from_data(data, group: AbGroup):
     from .classify import GradingInvariants
 
-    basis = tuple(gelem_from_data(row, group) for row in _need(data, "P", "invariants"))
-    s = _need(data, "s", "invariants")
+    basis = tuple(gelem_from_data(row, group) for row in _need(data, "P", "invariants", list))
+    s = _need(data, "s", "invariants", int)
     if s != len(basis):
         raise ParseError(f"rank field {s!r} does not match basis size {len(basis)}")
     gamma = []
-    for item in _need(data, "gamma", "invariants"):
-        rep = gelem_from_data(_need(item, "rep", "invariants"), group)
-        mult = _need(item, "mult", "invariants")
-        if not isinstance(mult, int) or mult < 1:
+    for item in _need(data, "gamma", "invariants", list):
+        rep = gelem_from_data(_need(item, "rep", "invariants", list), group)
+        mult = _need(item, "mult", "invariants", int)
+        if mult < 1:
             raise ParseError(f"bad multiplicity {mult!r}")
         gamma.extend([rep] * mult)
     g0 = data.get("g0")
@@ -273,5 +265,5 @@ def dumps(data) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"invalid payload text: {exc}") from exc

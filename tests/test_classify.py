@@ -81,7 +81,7 @@ def test_reduction_loop_on_dependent_unit_degrees():
     old = comps[C ** 2]
     unit = next(v for v in old if v.constant_term)
     comps[C ** 2] = [unit + x2] + [v for v in old if not v.constant_term]
-    g2 = Grading(CFG, G1, "O", comps)
+    g2 = Grading.from_components(CFG, G1, "O", comps)
     _, inv2 = recognize_O(g2)
     assert inv2.s == 1
     assert canonical_key(inv2) == canonical_key(inv)
@@ -90,7 +90,7 @@ def test_reduction_loop_on_dependent_unit_degrees():
 def test_trivial_grading_recognized():
     comps = {G1.identity(): [OElem(CFG, row)
                              for row in np.eye(CFG.n, dtype=np.int64)]}
-    g = Grading(CFG, G1, "O", comps)
+    g = Grading.from_components(CFG, G1, "O", comps)
     _, inv = recognize_O(g)
     assert inv.s == 0
     assert all(r.is_identity for r in inv.gamma_cosets)
@@ -238,7 +238,7 @@ def test_iso_on_attached_subalgebra_gradings():
     sg3 = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B ** 2], A * B ** 2)
     assert iso_decide(sg, sg3, "S") is None
     # stripped origin: nothing to decide on
-    bare = Grading(CFG, G2, "sub", sg.components, sub_basis=sg.sub_basis)
+    bare = Grading(CFG, G2, "sub", sg.basis, sg.labels, sub=sg.sub)
     with pytest.raises(AdmissibilityError):
         iso_decide(bare, bare, "S")
 

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from cartangrade import linalg
 from cartangrade.abgroup import AbGroup, PSubgroup, subgroup_key
 from cartangrade.autos import push_grading, random_auto
 from cartangrade.errors import (AdmissibilityError, DimensionError,
@@ -63,7 +65,7 @@ def test_verify_catches_cross_degree_vectors():
     keys = sorted(comps, key=lambda e: e.coords)
     a0, a1 = keys[1], keys[5]
     comps[a0], comps[a1] = comps[a1], comps[a0]
-    swapped = Grading(cfg, g, "O", comps)
+    swapped = Grading.from_components(cfg, g, "O", comps)
     report = verify_grading(swapped)
     assert not report.ok and report.failures
 
@@ -196,12 +198,112 @@ def test_sub_ambient_refuses_vectors_outside_the_subalgebra():
     comps = dict(sub.components)
     comps[first] = (x1_d1,) + sub.components[first][1:]
     with pytest.raises(DimensionError, match="leave the subalgebra"):
-        Grading(cfg, sub.group, "sub", comps, sub_basis=sub.sub_basis)
+        Grading.from_components(cfg, sub.group, "sub", comps, sub_basis=sub.sub_basis)
     twice = (sub.sub_basis[1],) + sub.sub_basis[1:]
     with pytest.raises(DimensionError, match="subalgebra basis is dependent"):
-        Grading(cfg, sub.group, "sub", sub.components, sub_basis=twice)
+        Grading.from_components(cfg, sub.group, "sub", sub.components, sub_basis=twice)
     with pytest.raises(DimensionError):
         sub.decompose(x1_d1)
     rows = np.array([d.flat() for d in sub.sub_basis[:1] + sub.sub_basis])
     with pytest.raises(DimensionError):
         induce_subalgebra(fine_grading(cfg, 1, "W"), rows)
+
+
+def _flat(vec):
+    return vec.table if hasattr(vec, "table") else vec.flat()
+
+
+def verify_oracle(grading):
+    """The per-pair verifier: one product and one membership test per pair
+    of homogeneous basis elements, in the order (g, h, u, v)."""
+    cfg = grading.cfg
+    failures = []
+    if grading.dim() != grading.ambient_dim:
+        failures.append(("dimension", None, f"{grading.dim()} != {grading.ambient_dim}"))
+    pairs = 0
+    inside = None
+    if grading.ambient == "sub":
+        inside = linalg.EchelonSpace(grading.flat_size, cfg.p)
+        inside.add_batch(np.array([_flat(b) for b in grading.sub_basis], dtype=np.int64))
+    comps = grading.components
+    spaces = {}
+    for g, vecs in comps.items():
+        spaces[g] = linalg.EchelonSpace(grading.flat_size, cfg.p)
+        spaces[g].add_batch(np.array([_flat(v) for v in vecs], dtype=np.int64))
+    supp = grading.support()
+    for g in supp:
+        for h in supp:
+            gh = g * h
+            target_exists = gh in comps
+            for u in comps[g]:
+                for v in comps[h]:
+                    prod = u * v if grading.ambient == "O" else u.bracket(v)
+                    pairs += 1
+                    if not prod:
+                        continue
+                    if inside is not None and not inside.contains(_flat(prod)):
+                        failures.append((g.coords, h.coords, "product escapes the subalgebra"))
+                        continue
+                    if not target_exists:
+                        failures.append((g.coords, h.coords, "degree product outside support"))
+                    elif not spaces[gh].contains(_flat(prod)):
+                        failures.append((g.coords, h.coords, "product misses its component"))
+    return failures, pairs
+
+
+def _swap_labels(grading, a, b):
+    """The same rows with the degree labels a and b exchanged."""
+    labels = [b if g == a else a if g == b else g for g in grading.labels]
+    return Grading(grading.cfg, grading.group, grading.ambient, grading.basis, labels,
+                   sub=grading.sub)
+
+
+def _oracle_cases():
+    cfg = Config(5, 2)
+    g, b, c = z5sq()
+    rng = random.Random(97)
+    o = grade_O_construct(cfg, g, [b], [c])
+    w = induce_W(o)
+    sub = grade_S_construct(cfg, g, PSubgroup(g, [b]), [c], b * c)
+    zz5 = AbGroup(1, (5,))
+    free = grade_O_construct(cfg, zz5, [zz5.element((0, 1))], [zz5.element((1, 0))])
+    cases = []
+    for x in (o, w, sub, free, induce_W(free)):
+        pushed = push_grading(random_auto(cfg, rng), x)
+        for y in (x, pushed):
+            supp = y.support()
+            cases += [y, _swap_labels(y, supp[1], supp[-2])]
+    # Last: homogeneous rows of the standard W grading spanning a subspace
+    # that is not closed under the bracket, with two labels exchanged.
+    picked = [0, 1, 2, 3, 5, 10, 11, 20]
+    rows = w.basis[picked]
+    labels = [w.labels[k] for k in picked]
+    odd = Grading(cfg, g, "sub", rows, labels, sub=rows)
+    cases.append(_swap_labels(odd, labels[1], labels[3]))
+    return cases
+
+
+def test_verify_matches_the_per_pair_oracle():
+    for grading in _oracle_cases():
+        report = verify_grading(grading)
+        want, pairs = verify_oracle(grading)
+        assert report.failures == want
+        assert report.pairs_checked == pairs == grading.dim() ** 2
+        assert report.ok == (not want)
+    assert {msg for _, _, msg in want} == {"product escapes the subalgebra",
+                                           "degree product outside support",
+                                           "product misses its component"}
+
+
+def test_queries_leave_no_state_on_the_grading():
+    cfg = Config(5, 2)
+    g, b, c = z5sq()
+    grading = push_grading(random_auto(cfg, random.Random(5)), grade_O_construct(cfg, g, [b], [c]))
+    assert not grading.basis.flags.writeable
+    before = dict(vars(grading))
+    row = grading.components[grading.support()[3]][0]
+    assert grading.degree_of(row) == grading.support()[3]
+    assert len(grading.decompose(row + grading.components[b][0])) == 2
+    assert grading.same_components(grading) and verify_grading(grading).ok
+    assert vars(grading).keys() == before.keys()
+    assert all(vars(grading)[k] is v for k, v in before.items())

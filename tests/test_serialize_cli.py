@@ -1,6 +1,9 @@
 """JSON payload round trips and command-line driver behaviour."""
 
 import ast
+import contextlib
+import copy
+import io
 import json
 import os
 import random
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartangrade import cli, gradings, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
@@ -117,6 +122,8 @@ def test_invariants_round_trip_with_multiplicity():
 def test_parse_error_paths():
     with pytest.raises(ParseError):
         serialize.loads("{not json")
+    with pytest.raises(ParseError):
+        serialize.loads('{"p": ' + "1" * 5000 + "}")
     f = serialize.oelem_to_data(OElem.one(CFG))
     with pytest.raises(ParseError):
         serialize.oelem_from_data({k: v for k, v in f.items() if k != "terms"})
@@ -136,12 +143,16 @@ def test_parse_error_paths():
         serialize.grading_from_data(dict(g, ambient="Q"))
 
 
-def write_request(path, **fields):
-    base = {"p": 5, "m": 2, "kind": "O",
+def standard_request(**fields):
+    data = {"p": 5, "m": 2, "kind": "O",
             "group": {"free_rank": 0, "torsion": [5, 5]},
             "basis": [[1, 0]], "gamma": [[0, 1]]}
-    base.update(fields)
-    path.write_text(json.dumps(base))
+    data.update(fields)
+    return data
+
+
+def write_request(path, **fields):
+    path.write_text(json.dumps(standard_request(**fields)))
     return path
 
 
@@ -358,3 +369,125 @@ def test_cli_stdout_and_table(tmp_path, capsys):
     assert cli.main(["dims", "--p", "5", "--m", "2", "--format", "table"]) == 0
     table = capsys.readouterr().out
     assert "O" in table and "25" in table
+
+
+def _standard_grading_payload():
+    return serialize.grading_to_data(grade_O_construct(CFG, G2, [A], [B]))
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+TERMS = ("components", 0, "basis", 0, "terms")
+MISTYPED = [
+    ("verify", ("components",), None), ("verify", ("components",), 3),
+    ("verify", ("components", 0, "basis"), 3), ("verify", ("components", 0, "basis"), None),
+    ("verify", TERMS, None), ("verify", TERMS, 5),
+    ("construct", ("p",), "5"), ("construct", ("m",), "2"),
+    ("construct", ("basis",), 3), ("construct", ("gamma",), None),
+]
+
+
+@pytest.mark.parametrize("verb, path, value", MISTYPED)
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, verb, path, value):
+    data = standard_request() if verb == "construct" else _standard_grading_payload()
+    _set(data, path, value)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    flag = "--request" if verb == "construct" else "--grading"
+    assert cli.main(["grade", verb, flag, str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def _fuzz_bases():
+    og = grade_O_construct(CFG, G2, [A], [B])
+    sg = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B], A * B)
+    payloads = [serialize.grading_to_data(g) for g in (og, induce_W(og), sg)]
+    requests = [standard_request(kind=k) for k in ("O", "W")]
+    requests.append(standard_request(kind="S", g0=[1, 1]))
+    return {"construct": requests, "verify": payloads, "classify": payloads[:1]}
+
+
+FUZZ_BASES = _fuzz_bases()
+# Integers outside every field's range: negative, zero, past the dimension
+# cap and past int64.
+OUT_OF_RANGE = (-1, 0, 10**6, 2**63)
+OTHER_TYPES = (None, True, 1.5, "x", 3, [], {})
+
+
+def _paths(data, prefix=()):
+    """The path to every value inside a JSON payload, the root included."""
+    yield prefix, data
+    items = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ())
+    for key, val in items:
+        yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    verb = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    data = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES[verb])))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("drop", "swap", "range", "length")))
+        spots = list(_paths(data))
+        if how == "drop":
+            spots = [(path, v) for path, v in spots if path]
+        elif how == "range":
+            spots = [(path, v) for path, v in spots
+                     if path and isinstance(v, int) and not isinstance(v, bool)]
+        elif how == "length":
+            spots = [(path, v) for path, v in spots if isinstance(v, list) and v]
+        # Pick a field name first, then one of its occurrences, so that rare
+        # fields (p, m, torsion, ...) are hit as often as the many term entries.
+        by_field = {}
+        for path, v in spots:
+            field = path[-1] if path and isinstance(path[-1], str) else "[]"
+            by_field.setdefault(field, []).append((path, v))
+        if not by_field:
+            continue
+        group = by_field[draw(st.sampled_from(sorted(by_field)))]
+        path, val = group[draw(st.integers(0, len(group) - 1))]
+        if how == "drop":
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        elif how == "length":
+            if draw(st.booleans()):
+                val.pop()
+            else:
+                val.append(copy.deepcopy(val[-1]))
+        else:
+            pool = OUT_OF_RANGE if how == "range" else [
+                t for t in OTHER_TYPES if type(t) is not type(val)]
+            new = draw(st.sampled_from(pool))
+            if path:
+                _set(data, path, new)
+            else:
+                data = new
+    return verb, data
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mutated_payloads())
+def test_cli_survives_mutated_payloads(case):
+    verb, data = case
+    flag = "--request" if verb == "construct" else "--grading"
+    argv = ["grade", verb, flag, "-"] + (["--flavor", "O"] if verb == "classify" else [])
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(data))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    # A reply is a payload on stdout (exit 0, or a verify report with exit
+    # 4) or one error line on stderr.
+    assert bool(out.getvalue()) != err.getvalue().startswith("error: ")
