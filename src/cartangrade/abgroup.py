@@ -14,6 +14,7 @@ from itertools import product
 
 from .errors import (ConfigError, DimensionError, GroupMismatchError, InternalError,
                      NoSuchBasisError)
+from .gfp import _is_prime
 
 
 class AbGroup:
@@ -150,7 +151,7 @@ def p_independent(basis) -> bool:
     if len(orders) != 1:
         return False
     p = orders.pop()
-    if p is None or p < 2 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+    if p is None or not _is_prime(p):
         return False
     group = basis[0].group
     seen = set()

@@ -219,7 +219,7 @@ def basis_change_auto(cfg: Config, s: int, alpha) -> AutO:
     alpha = np.array(alpha, dtype=np.int64) % cfg.p
     if alpha.shape != (s, s):
         raise DimensionError(f"basis change matrix must be {s} x {s}")
-    if s and linalg.det(alpha, cfg.p) == 0:
+    if s and linalg.rank(alpha, cfg.p) != s:
         raise ValidityError("basis change matrix is singular mod p")
     one = OElem.one(cfg)
     images = []
@@ -250,7 +250,7 @@ def random_auto(cfg: Config, rng, extra_terms: int = 3) -> AutO:
     higher = [idx for idx in range(n) if int(at[idx].sum()) >= 2]
     while True:
         lin = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(m)], dtype=np.int64)
-        if linalg.det(lin, p) != 0:
+        if linalg.rank(lin, p) == m:
             break
     images = []
     for i in range(m):

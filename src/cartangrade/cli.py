@@ -61,7 +61,8 @@ from .errors import (CartanGradeError, ConfigError, InternalError, ObstructionEr
                      ParseError)
 from .forms import algebra_rows, derived_rows
 from .gfp import Config, max_dim_limit
-from .gradings import grade_O_construct, grade_S_construct, induce_W, verify_grading
+from .gradings import (check_toral_orders, grade_O_construct, grade_S_construct, induce_W,
+                       verify_grading)
 from .linalg import matmul, row_space
 from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                    closed_form_h_bracket, closed_form_h_partial, d_h_z,
@@ -466,6 +467,7 @@ def cmd_grade_construct(args) -> int:
         if "g0" not in data:
             raise ParseError("kind S requires the volume degree g0")
         g0 = serialize.gelem_from_data(data["g0"], group)
+        check_toral_orders(cfg, b_list)     # before PSubgroup tests independence
         psub = PSubgroup(group, b_list)
         grading = grade_S_construct(cfg, group, psub, gamma, g0)
     else:

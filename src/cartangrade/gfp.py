@@ -58,21 +58,25 @@ class Config:
     allow_small_p: bool = False
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if self.p < 2:
             raise ConfigError(f"p must be prime, got {self.p}")
-        if self.p <= 3 and not self.allow_small_p:
-            raise ConfigError(f"p={self.p} needs allow_small_p=True and is supported for the derivation algebra only")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         cap = max_dim_limit()
         # p >= 2 here, so p**m > cap once m >= cap.bit_length(): a huge m from
-        # a payload is refused without building p**m.
+        # a payload is refused without building p**m.  The size checks come
+        # before the primality test, so trial division only ever runs on
+        # p <= p**m <= cap: a huge prime p from a payload is refused at once.
         if self.m >= cap.bit_length() or self.p ** self.m > cap:
             raise ConfigError(f"p**m = {self.p}**{self.m} exceeds the configured limit {cap}")
         # The widest exact product is an ad matrix, inner dimension m * p**m.
         if not float_exact(self.m * self.p ** self.m, self.p):
             raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "
                               "are not exact in double precision")
+        if not _is_prime(self.p):
+            raise ConfigError(f"p must be prime, got {self.p}")
+        if self.p <= 3 and not self.allow_small_p:
+            raise ConfigError(f"p={self.p} needs allow_small_p=True and is supported for the derivation algebra only")
 
     @property
     def n(self) -> int:

@@ -29,7 +29,7 @@ from .errors import (
     NoSuchBasisError,
     ObstructionError,
 )
-from .gfp import Config, alpha_table
+from .gfp import Config, alpha_table, radix_weights
 from .oalg import OElem, mult_operator, z_basis_matrix
 from .witt import WElem
 
@@ -196,6 +196,13 @@ def _degree_of_exponents(group: AbGroup, degrees, alpha) -> GElem:
     return g
 
 
+def check_toral_orders(cfg: Config, b_list) -> None:
+    """Refuse toral degrees whose order is not p (NoSuchBasisError)."""
+    for b in b_list:
+        if b.order() != cfg.p:
+            raise NoSuchBasisError(f"{b!r} does not have order {cfg.p}")
+
+
 def grade_O_construct(cfg: Config, group: AbGroup, b_list, gamma) -> Grading:
     """Standard grading of the truncated algebra from degree assignments.
 
@@ -211,9 +218,7 @@ def grade_O_construct(cfg: Config, group: AbGroup, b_list, gamma) -> Grading:
     for g in b_list + gamma:
         if not isinstance(g, GElem) or g.group != group:
             raise GroupMismatchError("degree outside the grading group")
-    for b in b_list:
-        if b.order() != cfg.p:
-            raise NoSuchBasisError(f"{b!r} does not have order {cfg.p}")
+    check_toral_orders(cfg, b_list)
     if not p_independent(b_list):
         raise NoSuchBasisError("toral degrees are dependent")
     s = len(b_list)
@@ -409,21 +414,104 @@ class GradingReport:
         return f"GradingReport({status}, pairs={self.pairs_checked})"
 
 
+def _rank_in(values, x):
+    """Position of the first occurrence of each entry of x in the sorted 1-D
+    array values, or -1 where it does not occur."""
+    pos = np.searchsorted(values, x)
+    hit = pos < len(values)
+    hit[hit] = values[pos[hit]] == x[hit]
+    return np.where(hit, pos, -1)
+
+
+def _degree_table(group: AbGroup, supp) -> np.ndarray:
+    """target[i, j]: the index in supp of supp[i] * supp[j], or -1 when the
+    product lies outside the support.  supp is sorted by coordinates, as
+    Grading.support() is.
+
+    Works on the label coordinates as arrays, one slot at a time: free slots
+    add, torsion slots add mod their order.  key holds, for every support
+    element and then every product, the position of its coordinate prefix
+    among the sorted prefixes of the support (-1 once no support element
+    shares it); positions stay below k, so key * k + position is exact.
+    After the last slot a product's key is its index in supp.  Coordinates are
+    int64 while every sum fits, and Python ints (object arrays) otherwise,
+    so the table is exact for any coordinates.
+    """
+    k = len(supp)
+    coords = [g.coords for g in supp]
+    small = max((abs(c) for c in itertools.chain(*coords, group.torsion)), default=0) < 2**62
+    lab = np.array(coords, dtype=np.int64 if small else object).reshape(k, group.rank)
+    key = np.zeros(k + k * k, dtype=np.int64)
+    for j in range(group.rank):
+        col = lab[:, j]
+        prod = (col[:, None] + col[None, :]).ravel()
+        if j >= group.free_rank:
+            prod %= group.torsion[j - group.free_rank]
+        pos = _rank_in(np.sort(col), np.concatenate([col, prod]))
+        key = np.where((key < 0) | (pos < 0), -1, key * k + pos)
+        key = _rank_in(np.sort(key[:k]), key)
+    return key[k:].reshape(k, k)
+
+
+def _generator_rows(grading: Grading, coords_of):
+    """The certificate's data for an "O" grading: indices of m basis rows
+    whose linear parts are independent, picked greedily in row order, or
+    None when 1 has coordinates outside the identity block.  coords_of is
+    the inverse of the (square, invertible) basis matrix, so its row 0 holds
+    the coordinates of 1."""
+    cfg = grading.cfg
+    identity = grading.blocks().get(grading.group.identity())
+    one = coords_of[0]
+    if identity is None or one[:identity.start].any() or one[identity.stop:].any():
+        return None
+    radix = radix_weights(cfg.p, cfg.m)
+    ech = linalg.EchelonSpace(cfg.m, cfg.p)
+    rows = []
+    for k, row in enumerate(grading.basis):
+        if ech.dim == cfg.m:
+            break
+        if ech.add(row[radix]):
+            rows.append(k)
+    return rows
+
+
 def verify_grading(grading: Grading) -> GradingReport:
     """Check the grading axioms directly: direct sum plus multiplicativity.
 
     The direct-sum property is enforced by the Grading constructor, so this
-    re-checks it cheaply and then sweeps all products (algebra products for
-    ambient "O", brackets otherwise) of homogeneous basis vectors, requiring
-    each to land in the component of the degree product — or to vanish when
-    that degree is outside the support.  It takes one basis row u at a time:
-    one product with the operator of u (multiplication by u, or ad(u)) gives
-    u times every row, and the coordinates of those products over the basis
-    come from the inverse of basis[:, pivots], computed once per call.  A
-    product lies in its target component when its coordinates vanish off
-    that degree's block; on "sub" it must first lie in the subalgebra at
-    all.  Failures are listed by degree pair (g, h) in support order, then
-    by row pair.
+    re-checks it cheaply; multiplicativity means that every product
+    (algebra products for ambient "O", brackets otherwise) of homogeneous
+    basis vectors lands in the component of the degree product, or vanishes
+    when that degree is outside the support.
+
+    The per-row check takes one basis row u: one product with the operator
+    of u (multiplication by u, or ad(u)) gives u times every row, and the
+    coordinates of those products over the basis come from the inverse of
+    basis[:, pivots], computed once per call.  A product lies in its target
+    component when its coordinates vanish off that degree's block; on "sub"
+    it must first lie in the subalgebra at all.  The degree products come
+    from one table over the support (_degree_table).
+
+    Certificate (ambient "O").  If 1 has coordinates only in the identity
+    block, and m rows u_1..u_m with independent linear parts pass the
+    per-row check, every pair holds and the other rows are not checked.
+    Proof: write a_i for the degree of u_i and V_g for the components (V_g
+    = 0 off the support).  The u_i minus their constant terms lie in the
+    maximal ideal with independent linear parts, so by Nakayama they
+    generate O as a unital algebra, and so do the u_i: the monomials in the
+    u_i span O.  Give the monomial prod u_i^{c_i} the degree prod a_i^{c_i}.
+    Since 1 is in V_e and the check gives u_i V_h inside V_{a_i h} for every
+    h, induction on the number of factors puts every monomial of degree g in
+    V_g (so it is 0 when g is off the support).  The monomials span
+    O = (+) V_g and the sum is direct, so each V_g is spanned by the
+    monomials of degree g.  A product of monomials of degrees g and h is a
+    monomial of degree gh, so V_g V_h lies in V_{gh} for all g, h.  If a
+    certificate check fails, the
+    per-row check runs on every row (the full sweep), which lists the
+    failures.  W and "sub" always take the sweep.
+
+    Failures are listed by degree pair (g, h) in support order, then by row
+    pair; pairs_checked is dim^2 either way: the pairs checked or certified.
     """
     cfg, p = grading.cfg, grading.cfg.p
     basis, labels = grading.basis, grading.labels
@@ -431,18 +519,20 @@ def verify_grading(grading: Grading) -> GradingReport:
     failures = []
     if dim != grading.ambient_dim:
         failures.append(("dimension", None, f"{dim} != {grading.ambient_dim}"))
-    supp = grading.support()
-    index = {g: k for k, g in enumerate(supp)}
-    block = np.array([index[g] for g in labels])
-    target = np.array([[index.get(g * h, -1) for h in supp] for g in supp])
-    pivots = linalg.rref(basis, p)[1]
+    blocks = grading.blocks()
+    block = np.repeat(np.arange(len(blocks)), [sl.stop - sl.start for sl in blocks.values()])
+    target = _degree_table(grading.group, tuple(blocks))
+    # "O" and "W" bases are square and invertible (the constructor checks
+    # it), so every column is a pivot; a "sub" basis has more columns.
+    pivots = linalg.rref(basis, p)[1] if grading.sub is not None else list(range(dim))
     coords_of = linalg.inverse(basis[:, pivots], p)
     status = np.zeros((dim, dim), dtype=np.int8)      # index into _FAILURES
-    for k, row in enumerate(basis):
+
+    def check_row(k):
         if grading.ambient == "O":
-            op = mult_operator(cfg, row)
+            op = mult_operator(cfg, basis[k])
         else:
-            op = WElem.from_flat(cfg, row).ad_matrix()
+            op = WElem.from_flat(cfg, basis[k]).ad_matrix()
         prods = linalg.matmul(basis, op.T, p)          # row j: u * v_j or [u, v_j]
         coords = linalg.matmul(prods[:, pivots], coords_of, p)
         tgt = target[block[k]][block]
@@ -451,6 +541,15 @@ def verify_grading(grading: Grading) -> GradingReport:
         if grading.sub is not None:
             escaped = (linalg.matmul(coords, basis, p) != prods).any(axis=1)
         status[k] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray], [0, 1, 2, 3])
+
+    todo = range(dim)
+    gens = _generator_rows(grading, coords_of) if grading.ambient == "O" else None
+    if gens is not None:
+        for k in gens:
+            check_row(k)
+        todo = [k for k in todo if k not in gens] if status.any() else ()
+    for k in todo:
+        check_row(k)
     us, vs = np.nonzero(status)
     for i in np.lexsort((vs, us, block[vs], block[us])):
         u, v = us[i], vs[i]

@@ -172,28 +172,6 @@ def inverse(mat, p: int):
     return aug[:n, n:].copy()    # callers cache it: do not keep the left half alive
 
 
-def det(mat, p: int) -> int:
-    """Determinant mod p by fraction-free elimination on a working copy."""
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    sign = 1
-    d = 1
-    for c in range(n):
-        nz = np.flatnonzero(a[c:, c])
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            a[[c, i]] = a[[i, c]]
-            sign = -sign
-        piv = int(a[c, c])
-        d = d * piv % p
-        inv = pow(piv, -1, p)
-        col = a[c + 1:, c].copy()
-        a[c + 1:] = (a[c + 1:] - np.outer(col * inv % p, a[c])) % p
-    return d * sign % p
-
-
 class EchelonSpace:
     """Incrementally maintained row space in reduced echelon form.
 

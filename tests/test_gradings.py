@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cartangrade import linalg
+from cartangrade import gradings, linalg
 from cartangrade.abgroup import AbGroup, PSubgroup, subgroup_key
 from cartangrade.autos import push_grading, random_auto
 from cartangrade.errors import (AdmissibilityError, DimensionError,
@@ -283,16 +285,149 @@ def _oracle_cases():
     return cases
 
 
+def verify_sweep(grading):
+    """verify_grading with the "O" certificate switched off: every row
+    takes the per-row check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradings, "_generator_rows", lambda *args: None)
+        return verify_grading(grading)
+
+
+def assert_verify_matches_oracles(grading):
+    """verify_grading gives the sweep's report and the per-pair oracle's."""
+    report = verify_grading(grading)
+    sweep = verify_sweep(grading)
+    want, pairs = verify_oracle(grading)
+    assert report.failures == sweep.failures == want
+    assert report.pairs_checked == sweep.pairs_checked == pairs == grading.dim() ** 2
+    assert report.ok == sweep.ok == (not want)
+    return report
+
+
 def test_verify_matches_the_per_pair_oracle():
     for grading in _oracle_cases():
-        report = verify_grading(grading)
-        want, pairs = verify_oracle(grading)
-        assert report.failures == want
-        assert report.pairs_checked == pairs == grading.dim() ** 2
-        assert report.ok == (not want)
+        want = assert_verify_matches_oracles(grading).failures
     assert {msg for _, _, msg in want} == {"product escapes the subalgebra",
                                            "degree product outside support",
                                            "product misses its component"}
+
+
+def _certificate_cases():
+    """Valid O gradings at m=2: standard and pushed over Z_5^2, trivial, Z,
+    Z x Z_5, and Z with degree coordinates past 2^63."""
+    cfg = Config(5, 2)
+    g, b, c = z5sq()
+    one = AbGroup(0, (5,))
+    z = AbGroup(1, ())
+    zz5 = AbGroup(1, (5,))
+    big = 2**64 + 7
+    standard = [
+        grade_O_construct(cfg, g, [b], [c]),
+        grade_O_construct(cfg, g, [], [b, c]),
+        grade_O_construct(cfg, one, [], [one.identity(), one.identity()]),
+        grade_O_construct(cfg, z, [], [z.element((1,)), z.element((2,))]),
+        grade_O_construct(cfg, zz5, [zz5.element((0, 1))], [zz5.element((1, 0))]),
+        grade_O_construct(cfg, z, [], [z.element((big,)), z.element((-3 * big,))]),
+    ]
+    rng = random.Random(101)
+    return standard + [push_grading(random_auto(cfg, rng), x) for x in standard]
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+def test_certificate_agrees_with_the_sweep_on_valid_gradings(monkeypatch):
+    calls = []
+
+    def counting(cfg, table):
+        calls.append(1)
+        return mult_operator(cfg, table)
+
+    from cartangrade.oalg import mult_operator
+    monkeypatch.setattr(gradings, "mult_operator", counting)
+    for grading in CERTIFICATE_CASES:
+        calls.clear()
+        report = verify_grading(grading)
+        assert report.ok and report.pairs_checked == grading.dim() ** 2
+        assert len(calls) <= grading.cfg.m
+    assert max(abs(c) for g in CERTIFICATE_CASES[5].labels for c in g.coords) > 2**63
+    monkeypatch.undo()
+    for grading in CERTIFICATE_CASES:
+        assert_verify_matches_oracles(grading)
+
+
+def test_certificate_failure_on_a_generator_row_falls_back_to_the_sweep():
+    # x_2 and x_2^2 exchange labels: 1 stays in the identity component, but
+    # the generator row x_2 maps x_2 to the wrong component.
+    cfg = Config(5, 2)
+    z2 = AbGroup(2, ())
+    grading = grade_O_construct(cfg, z2, [], [z2.element((1, 0)), z2.element((0, 1))])
+    swapped = _swap_labels(grading, z2.element((0, 1)), z2.element((0, 2)))
+    coords_of = linalg.inverse(swapped.basis, cfg.p)
+    assert gradings._generator_rows(swapped, coords_of) is not None
+    assert not assert_verify_matches_oracles(swapped).ok
+
+
+def test_certificate_needs_the_unit_in_the_identity_component():
+    # The identity row 1 becomes 1 + x_1^4 x_2^4, so 1 straddles two
+    # components.  The generator rows x_1, x_2 still pass the per-row check
+    # (they kill the top monomial), but (1 + t)^2 = 1 + 2t leaves V_e.
+    cfg = Config(5, 2)
+    z2 = AbGroup(2, ())
+    grading = grade_O_construct(cfg, z2, [], [z2.element((1, 0)), z2.element((0, 1))])
+    rows = grading.basis.copy()
+    rows[0, cfg.n - 1] = 1
+    odd = Grading(cfg, z2, "O", rows, grading.labels)
+    assert gradings._generator_rows(odd, linalg.inverse(odd.basis, cfg.p)) is None
+    report = assert_verify_matches_oracles(odd)
+    assert report.failures == [((0, 0), (0, 0), "product misses its component")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_certificate_agrees_with_the_sweep_on_label_swaps(data):
+    grading = data.draw(st.sampled_from(CERTIFICATE_CASES))
+    supp = grading.support()
+    if len(supp) < 2:
+        return
+    identity = grading.group.identity()
+    if data.draw(st.booleans()):      # move the identity label
+        a = identity
+        b = data.draw(st.sampled_from([h for h in supp if h != identity]))
+    else:                             # keep 1 in the identity component
+        a, b = data.draw(st.lists(st.sampled_from([h for h in supp if h != identity]),
+                                  min_size=2, max_size=2, unique=True))
+    assert_verify_matches_oracles(_swap_labels(grading, a, b))
+
+
+@st.composite
+def _support_draws(draw):
+    """A group with free and torsion slots of any size, and a sorted set of
+    distinct elements whose coordinates are small (so products often land
+    in the set), near the int64 limits, or past them."""
+    free = draw(st.integers(0, 2))
+    torsion = tuple(draw(st.lists(st.sampled_from((5, 25, 7, 2**61 - 1, 2**62 + 1, 2**64 + 13)),
+                                  max_size=2)))
+    group = AbGroup(free, torsion)
+    edges = (2**62 - 1, 2**62, -2**62, 2**63 - 1, -2**63)     # where int64 sums overflow
+    size = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70), st.sampled_from(edges))
+    slots = [size] * free + [st.one_of(st.integers(0, 3), st.integers(0, d - 1))
+                             for d in torsion]
+    elems = draw(st.lists(st.tuples(*slots), min_size=1, max_size=12, unique=True))
+    return group, tuple(sorted(group.element(c) for c in elems))
+
+
+_Z = AbGroup(1, ())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_support_draws())
+@example((_Z, (_Z.element((-2,)), _Z.element((2**63 - 1,)))))   # int64 wraps 2^64 - 2 to -2
+def test_degree_table_matches_group_products(case):
+    group, supp = case
+    index = {g: k for k, g in enumerate(supp)}
+    want = [[index.get(g * h, -1) for h in supp] for g in supp]
+    assert gradings._degree_table(group, supp).tolist() == want
 
 
 def test_queries_leave_no_state_on_the_grading():

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,47 @@ def test_cli_refuses_a_prime_past_the_float_bound(tmp_path, monkeypatch, capsys)
     assert cli.main(["grade", "construct", "--request", str(req)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "double precision" in err
+
+
+def test_cli_refuses_a_huge_prime_in_a_function_payload(tmp_path, capsys):
+    # 10**18 + 3 is prime: trial division up to its square root would take
+    # about 10**9 steps, but p**m is past the dimension cap.
+    data = _standard_grading_payload()
+    data["components"][0]["basis"][0].update(p=10**18 + 3, m=1)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert cli.main(["grade", "verify", "--grading", str(src)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "exceeds" in err
+
+
+def test_cli_refuses_a_toral_degree_of_large_prime_order(tmp_path, capsys):
+    req = write_request(tmp_path / "s.json", kind="S",
+                        group={"free_rank": 0, "torsion": [2147483647, 5]},
+                        basis=[[1, 0]], gamma=[[0, 1]], g0=[1, 1])
+    start = time.perf_counter()
+    assert cli.main(["grade", "construct", "--request", str(req)]) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "does not have order 5" in err
+
+
+def test_cli_verifies_a_raw_O_grading_at_four_variables(tmp_path, capsys):
+    # dim = 625: the certificate checks 4 generator rows instead of 625.
+    cfg = Config(5, 4)
+    x = [OElem.variable(cfg, i) for i in range(1, 5)]
+    mu = AutO([x[0] + x[1] * x[2], x[1] + 2 * x[0] * x[0], x[2] + x[3],
+               x[3] + 3 * x[0] * x[3]])
+    grading = push_grading(mu, grade_O_construct(cfg, G2, [A], [B, A * B, B ** 2]))
+    src = tmp_path / "m4.json"
+    src.write_text(serialize.dumps(serialize.grading_to_data(grading)))
+    start = time.perf_counter()
+    assert cli.main(["grade", "verify", "--grading", str(src)]) == 0
+    assert time.perf_counter() - start < 8
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"valid": True, "pairs_checked": 390625, "failures": []}
 
 
 def test_cli_malformed_dimension_cap_is_an_error(monkeypatch, capsys):
