@@ -17,6 +17,7 @@ from cartangrade.gradings import (Grading, admissible_degree, fine_grading,
                                   grade_O_construct, grade_S_construct,
                                   induce_W, induce_subalgebra,
                                   support_subgroup, verify_grading)
+from cartangrade.oalg import mult_operator
 
 
 def z5sq():
@@ -337,23 +338,20 @@ CERTIFICATE_CASES = _certificate_cases()
 
 
 def test_certificate_agrees_with_the_sweep_on_valid_gradings(monkeypatch):
+    assert max(abs(c) for g in CERTIFICATE_CASES[5].labels for c in g.coords) > 2**63
+    for grading in CERTIFICATE_CASES:
+        assert_verify_matches_oracles(grading)
     calls = []
 
     def counting(cfg, table):
         calls.append(1)
         return mult_operator(cfg, table)
 
-    from cartangrade.oalg import mult_operator
     monkeypatch.setattr(gradings, "mult_operator", counting)
     for grading in CERTIFICATE_CASES:
         calls.clear()
-        report = verify_grading(grading)
-        assert report.ok and report.pairs_checked == grading.dim() ** 2
+        assert verify_grading(grading).ok
         assert len(calls) <= grading.cfg.m
-    assert max(abs(c) for g in CERTIFICATE_CASES[5].labels for c in g.coords) > 2**63
-    monkeypatch.undo()
-    for grading in CERTIFICATE_CASES:
-        assert_verify_matches_oracles(grading)
 
 
 def test_certificate_failure_on_a_generator_row_falls_back_to_the_sweep():
