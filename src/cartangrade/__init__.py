@@ -24,10 +24,9 @@ from .forms import (KForm, algebra_basis, algebra_rows, d_form,
                     omega_symplectic, omega_volume, pair_one_form,
                     stabilizer_test)
 from .gfp import Config
-from .gradings import (Grading, GradingReport, admissible_degree,
-                       fine_grading, grade_O_construct, grade_S_construct,
-                       induce_W, induce_subalgebra, support_subgroup,
-                       verify_grading)
+from .gradings import (Grading, GradingReport, fine_grading,
+                       grade_O_construct, grade_S_construct, induce_W,
+                       induce_subalgebra, verify_grading)
 from .oalg import OElem, dp_monomial, z_monomial
 from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                    closed_form_h_bracket, closed_form_h_partial, d_h, d_h_z,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .errors import (ConfigError, DimensionError, GroupMismatchError, InternalError,
-                     NoSuchBasisError)
+from .errors import DimensionError, GroupMismatchError, InternalError, NoSuchBasisError
 from .gfp import _is_prime
 
 
@@ -54,12 +53,6 @@ class AbGroup:
 
     def identity(self) -> "GElem":
         return GElem(self, (0,) * self.rank)
-
-    def elements(self):
-        """All elements of a finite group, lex-ordered by coordinates."""
-        if not self.is_finite:
-            raise ConfigError(f"cannot enumerate the infinite group {self!r}")
-        return [GElem(self, c) for c in product(*(range(d) for d in self.torsion))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbGroup):
@@ -222,9 +215,6 @@ class PSubgroup:
             if h == g:
                 return exps
         return None
-
-    def same_subgroup(self, other: "PSubgroup") -> bool:
-        return self.group == other.group and set(self.elements()) == set(other.elements())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSubgroup):

@@ -45,7 +45,7 @@ from .errors import (
     ObstructionError,
 )
 from .gfp import Config, radix_weights
-from .gradings import Grading, admissible_degree, fine_grading, grade_O_construct, induce_W
+from .gradings import Grading, fine_grading, grade_O_construct, induce_W
 from .oalg import OElem, mult_operator
 
 # Status returned for the symplectic flavor at half-rank > 1, whose
@@ -129,7 +129,10 @@ def recognize_O(grading: Grading):
     Greedy pass: walk the homogeneous basis vectors in degree order and keep
     those independent modulo constants and the square of the maximal ideal.
     Vectors with a unit constant term are normalized to 1 + y with y in the
-    maximal ideal; the rest are frame vectors as they stand.  A reduction
+    maximal ideal; the rest are frame vectors as they stand.  A homogeneous
+    unit u has u^p in GF(p)^x, inside the identity component, so its degree
+    has order 1 or p; a unit row labelled otherwise is refused before its
+    degree reaches the subgroup arithmetic.  A reduction
     loop then eliminates dependencies among the unit-slot degrees, moving
     the offending slots to the free part, so the remaining degrees form a
     basis of the unit-support subgroup.  Returns (frame, invariants).
@@ -148,6 +151,11 @@ def recognize_O(grading: Grading):
         if not ech.add(row[radix]):
             continue
         if row[0]:
+            order = g.order()
+            if order not in (1, cfg.p):
+                raise AdmissibilityError(
+                    f"a unit row is labelled {g!r} of order {order or 'infinity'}; "
+                    f"a homogeneous unit has degree of order 1 or {cfg.p}")
             toral.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
         else:
             free.append((OElem(cfg, row), g))
@@ -182,16 +190,28 @@ def recognize_O(grading: Grading):
 def _recognize_S_frame(grading: Grading):
     """Frame, invariants with volume degree, and exact axis degrees.
 
-    The frame from recognition is corrected so its degree product equals the
-    volume degree: below full toral rank the last free variable absorbs the
+    The volume degree g0 is read off the jacobian of the recognized frame.
+    The frame y_1..y_m has zero constant terms and independent linear parts,
+    so x_i -> y_i is an automorphism and dy_1 ^ ... ^ dy_m = J * omega with
+    J = det(dy_i/dx_j) a unit.  The grading extends to forms with d of
+    degree e and the wedge product multiplicative; dy_i = d(1 + y_i) at the
+    toral slots, so each dy_i has the degree a_i of its homogeneous frame
+    element and the left side is homogeneous of degree total = a_1...a_m.
+    The top forms are O * omega, free of rank one.  If omega is homogeneous
+    of degree g0, f -> f * omega carries V_g onto the top forms of degree
+    g*g0, so J is homogeneous of degree total * g0^-1.  If J is homogeneous,
+    so is its inverse (J times the components of J^-1 are independent and
+    sum to 1), and omega = J^-1 * dy_1 ^ ... ^ dy_m is homogeneous of degree
+    total * deg(J)^-1.  So omega is homogeneous exactly when J is, and
+    g0 = total * deg(J)^-1.
+
+    The frame is then corrected so its degree product equals the volume
+    degree: below full toral rank the last free variable absorbs the
     mismatch through a unit factor; at full rank the subgroup basis is
     replaced by one whose product is the volume degree.
     """
     cfg = grading.cfg
     group = grading.group
-    g0 = admissible_degree(grading, "S")
-    if g0 is None:
-        raise AdmissibilityError("grading does not keep the volume line homogeneous")
     frame, inv = recognize_O(grading)
     s, m = inv.s, cfg.m
     one = OElem.one(cfg)
@@ -201,7 +221,10 @@ def _recognize_S_frame(grading: Grading):
         total = total * b
     for g in free_degs:
         total = total * g
-    delta = total * g0.inverse()
+    delta = grading.degree_of(AutO(frame).jacobian())
+    if delta is None:
+        raise AdmissibilityError("grading does not keep the volume line homogeneous")
+    g0 = total * delta.inverse()
     if s < m:
         exps = inv.P.exponents_of(delta)
         if exps is None:

@@ -21,6 +21,9 @@ from .errors import AxisRangeError, ConfigError, DimensionError
 from .linalg import float_exact
 
 DEFAULT_MAX_DIM = 2401
+# Bytes allowed for the (p**m x p**m) int32 table of mul_index_table, which
+# every product in the algebra reads.  The default cap needs 23 MB.
+TABLE_BYTES_LIMIT = 1 << 30
 
 
 def _is_prime(n: int) -> bool:
@@ -73,6 +76,10 @@ class Config:
         if not float_exact(self.m * self.p ** self.m, self.p):
             raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "
                               "are not exact in double precision")
+        table_bytes = 4 * self.p ** (2 * self.m)
+        if table_bytes > TABLE_BYTES_LIMIT:
+            raise ConfigError(f"p = {self.p}, m = {self.m}: the product index table needs "
+                              f"{table_bytes} bytes, past the limit of {TABLE_BYTES_LIMIT}")
         if not _is_prime(self.p):
             raise ConfigError(f"p must be prime, got {self.p}")
         if self.p <= 3 and not self.allow_small_p:

@@ -99,7 +99,7 @@ def test_basis_with_product_hits_the_target():
         for b in new_basis:
             prod = prod * b
         assert prod == target
-        assert PSubgroup(g, new_basis).same_subgroup(sub)
+        assert subgroup_key(g, PSubgroup(g, new_basis).basis) == subgroup_key(g, sub.basis)
     with pytest.raises(NoSuchBasisError):
         basis_with_product(sub, g.identity())
     with pytest.raises(NoSuchBasisError):

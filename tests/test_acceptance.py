@@ -24,8 +24,7 @@ from cartangrade.classify import (canonical_key, enumerate_fine, iso_decide,
 from cartangrade.errors import ObstructionError
 from cartangrade.forms import algebra_rows, derived_rows, omega_symplectic
 from cartangrade.gfp import Config
-from cartangrade.gradings import (grade_O_construct, grade_S_construct,
-                                  induce_W, support_subgroup)
+from cartangrade.gradings import grade_O_construct, grade_S_construct, induce_W
 from cartangrade.linalg import row_space
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem, w_basis
@@ -324,7 +323,7 @@ def test_accept_10_support_subgroup_invariance():
         wg = induce_W(og)
         sg = grade_S_construct(CFG2, group, PSubgroup(group, tuple(basis)),
                                gamma, g0)
-        keys = {subgroup_key(group, support_subgroup(g)) for g in (og, wg, sg)}
+        keys = {subgroup_key(group, g.support()) for g in (og, wg, sg)}
         assert len(keys) == 1
         checked += 1
     report("support subgroups agree across algebra, derivation, and "

@@ -1,23 +1,25 @@
 """Recognition, isomorphism decisions, and fine-grading enumeration."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
+from cartangrade import classify
 from cartangrade.abgroup import AbGroup, PSubgroup, coset_rep, subgroup_key
-from cartangrade.autos import (AutO, push_grading, random_auto, scale_auto,
-                               volume_factor)
+from cartangrade.autos import (AutO, push_grading, random_auto,
+                               random_graded_auto, scale_auto, volume_factor)
 from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
                                   canonical_key, enumerate_fine, iso_decide,
                                   o_grading_from_w, orbit_probe, recognize_O,
                                   recognize_S)
 from cartangrade.errors import AdmissibilityError, ObstructionError
 from cartangrade.gfp import Config
-from cartangrade.gradings import (Grading, admissible_degree,
-                                  grade_O_construct, grade_S_construct,
-                                  induce_W)
+from cartangrade.gradings import (Grading, grade_O_construct,
+                                  grade_S_construct, induce_W)
 from cartangrade.oalg import OElem
+from volume_oracle import admissible_degree
 
 
 CFG = Config(5, 2)
@@ -223,6 +225,78 @@ def test_volume_recognition_corners():
     # but fine with free slots present
     inv = GradingInvariants(PSubgroup(G1, (C,)), [C], G1.identity())
     assert inv.g0.is_identity
+
+
+def _volume_cases(p, m):
+    """Standard data at (p, m) over Z_p^m, Z x Z_p, Z_{p^2} and Z^2."""
+    zp = AbGroup(0, (p,) * m)
+    e = [zp.element(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    mixed = AbGroup(1, (p,))
+    t, f = mixed.element((0, 1)), mixed.element((1, 0))
+    cyc = AbGroup(0, (p * p,))
+    u, c = cyc.element((p,)), cyc.element((1,))
+    free = AbGroup(2)
+    a, b = free.element((1, 0)), free.element((0, 1))
+    return [(zp, e, []), (zp, e[:1], e[1:]), (zp, [], [e[0] ** 2] + e[1:]),
+            (zp, e[1:], [e[0] * e[1]]),
+            (mixed, [t], [f] + [f * t] * (m - 2)), (mixed, [], [f, t ** 2] + [f] * (m - 2)),
+            (cyc, [u], [c] + [c ** 3] * (m - 2)), (cyc, [], [c, c ** 2] + [u] * (m - 2)),
+            (free, [], [a, b] + [a * b] * (m - 2))]
+
+
+@functools.lru_cache(maxsize=None)
+def volume_corpus():
+    """Standard gradings at (5,2), (5,3) and (7,2), each with four pushes: a
+    graded one (same components, another basis), a linear one, and two
+    random ones, which mostly break volume admissibility."""
+    out = []
+    for p, m in ((5, 2), (5, 3), (7, 2)):
+        cfg = Config(p, m)
+        rng = random.Random(1000 * p + m)
+        for group, basis, gamma in _volume_cases(p, m):
+            std = grade_O_construct(cfg, group, basis, gamma)
+            out += [std, push_grading(random_graded_auto(std, rng), std),
+                    push_grading(random_auto(cfg, rng, extra_terms=0), std)]
+            out += [push_grading(random_auto(cfg, rng), std) for _ in range(2)]
+    return tuple(out)
+
+
+def volume_degree(grading):
+    """recognize_S's volume degree, None where it refuses admissibility."""
+    try:
+        return recognize_S(grading).g0
+    except AdmissibilityError:
+        return None
+
+
+def test_volume_degree_matches_the_column_solve_oracle():
+    corpus = volume_corpus()
+    assert len(corpus) >= 100
+    found = [volume_degree(g) for g in corpus]
+    assert found == [admissible_degree(g, "S") for g in corpus]
+    assert {g.cfg.m for g in corpus} == {2, 3}
+    refused = sum(g0 is None for g0 in found)
+    assert 0 < refused < len(corpus)
+
+
+def test_symplectic_degree_at_two_variables_is_the_volume_degree():
+    for grading in volume_corpus():
+        if grading.cfg.m == 2:
+            assert admissible_degree(grading, "H") == volume_degree(grading)
+
+
+def test_volume_recognition_recognizes_once(monkeypatch):
+    calls = []
+
+    def counted(grading):
+        calls.append(grading)
+        return recognize_O(grading)
+
+    monkeypatch.setattr(classify, "recognize_O", counted)
+    for grading in volume_corpus()[::7]:
+        calls.clear()
+        volume_degree(grading)
+        assert calls == [grading]
 
 
 def test_iso_on_attached_subalgebra_gradings():

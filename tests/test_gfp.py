@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cartangrade import gfp
 from cartangrade.errors import AxisRangeError, ConfigError, DimensionError
 from cartangrade.gfp import (Config, alpha_table, binom_mod_p, mi_enumerate,
                              mul_index_table, radix_weights, weight_table)
@@ -28,9 +29,28 @@ def test_config_refuses_past_the_float_bound(monkeypatch, m, below, above):
     # bound for an exact float64 product as wide as an ad matrix.
     assert m * below**m * (below - 1) ** 2 < 2**53 <= m * above**m * (above - 1) ** 2
     monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", str(above**m))
+    # Lift the table byte limit, which refuses both sizes, to test this bound alone.
+    monkeypatch.setattr(gfp, "TABLE_BYTES_LIMIT", 4 * above ** (2 * m))
     assert Config(below, m).n == below**m
     with pytest.raises(ConfigError, match="double precision"):
         Config(above, m)
+
+
+def test_config_refuses_a_product_table_past_the_byte_limit(monkeypatch):
+    # (208057, 1) passes the float bound, but its n x n int32 product index
+    # table would take 4 * 208057**2 bytes (173 GB).  Config builds no table,
+    # so the refusal is pure arithmetic.
+    assert 208057 * 208056**2 < 2**53
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", str(208057))
+    with pytest.raises(ConfigError, match="product index table"):
+        Config(208057, 1)
+    # Consecutive primes on either side of 4 * n**2 = 2**30.
+    assert 4 * 16381**2 <= gfp.TABLE_BYTES_LIMIT == 2**30 < 4 * 16411**2
+    assert Config(16381, 1).n == 16381
+    with pytest.raises(ConfigError, match="product index table"):
+        Config(16411, 1)
+    # The default cap stays inside the limit, so every (p, m) under it passes.
+    assert 4 * gfp.DEFAULT_MAX_DIM**2 <= gfp.TABLE_BYTES_LIMIT
 
 
 def test_every_configuration_under_the_default_cap_passes_the_float_bound():

@@ -352,6 +352,28 @@ def test_cli_refuses_a_toral_degree_of_large_prime_order(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "does not have order 5" in err
 
 
+def test_cli_refuses_a_unit_row_labelled_past_order_p(tmp_path, capsys):
+    # Not a grading: in the identity basis the row of x_1 becomes 1 + x_1,
+    # labelled [1] of order 2**31 - 1.  A homogeneous unit has degree of
+    # order 1 or p, so recognition refuses the row before the subgroup
+    # arithmetic would enumerate 2**31 - 1 exponents.
+    group = AbGroup(0, (2147483647,))
+    row = CFG.index((1, 0))
+    basis = np.eye(CFG.n, dtype=np.int64)
+    basis[row, 0] = 1
+    labels = [group.element((int(k == row),)) for k in range(CFG.n)]
+    src = tmp_path / "unit.json"
+    src.write_text(serialize.dumps(serialize.grading_to_data(
+        gradings.Grading(CFG, group, "O", basis, labels))))
+    for flavor in ("O", "S"):
+        start = time.perf_counter()
+        assert cli.main(["grade", "classify", "--grading", str(src), "--flavor", flavor]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "order 1 or 5" in err
+
+
 def test_cli_verifies_a_raw_O_grading_at_four_variables(tmp_path, capsys):
     # dim = 625: the certificate checks 4 generator rows instead of 625.
     cfg = Config(5, 4)
@@ -470,11 +492,27 @@ def _paths(data, prefix=()):
         yield from _paths(val, prefix + (key,))
 
 
+def _swap_two_degrees(draw, data) -> bool:
+    """Swap the degree labels of two components of a grading payload, which
+    keeps it well formed but makes it a non-grading; False for a request."""
+    comps = data.get("components", [])
+    if len(comps) < 2:
+        return False
+    i = draw(st.integers(0, len(comps) - 1))
+    j = (i + draw(st.integers(1, len(comps) - 1))) % len(comps)
+    comps[i]["degree"], comps[j]["degree"] = comps[j]["degree"], comps[i]["degree"]
+    return True
+
+
 @st.composite
 def mutated_payloads(draw):
     verb = draw(st.sampled_from(sorted(FUZZ_BASES)))
     data = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES[verb])))
-    for _ in range(draw(st.integers(1, 3))):
+    flags = ["--flavor", draw(st.sampled_from(("O", "S")))] if verb == "classify" else []
+    relabelled = False
+    for _ in range(draw(st.integers(0, 2))):
+        relabelled = _swap_two_degrees(draw, data)
+    for _ in range(draw(st.integers(0 if relabelled else 1, 3))):
         how = draw(st.sampled_from(("drop", "swap", "range", "length")))
         spots = list(_paths(data))
         if how == "drop":
@@ -512,15 +550,15 @@ def mutated_payloads(draw):
                 _set(data, path, new)
             else:
                 data = new
-    return verb, data
+    return verb, data, flags
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(mutated_payloads())
 def test_cli_survives_mutated_payloads(case):
-    verb, data = case
+    verb, data, flags = case
     flag = "--request" if verb == "construct" else "--grading"
-    argv = ["grade", verb, flag, "-"] + (["--flavor", "O"] if verb == "classify" else [])
+    argv = ["grade", verb, flag, "-"] + flags
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(data))
