@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gfp import Config, alpha_table, radix_weights, weight_table
 from .gradings import Grading, _degree_of_exponents, induce_W
-from .oalg import OElem, mult_operator, z_basis_matrix
+from .oalg import OElem, mult_operator, partial_table, z_basis_matrix
 from .forms import KForm, _merge_sign, differential
 from .witt import WElem
 
@@ -120,12 +120,31 @@ class AutO:
             self._inverse = inv
         return self._inverse
 
+    def conjugation_matrix(self):
+        """(m*n, m*n) matrix of D -> mu o D o mu^-1 on flat derivation coordinates.
+
+        With v_j = mu^-1(x_j), coefficient j of the conjugate of
+        D = sum_i f_i d_i is mu(D(v_j)) = sum_i mu(d_i(v_j) * f_i), so block
+        (j, i) is mu.matrix @ mult_operator(d_i v_j).  Built on each call,
+        not cached: it is (m*n)^2 entries, m^2 times the size of the matrix.
+        """
+        cfg = self.cfg
+        p, m, n = cfg.p, cfg.m, cfg.n
+        out = np.zeros((m * n, m * n), dtype=np.int64)
+        for j, v in enumerate(self.inverse().images):
+            for i in range(m):
+                dv = partial_table(cfg, v.table, i + 1)
+                if dv.any():
+                    out[j * n:(j + 1) * n, i * n:(i + 1) * n] = linalg.matmul(
+                        self.matrix, mult_operator(cfg, dv), p)
+        return out
+
     def push_derivation(self, d: WElem) -> WElem:
-        """Conjugated derivation: apply the inverse, derive, apply the map."""
+        """Conjugated derivation mu o d o mu^-1: one product with the
+        conjugation matrix."""
         if d.cfg != self.cfg:
             raise ConfigMismatchError("derivation built over a different configuration")
-        back = self.inverse()
-        return WElem.from_coeffs([self.apply(d.apply(u)) for u in back.images])
+        return WElem.from_flat(self.cfg, linalg.matmul(self.conjugation_matrix(), d.flat(), self.cfg.p))
 
     def jacobian(self) -> OElem:
         """Determinant of the matrix of partials of the variable images."""
@@ -312,8 +331,11 @@ def random_graded_auto(grading: Grading, rng, tries: int = 200) -> AutO:
 def push_grading(mu: AutO, grading: Grading) -> Grading:
     """Transport a grading along an automorphism, keeping the degrees.
 
-    Algebra components map through the substitution, derivation components
-    through conjugation; the result is a raw grading (no standard origin).
+    Algebra components map through the substitution: all rows times
+    mu.matrix^T in one product.  Derivation components (ambient "W", and the
+    rows and `sub` of a subalgebra grading) map through conjugation: all rows
+    times the transposed conjugation matrix in one product each.  The result
+    is a raw grading (no standard origin).
     """
     cfg = grading.cfg
     if cfg != mu.cfg:
@@ -321,13 +343,10 @@ def push_grading(mu: AutO, grading: Grading) -> Grading:
     if grading.ambient == "O":
         rows = linalg.matmul(grading.basis, mu.matrix.T, cfg.p)
         return Grading(cfg, grading.group, "O", rows, grading.labels)
-
-    def push(rows):
-        return [mu.push_derivation(WElem.from_flat(cfg, row)).flat() for row in rows]
-
-    sub = None if grading.sub is None else push(grading.sub)
-    return Grading(cfg, grading.group, grading.ambient, push(grading.basis), grading.labels,
-                   sub=sub)
+    conj_t = mu.conjugation_matrix().T
+    sub = None if grading.sub is None else linalg.matmul(grading.sub, conj_t, cfg.p)
+    return Grading(cfg, grading.group, grading.ambient,
+                   linalg.matmul(grading.basis, conj_t, cfg.p), grading.labels, sub=sub)
 
 
 # -- volume form normalization ----------------------------------------------

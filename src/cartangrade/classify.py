@@ -272,6 +272,19 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     in the support, the functions carrying the anchor into the component at
     g are then exactly the component of the inducing algebra grading at
     g / (anchor degree).  The result is validated by inducing forward again.
+
+    Those functions are the first n coordinates of the null space of
+    [stack | -W_g^T], where stack (mn x n) is multiplication by the anchor
+    and W_g holds the rows of degree g.  The stack is factored once: the
+    RREF of [stack | I_mn] is [E | T] with T invertible and T @ stack =
+    E = [I_n; 0], since the n stack columns are all pivots (multiplication
+    by the anchor is injective).  One product gives T @ (-basis^T) = [top;
+    bottom].  T is invertible, so [stack | -W_g^T] and T @ [stack | -W_g^T]
+    = [[I_n, top_g], [0, bottom_g]] have the same RREF.  Its pivots are the
+    n stack columns and the pivots of bottom_g, so the canonical null space
+    basis is (-top_g c, c) for c running over the canonical null space basis
+    of bottom_g: the same rows, in the same order, as a per-degree
+    elimination of [stack | -W_g^T].
     """
     if w_grading.ambient != "W":
         raise AdmissibilityError("reconstruction expects a grading of the derivations")
@@ -287,11 +300,13 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
         raise AdmissibilityError(
             "no homogeneous derivation has a unit coefficient; grading is not induced")
     stack = np.vstack([mult_operator(cfg, anchor[i * n:(i + 1) * n]) for i in range(m)])
+    t = linalg.rref(np.hstack([stack, np.eye(m * n, dtype=np.int64)]), p)[0][:, n:]
+    reduced = linalg.matmul(t, (-w_grading.basis.T) % p, p)
+    top, bottom = reduced[:n], reduced[n:]
     rows, labels = [], []
     for g, sl in w_grading.blocks().items():
-        aug = np.hstack([stack, (-w_grading.basis[sl].T) % p])
-        null = linalg.nullspace(aug, p)
-        rows.append(null[:, :n])
+        null = linalg.nullspace(bottom[:, sl], p)
+        rows.append(linalg.matmul(null, (-top[:, sl].T) % p, p))
         labels += [g * g_star.inverse()] * null.shape[0]
     if len(labels) != n:
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")

@@ -1,11 +1,12 @@
 """Algebra automorphisms: substitution action, witnesses, normalization."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
-from cartangrade.abgroup import AbGroup
+from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
                                permutation_auto, push_grading, random_auto,
                                random_graded_auto, scale_auto, shift_auto,
@@ -13,7 +14,8 @@ from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
 from cartangrade.errors import ObstructionError, ValidityError
 from cartangrade.forms import omega_volume
 from cartangrade.gfp import Config
-from cartangrade.gradings import grade_O_construct, induce_W, verify_grading
+from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
+                                  induce_W, verify_grading)
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
 
@@ -76,6 +78,62 @@ def test_push_derivation_is_conjugation():
     d, e = random_derivation(cfg, rng), random_derivation(cfg, rng)
     assert mu.push_derivation(d.bracket(e)) == \
         mu.push_derivation(d).bracket(mu.push_derivation(e))
+
+
+def push_derivation_by_apply(mu, d):
+    """The per-row route: coefficient j of mu o d o mu^-1 is mu(d(mu^-1(x_j)))."""
+    return WElem.from_coeffs([mu.apply(d.apply(v)) for v in mu.inverse().images])
+
+
+def push_grading_by_rows(mu, grading):
+    """Derivation-grading push, one derivation at a time."""
+    cfg = grading.cfg
+
+    def push(rows):
+        return [push_derivation_by_apply(mu, WElem.from_flat(cfg, row)).flat() for row in rows]
+
+    sub = None if grading.sub is None else push(grading.sub)
+    return Grading(cfg, grading.group, grading.ambient, push(grading.basis), grading.labels,
+                   sub=sub)
+
+
+@functools.lru_cache(maxsize=None)
+def derivation_gradings(m):
+    """A standard W grading, a pushed one and a standard S subalgebra grading."""
+    cfg = Config(5, m)
+    g = AbGroup(0, (5,) * m)
+    e = [g.element(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    w = induce_W(grade_O_construct(cfg, g, e[:1], e[1:]))
+    total = e[0]
+    for a in e[1:]:
+        total = total * a
+    sub = grade_S_construct(cfg, g, PSubgroup(g, tuple(e[:1])), e[1:], total)
+    return w, push_grading(random_auto(cfg, random.Random(m)), w), sub
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_push_derivation_matches_the_per_row_route(m):
+    cfg = Config(5, m)
+    rng = random.Random(40 + m)
+    for _ in range(4):
+        mu = random_auto(cfg, rng)
+        d = random_derivation(cfg, rng)
+        assert mu.push_derivation(d) == push_derivation_by_apply(mu, d)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_conjugation_push_matches_the_per_row_route(m):
+    cfg = Config(5, m)
+    rng = random.Random(50 + m)
+    for grading in derivation_gradings(m):
+        for _ in range(2 if m == 2 else 1):
+            mu = random_auto(cfg, rng)
+            got = push_grading(mu, grading)
+            want = push_grading_by_rows(mu, grading)
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.labels == want.labels
+            if grading.sub is not None:
+                assert got.sub.tobytes() == want.sub.tobytes()
 
 
 def test_jacobian_is_multiplicative():

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from cartangrade import classify
-from cartangrade.abgroup import AbGroup, PSubgroup, coset_rep, subgroup_key
+from cartangrade import classify, linalg
+from cartangrade.abgroup import (AbGroup, PSubgroup, coset_rep, p_independent,
+                                 subgroup_key)
 from cartangrade.autos import (AutO, push_grading, random_auto,
                                random_graded_auto, scale_auto, volume_factor)
 from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
@@ -18,7 +19,8 @@ from cartangrade.errors import AdmissibilityError, ObstructionError
 from cartangrade.gfp import Config
 from cartangrade.gradings import (Grading, grade_O_construct,
                                   grade_S_construct, induce_W)
-from cartangrade.oalg import OElem
+from cartangrade.oalg import OElem, mult_operator
+from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
 
 
@@ -112,6 +114,91 @@ def test_reconstruction_after_pushing():
     # inducing commutes with pushing
     w2 = push_grading(mu, induce_W(grade_O_construct(CFG, G2, [A], [B])))
     assert w.same_components(w2)
+
+
+def o_grading_from_w_per_degree(w_grading):
+    """o_grading_from_w with one elimination of [stack | -W_g^T] per degree."""
+    if w_grading.ambient != "W":
+        raise AdmissibilityError("reconstruction expects a grading of the derivations")
+    cfg = w_grading.cfg
+    p, m, n = cfg.p, cfg.m, cfg.n
+    anchor = g_star = None
+    for row, g in zip(w_grading.basis, w_grading.labels):
+        if row[::n].any():
+            anchor, g_star = row, g
+            break
+    if anchor is None:
+        raise AdmissibilityError(
+            "no homogeneous derivation has a unit coefficient; grading is not induced")
+    stack = np.vstack([mult_operator(cfg, anchor[i * n:(i + 1) * n]) for i in range(m)])
+    rows, labels = [], []
+    for g, sl in w_grading.blocks().items():
+        aug = np.hstack([stack, (-w_grading.basis[sl].T) % p])
+        null = linalg.nullspace(aug, p)
+        rows.append(null[:, :n])
+        labels += [g * g_star.inverse()] * null.shape[0]
+    if len(labels) != n:
+        raise AdmissibilityError("derivation grading is not induced by an algebra grading")
+    out = Grading(cfg, w_grading.group, "O", np.vstack(rows), labels)
+    if not induce_W(out).same_components(w_grading):
+        raise AdmissibilityError("derivation grading is not induced by an algebra grading")
+    return out
+
+
+def strata_gradings(m, rng):
+    """One standard algebra grading per group of GROUP_MATRIX and toral rank."""
+    cfg = Config(5, m)
+    out = []
+    for group in GROUP_MATRIX:
+        pool = []
+        for g in torsion_candidates(group):
+            if len(pool) < m and p_independent(tuple(pool) + (g,)):
+                pool.append(g)
+        for s in range(len(pool) + 1):
+            gamma = [random_degree(group, rng) for _ in range(m - s)]
+            out.append(grade_O_construct(cfg, group, pool[:s], gamma))
+    return out
+
+
+def reconstruction(w_grading, route):
+    """(basis bytes, labels) of the reconstructed grading, or the refusal."""
+    try:
+        out = route(w_grading)
+    except AdmissibilityError as exc:
+        return str(exc)
+    return out.basis.tobytes(), out.labels
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_reconstruction_matches_the_per_degree_oracle(m):
+    rng = random.Random(60 + m)
+    cfg = Config(5, m)
+    cases = strata_gradings(m, rng)
+    if m == 3:
+        cases = cases[::4]
+    for g in cases:
+        w = induce_W(g)
+        for case in (w, push_grading(random_auto(cfg, rng), w)):
+            want = reconstruction(case, o_grading_from_w_per_degree)
+            assert not isinstance(want, str)
+            assert reconstruction(case, o_grading_from_w) == want
+
+
+def test_reconstruction_refuses_like_the_oracle_on_swapped_labels():
+    rng = random.Random(71)
+    refused = 0
+    for g in strata_gradings(2, rng):
+        w = push_grading(random_auto(CFG, rng), induce_W(g))
+        support = w.support()
+        if len(support) < 2:
+            continue
+        a, b = rng.sample(support, 2)
+        swap = {a: b, b: a}
+        swapped = Grading(CFG, w.group, "W", w.basis, [swap.get(x, x) for x in w.labels])
+        want = reconstruction(swapped, o_grading_from_w_per_degree)
+        assert reconstruction(swapped, o_grading_from_w) == want
+        refused += isinstance(want, str)
+    assert refused >= 5
 
 
 def test_iso_positive_algebra_flavor():

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -469,11 +470,16 @@ def test_cli_rejects_mistyped_fields(tmp_path, capsys, verb, path, value):
 
 def _fuzz_bases():
     og = grade_O_construct(CFG, G2, [A], [B])
+    wg = induce_W(og)
     sg = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B], A * B)
-    payloads = [serialize.grading_to_data(g) for g in (og, induce_W(og), sg)]
+    mu = random_auto(CFG, random.Random(4))
+    payloads = [serialize.grading_to_data(g) for g in (og, wg, sg)]
     requests = [standard_request(kind=k) for k in ("O", "W")]
     requests.append(standard_request(kind="S", g0=[1, 1]))
-    return {"construct": requests, "verify": payloads, "classify": payloads[:1]}
+    # iso pairs each payload with its neighbour: (standard, pushed) per ambient
+    pairs = [serialize.grading_to_data(g) for g in (og, push_grading(mu, og),
+                                                      wg, push_grading(mu, wg))]
+    return {"construct": requests, "verify": payloads, "classify": payloads[:1], "iso": pairs}
 
 
 FUZZ_BASES = _fuzz_bases()
@@ -481,6 +487,10 @@ FUZZ_BASES = _fuzz_bases()
 # cap and past int64.
 OUT_OF_RANGE = (-1, 0, 10**6, 2**63)
 OTHER_TYPES = (None, True, 1.5, "x", 3, [], {})
+# Verbs that take only integer flags, and the values each flag is drawn from.
+FLAG_VERBS = {"fine": ["grade", "fine"], "paper-check": ["paper-check"], "dims": ["dims"]}
+FLAG_VALUES = {"--p": (-1, 0, 1, 2, 3, 4, 5, 6, 10**6, 2**63),
+               "--m": (-1, 0, 1, 2, 5, 2**63), "--r": (0, 1, 3)}
 
 
 def _paths(data, prefix=()):
@@ -506,9 +516,28 @@ def _swap_two_degrees(draw, data) -> bool:
 
 @st.composite
 def mutated_payloads(draw):
-    verb = draw(st.sampled_from(sorted(FUZZ_BASES)))
-    data = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES[verb])))
-    flags = ["--flavor", draw(st.sampled_from(("O", "S")))] if verb == "classify" else []
+    """(verb, payload on stdin or None, flags, second iso payload or None)."""
+    verb = draw(st.sampled_from(sorted(FUZZ_BASES) + sorted(FLAG_VERBS)))
+    if verb in FLAG_VERBS:
+        flags = []
+        for flag, values in FLAG_VALUES.items():
+            if flag != "--r" or verb != "fine":
+                flags += [flag, str(draw(st.sampled_from(values)))]
+        if verb == "fine":
+            flags += ["--ambient", draw(st.sampled_from(("O", "W", "S")))]
+        return verb, None, flags, None
+    bases = FUZZ_BASES[verb]
+    k = draw(st.integers(0, len(bases) - 1))
+    data = copy.deepcopy(bases[k])
+    second = None
+    flags = []
+    if verb == "classify":
+        flags = ["--flavor", draw(st.sampled_from(("O", "S")))]
+    elif verb == "iso":
+        # W payloads go to flavor W, so label swaps reach the not-induced branch.
+        second = bases[k ^ 1]
+        flavor = "W" if data["ambient"] == "W" else draw(st.sampled_from(("O", "S", "H")))
+        flags = ["--flavor", flavor]
     relabelled = False
     for _ in range(draw(st.integers(0, 2))):
         relabelled = _swap_two_degrees(draw, data)
@@ -550,23 +579,31 @@ def mutated_payloads(draw):
                 _set(data, path, new)
             else:
                 data = new
-    return verb, data, flags
+    return verb, data, flags, second
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(mutated_payloads())
 def test_cli_survives_mutated_payloads(case):
-    verb, data, flags = case
-    flag = "--request" if verb == "construct" else "--grading"
-    argv = ["grade", verb, flag, "-"] + flags
+    verb, data, flags, second = case
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(data))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = stdin
+    with tempfile.TemporaryDirectory() as tmp:
+        if verb in FLAG_VERBS:
+            argv = FLAG_VERBS[verb] + flags
+        elif verb == "iso":
+            other = Path(tmp) / "g2.json"
+            other.write_text(json.dumps(second))
+            argv = ["grade", "iso", "--g1", "-", "--g2", str(other)] + flags
+        else:
+            flag = "--request" if verb == "construct" else "--grading"
+            argv = ["grade", verb, flag, "-"] + flags
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            sys.stdin = stdin
     assert code in (0, 2, 3, 4)
     # A reply is a payload on stdout (exit 0, or a verify report with exit
     # 4) or one error line on stderr.
