@@ -144,7 +144,8 @@ class AutO:
         conjugation matrix."""
         if d.cfg != self.cfg:
             raise ConfigMismatchError("derivation built over a different configuration")
-        return WElem.from_flat(self.cfg, linalg.matmul(self.conjugation_matrix(), d.flat(), self.cfg.p))
+        flat = linalg.matmul(self.conjugation_matrix(), d.flat(), self.cfg.p)
+        return WElem.from_flat(self.cfg, flat)
 
     def jacobian(self) -> OElem:
         """Determinant of the matrix of partials of the variable images."""

@@ -6,36 +6,27 @@ intended).  Each case is one cli.main call; the exit code, the stdout bytes
 and the `error:` line on stderr must match the recording.
 """
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
-from cartangrade import cli
+from golden.make_golden import run as replay
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
-
-
-def replay(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    return code, out.getvalue(), errors[0] if errors else ""
 
 
 def test_golden_corpus_covers_every_verb_and_exit_code():
     verbs = {tuple(c["argv"][:2]) for c in CASES}
     assert {("grade", v) for v in ("construct", "verify", "classify", "iso", "fine")} <= verbs
     assert {c["exit"] for c in CASES} == {0, 2, 3, 4}
-    flavors = {c["argv"][1]: set() for c in CASES}
+    flavors = {}
     for c in CASES:
-        if "--flavor" in c["argv"]:
-            flavors[c["argv"][1]].add(c["argv"][c["argv"].index("--flavor") + 1])
-    assert flavors["iso"] == {"O", "W", "S"} and flavors["classify"] == {"O", "W"}
+        argv = c["argv"]
+        if "--flavor" in argv:
+            flavors.setdefault(argv[1], set()).add(argv[argv.index("--flavor") + 1])
+    assert flavors == {"iso": {"O", "W", "S"}, "classify": {"O", "W"}}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])

@@ -587,8 +587,6 @@ def mutated_payloads(draw):
 def test_cli_survives_mutated_payloads(case):
     verb, data, flags, second = case
     out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(data))
     with tempfile.TemporaryDirectory() as tmp:
         if verb in FLAG_VERBS:
             argv = FLAG_VERBS[verb] + flags
@@ -599,6 +597,8 @@ def test_cli_survives_mutated_payloads(case):
         else:
             flag = "--request" if verb == "construct" else "--grading"
             argv = ["grade", verb, flag, "-"] + flags
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(data))
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
