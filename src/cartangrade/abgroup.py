@@ -4,14 +4,20 @@ Degrees of gradings live in a group Z^r x Z_d1 x ... x Z_dk, written
 multiplicatively.  Elements are coordinate tuples with torsion slots
 reduced; the free slots carry plain integers.  An elementary p-subgroup
 is handed around with a chosen basis because the classification invariants
-are read off relative to such a basis.
+are read off relative to such a basis.  Its elements lie in the p-socle, a
+GF(p)-vector space on socle coordinates, so independence, membership,
+exponents and canonical coset representatives are eliminations over GF(p)
+(linalg), not walks over the p^s members.  Subgroups of arbitrary
+generators are compared by a Hermite normal form over the integers.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
+import numpy as np
+
+from . import linalg
 from .errors import DimensionError, GroupMismatchError, InternalError, NoSuchBasisError
 from .gfp import _is_prime
 
@@ -131,11 +137,35 @@ class GElem:
         return f"g{self.coords}"
 
 
+def _socle(g: GElem, p: int):
+    """Coordinates of g in the p-socle, or None when g^p is not the identity.
+
+    g^p = e forces a zero free part, a zero coordinate in every torsion slot
+    whose modulus d_i is prime to p, and a multiple q_i * (d_i/p) in every slot
+    with p | d_i.  The q_i, in slot order, are the socle coordinates: the
+    p-socle is GF(p)^k on them, k the number of slots with p | d_i.
+    """
+    r = g.group.free_rank
+    if any(g.coords[:r]):
+        return None
+    out = []
+    for c, d in zip(g.coords[r:], g.group.torsion):
+        if d % p:
+            if c:
+                return None
+        elif c % (d // p):
+            return None
+        else:
+            out.append(c // (d // p))
+    return out
+
+
 def p_independent(basis) -> bool:
     """Whether the elements all share a prime order p and generate p^len products.
 
-    Independence is decided by brute enumeration: the products over exponent
-    boxes {0..p-1}^s must be pairwise distinct.  An empty list is independent.
+    Elements of order p are vectors of the p-socle over GF(p) (_socle), so
+    they generate p^len products exactly when their socle rows have full
+    rank.  An empty list is independent.
     """
     basis = list(basis)
     if not basis:
@@ -146,22 +176,17 @@ def p_independent(basis) -> bool:
     p = orders.pop()
     if p is None or not _is_prime(p):
         return False
-    group = basis[0].group
-    seen = set()
-    for exps in product(range(p), repeat=len(basis)):
-        g = group.identity()
-        for b, e in zip(basis, exps):
-            g = g * b**e
-        if g.coords in seen:
-            return False
-        seen.add(g.coords)
-    return True
+    return linalg.rank([_socle(b, p) for b in basis], p) == len(basis)
 
 
 class PSubgroup:
-    """Elementary p-subgroup with a chosen basis of order-p elements."""
+    """Elementary p-subgroup with a chosen basis of order-p elements.
 
-    __slots__ = ("group", "basis", "p", "_elements")
+    socle holds the basis as an s x k matrix of socle coordinates, so
+    membership and exponents are one solve over GF(p).
+    """
+
+    __slots__ = ("group", "basis", "p", "socle")
 
     def __init__(self, group: AbGroup, basis):
         basis = tuple(basis)
@@ -170,10 +195,11 @@ class PSubgroup:
                 raise GroupMismatchError("basis element from a different group")
         if not p_independent(basis):
             raise NoSuchBasisError("basis elements must be independent of common prime order")
+        p = basis[0].order() if basis else None
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "p", basis[0].order() if basis else None)
-        object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "socle", np.array([_socle(b, p) for b in basis], dtype=np.int64))
 
     def __setattr__(self, name, value):
         raise AttributeError("PSubgroup is immutable")
@@ -185,36 +211,16 @@ class PSubgroup:
     def order(self) -> int:
         return (self.p or 1) ** self.s
 
-    def elements(self):
-        """All p^s elements, cached after the first call."""
-        if self._elements is None:
-            if not self.basis:
-                elems = (self.group.identity(),)
-            else:
-                elems = []
-                for exps in product(range(self.p), repeat=self.s):
-                    g = self.group.identity()
-                    for b, e in zip(self.basis, exps):
-                        g = g * b**e
-                    elems.append(g)
-                elems = tuple(elems)
-            object.__setattr__(self, "_elements", elems)
-        return self._elements
-
     def __contains__(self, g: GElem) -> bool:
-        return g in set(self.elements())
+        return self.exponents_of(g) is not None
 
     def exponents_of(self, g: GElem):
         """Exponent tuple of g over the basis, or None when g is outside."""
         if not self.basis:
             return () if g.is_identity else None
-        for exps in product(range(self.p), repeat=self.s):
-            h = self.group.identity()
-            for b, e in zip(self.basis, exps):
-                h = h * b**e
-            if h == g:
-                return exps
-        return None
+        q = _socle(g, self.p)
+        x = None if q is None else linalg.solve(self.socle.T, q, self.p)
+        return None if x is None else tuple(int(e) for e in x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSubgroup):
@@ -235,8 +241,30 @@ def coset_eq(g: GElem, h: GElem, sub: PSubgroup) -> bool:
 
 
 def coset_rep(g: GElem, sub: PSubgroup) -> GElem:
-    """Lex-smallest element of the coset g*P; canonical across the coset."""
-    return min((g * q for q in sub.elements()), key=lambda e: e.coords)
+    """Lex-smallest element of the coset g*P; canonical across the coset.
+
+    Across the coset only the slots with p | d_i move, each in steps of
+    d_i/p: write such a coordinate as c_i = u_i * (d_i/p) + r_i with
+    0 <= r_i < d_i/p; multiplying by the member with socle coordinates t
+    gives ((u_i + t_i) mod p) * (d_i/p) + r_i, which rises with the digit
+    (u_i + t_i) mod p.  So the lex-least member minimizes the digit vector
+    u + t over t in the row space W of sub.socle.  Reducing u against the
+    RREF of W (EchelonSpace.residual) sets every pivot digit to 0; any other
+    member adds a nonzero w in W, whose first nonzero entry sits at a pivot
+    where it turns that 0 into a positive digit, with all earlier digits
+    unchanged.  The reduced vector is therefore the lex-least one.
+    """
+    if not sub.basis:
+        return g
+    p, r = sub.p, g.group.free_rank
+    steps = [(i, d // p) for i, d in enumerate(g.group.torsion, r) if d % p == 0]
+    space = linalg.EchelonSpace(len(steps), p)
+    space.add_batch(sub.socle)
+    digits = space.residual([g.coords[i] // step for i, step in steps]) % p
+    coords = list(g.coords)
+    for (i, step), v in zip(steps, digits):
+        coords[i] = int(v) * step + coords[i] % step
+    return GElem(g.group, coords)
 
 
 def basis_with_product(sub: PSubgroup, g0: GElem) -> list:

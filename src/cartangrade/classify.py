@@ -126,16 +126,29 @@ def canonical_key(inv: GradingInvariants):
 def recognize_O(grading: Grading):
     """Extract a homogeneous frame and the invariants of an algebra grading.
 
+    Returns (frame, invariants); see _recognize_frame.
+    """
+    frame, _, inv = _recognize_frame(grading)
+    return frame, inv
+
+
+def _recognize_frame(grading: Grading):
+    """Homogeneous frame, its degrees, and the invariants of an algebra grading.
+
     Greedy pass: walk the homogeneous basis vectors in degree order and keep
     those independent modulo constants and the square of the maximal ideal.
     Vectors with a unit constant term are normalized to 1 + y with y in the
     maximal ideal; the rest are frame vectors as they stand.  A homogeneous
     unit u has u^p in GF(p)^x, inside the identity component, so its degree
     has order 1 or p; a unit row labelled otherwise is refused before its
-    degree reaches the subgroup arithmetic.  A reduction
-    loop then eliminates dependencies among the unit-slot degrees, moving
-    the offending slots to the free part, so the remaining degrees form a
-    basis of the unit-support subgroup.  Returns (frame, invariants).
+    degree reaches the subgroup arithmetic.  One pass over the unit slots
+    then keeps each degree independent of those already kept; a dependent
+    one, a = prod b_i^{l_i} over the kept degrees, moves its slot to the
+    free part as (1 + y) - prod (1 + y_i)^{l_i}, so the kept degrees form a
+    basis of the unit-support subgroup.  The frame degrees are the row
+    labels: a moved slot keeps its label a, since both terms of the
+    difference are homogeneous of degree a.  Returns (frame, degrees,
+    invariants), the degrees in frame order.
     """
     if grading.ambient != "O":
         raise AdmissibilityError("recognition expects a grading of the algebra")
@@ -144,7 +157,7 @@ def recognize_O(grading: Grading):
     one = OElem.one(cfg)
     radix = radix_weights(cfg.p, cfg.m)
     ech = linalg.EchelonSpace(cfg.m, cfg.p)
-    toral, free = [], []
+    units, free = [], []
     for row, g in zip(grading.basis, grading.labels):
         if ech.dim == cfg.m:
             break
@@ -156,35 +169,28 @@ def recognize_O(grading: Grading):
                 raise AdmissibilityError(
                     f"a unit row is labelled {g!r} of order {order or 'infinity'}; "
                     f"a homogeneous unit has degree of order 1 or {cfg.p}")
-            toral.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
+            units.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
         else:
             free.append((OElem(cfg, row), g))
     if ech.dim != cfg.m:
         raise InternalError("homogeneous components must span all cotangent directions")
-    while True:
-        degs = [g for _, g in toral]
-        culprit = None
-        prefix = []
-        for k, a in enumerate(degs):
-            if p_independent(tuple(prefix) + (a,)):
-                prefix.append(a)
-            else:
-                culprit = k
-                break
-        if culprit is None:
-            break
-        sub = PSubgroup(group, tuple(degs[:culprit]))
-        exps = sub.exponents_of(degs[culprit])
+    toral = []
+    for y, a in units:
+        degs = tuple(g for _, g in toral)
+        if p_independent(degs + (a,)):
+            toral.append((y, a))
+            continue
+        exps = PSubgroup(group, degs).exponents_of(a)
         if exps is None:
             raise InternalError("a failing unit degree must lie over the earlier ones")
-        y, a = toral.pop(culprit)
         prod = one
-        for (yi, _), l in zip(toral[:culprit], exps):
-            prod = prod * (one + yi) ** int(l)
+        for (yi, _), l in zip(toral, exps):
+            prod = prod * (one + yi) ** l
         free.append(((one + y) - prod, a))
-    frame = [y for y, _ in toral] + [y for y, _ in free]
+    pairs = toral + free
     psub = PSubgroup(group, tuple(g for _, g in toral))
-    return frame, GradingInvariants(psub, [g for _, g in free])
+    return ([y for y, _ in pairs], [g for _, g in pairs],
+            GradingInvariants(psub, [g for _, g in free]))
 
 
 def _recognize_S_frame(grading: Grading):
@@ -212,10 +218,10 @@ def _recognize_S_frame(grading: Grading):
     """
     cfg = grading.cfg
     group = grading.group
-    frame, inv = recognize_O(grading)
+    frame, degrees, inv = _recognize_frame(grading)
     s, m = inv.s, cfg.m
     one = OElem.one(cfg)
-    free_degs = [grading.degree_of(y) for y in frame[s:]]
+    free_degs = degrees[s:]
     total = group.identity()
     for b in inv.P.basis:
         total = total * b
@@ -399,13 +405,11 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     if g1.ambient != "O" or g2.ambient != "O":
         raise AdmissibilityError("this flavor expects gradings of the algebra")
     if flavor == "O":
-        f1, i1 = recognize_O(g1)
-        f2, i2 = recognize_O(g2)
+        f1, d1, i1 = _recognize_frame(g1)
+        f2, d2, i2 = _recognize_frame(g2)
         if canonical_key(i1) != canonical_key(i2):
             return None
-        gamma1 = [g1.degree_of(y) for y in f1[i1.s:]]
-        gamma2 = [g2.degree_of(y) for y in f2[i2.s:]]
-        nu = _standard_bridge(cfg, list(i1.P.basis), gamma1, list(i2.P.basis), gamma2, i1.P)
+        nu = _standard_bridge(cfg, d1[:i1.s], d1[i1.s:], d2[:i2.s], d2[i2.s:], i1.P)
         psi = AutO(f2).compose(nu).compose(AutO(f1).inverse())
         _check_witness(psi, g1, g2)
         return psi

@@ -34,7 +34,8 @@ Construct request schema::
      "g0": [1, 1]}               # kind "S" only: volume degree
 
 Flavor notes: classify/iso consume ambient-"O" grading files for flavors O
-and S and ambient-"W" files for flavor W.  Flavor H is decided through the
+and S and ambient-"W" files for flavor W; an ambient-"O" file that verify
+rejects is refused (exit 3).  Flavor H is decided through the
 rank-two volume flavor when m = 2 and reported as open otherwise.  The
 truncated polynomial machinery itself is characteristic-agnostic, so
 construct/verify accept p in {2, 3} for kinds O and W; everything resting on
@@ -57,8 +58,8 @@ from . import serialize
 from .abgroup import PSubgroup
 from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
                        o_grading_from_w, recognize_O, recognize_S)
-from .errors import (CartanGradeError, ConfigError, InternalError, ObstructionError,
-                     ParseError)
+from .errors import (AdmissibilityError, CartanGradeError, ConfigError, InternalError,
+                     ObstructionError, ParseError)
 from .forms import algebra_rows, derived_rows
 from .gfp import Config, max_dim_limit
 from .gradings import (check_toral_orders, grade_O_construct, grade_S_construct, induce_W,
@@ -98,6 +99,21 @@ def _require_classical(cfg: Config, what: str):
         raise ConfigError(
             f"{what} rests on the p > 3 theory; p = {cfg.p} admits only "
             "construction and verification for kinds O and W")
+
+
+def _require_grading(*gradings):
+    """Refuse an ambient-"O" payload that is not a grading: classification
+    and isomorphism assume the grading axioms, which verify_grading checks
+    (from m generator rows when they hold).  classify checks after
+    recognition, so recognition's own refusals keep their message; iso
+    checks before deciding, since a decision on a non-grading can fail its
+    witness self-check, which is an internal failure (exit 4)."""
+    for grading in gradings:
+        if grading.ambient == "O":
+            report = verify_grading(grading)
+            if not report.ok:
+                g, h, why = report.failures[0]
+                raise AdmissibilityError(f"payload is not a grading: degrees {g} x {h}: {why}")
 
 
 def _load_json(path: str) -> dict:
@@ -467,7 +483,7 @@ def cmd_grade_construct(args) -> int:
         if "g0" not in data:
             raise ParseError("kind S requires the volume degree g0")
         g0 = serialize.gelem_from_data(data["g0"], group)
-        check_toral_orders(cfg, b_list)     # before PSubgroup tests independence
+        check_toral_orders(cfg, b_list)     # the order-p refusal before the independence one
         psub = PSubgroup(group, b_list)
         grading = grade_S_construct(cfg, group, psub, gamma, g0)
     else:
@@ -519,6 +535,7 @@ def cmd_grade_classify(args) -> int:
             raise ObstructionError(
                 f"hamiltonian classification beyond m = 2 is {OPEN_IN_PAPER}")
         inv = recognize_S(grading)
+    _require_grading(grading)
     _emit(args, serialize.invariants_to_data(inv))
     return 0
 
@@ -527,6 +544,7 @@ def cmd_grade_iso(args) -> int:
     g1 = serialize.grading_from_data(_load_json(args.g1))
     g2 = serialize.grading_from_data(_load_json(args.g2))
     _require_classical(g1.cfg, "isomorphism decision")
+    _require_grading(g1, g2)
     result = iso_decide(g1, g2, args.flavor)
     if result == OPEN_IN_PAPER:
         payload = {"isomorphic": None, "status": OPEN_IN_PAPER}

@@ -255,11 +255,10 @@ def induce_W(grading: Grading) -> Grading:
         return Grading(cfg, grading.group, "W", rows.reshape(n * m, m * n), labels,
                        origin={"s": s, "degrees": degrees})
     from .autos import AutO, push_grading
-    from .classify import recognize_O
+    from .classify import _recognize_frame
 
-    frame, inv = recognize_O(grading)
-    gamma = [grading.degree_of(y) for y in frame[inv.s:]]
-    standard = grade_O_construct(cfg, grading.group, list(inv.P.basis), gamma)
+    frame, degrees, inv = _recognize_frame(grading)
+    standard = grade_O_construct(cfg, grading.group, degrees[:inv.s], degrees[inv.s:])
     return push_grading(AutO(frame), induce_W(standard))
 
 
@@ -288,8 +287,15 @@ def induce_subalgebra(w_grading: Grading, sub_rows) -> Grading:
     return Grading(cfg, w_grading.group, "sub", np.vstack(rows), labels, sub=sub)
 
 
-def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: GElem,
-                      derived_iterations=None) -> Grading:
+def _s_rows(cfg: Config):
+    """Basis rows of the simple derived algebra of the volume-form stabilizer:
+    the second derived algebra at m = 2, the first beyond."""
+    from .forms import algebra_rows, derived_rows
+
+    return derived_rows(cfg, algebra_rows(cfg, "S"), iterations=2 if cfg.m == 2 else 1)
+
+
+def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: GElem) -> Grading:
     """Grading of the volume-form stabilizer's simple derived algebra.
 
     The degree data must satisfy: g0 * (product of gamma)^{-1} lies in the
@@ -298,7 +304,6 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
     rank obstruction: at full rank the identity volume degree is impossible).
     """
     from .abgroup import basis_with_product
-    from .forms import algebra_rows, derived_rows
 
     gamma = tuple(gamma)
     if psub.s + len(gamma) != cfg.m:
@@ -319,12 +324,7 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
                 "identity volume degree is impossible at toral rank s >= 1")
         b_list = basis_with_product(psub, target)
     o_grading = grade_O_construct(cfg, group, b_list, gamma)
-    w_grading = induce_W(o_grading)
-    rows = algebra_rows(cfg, "S")
-    if derived_iterations is None:
-        derived_iterations = 2 if cfg.m == 2 else 1
-    rows = derived_rows(cfg, rows, iterations=derived_iterations)
-    out = induce_subalgebra(w_grading, rows)
+    out = induce_subalgebra(induce_W(o_grading), _s_rows(cfg))
     out.origin = {"o_grading": o_grading, "g0": g0}
     return out
 
@@ -505,9 +505,5 @@ def fine_grading(cfg: Config, s: int, ambient: str = "O") -> Grading:
     if ambient == "W":
         return induce_W(o_grading)
     if ambient == "S":
-        from .forms import algebra_rows, derived_rows
-
-        w_grading = induce_W(o_grading)
-        rows = derived_rows(cfg, algebra_rows(cfg, "S"), iterations=2 if cfg.m == 2 else 1)
-        return induce_subalgebra(w_grading, rows)
+        return induce_subalgebra(induce_W(o_grading), _s_rows(cfg))
     raise ConfigError(f"unknown ambient {ambient!r}")

@@ -91,6 +91,41 @@ def test_reduction_loop_on_dependent_unit_degrees():
     assert canonical_key(inv2) == canonical_key(inv)
 
 
+def moved_unit_grading():
+    """A grading whose recognition moves a unit slot to the free part: with
+    x2 of degree e, presenting 1 + x2 first in the identity component makes
+    a unit of degree e, which goes to the free part as x2."""
+    x2 = OElem.variable(CFG, 2)
+    one = OElem.one(CFG)
+    g = grade_O_construct(CFG, G2, [A], [G2.identity()])
+    comps = {d: list(vs) for d, vs in g.components.items()}
+    comps[G2.identity()] = [one + x2, one] + [v for v in comps[G2.identity()]
+                                              if v != one and v != x2]
+    return Grading.from_components(CFG, G2, "O", comps)
+
+
+def frame_degrees_by_solving(grading, frame, s):
+    """The degree of 1 + y for the first s frame elements and of y for the
+    rest, each by one decomposition over the basis."""
+    one = OElem.one(grading.cfg)
+    return [grading.degree_of(one + y if k < s else y) for k, y in enumerate(frame)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_frame_degrees_are_the_solved_degrees(m):
+    rng = random.Random(80 + m)
+    cfg = Config(5, m)
+    cases = []
+    for g in strata_gradings(m, rng):
+        cases += [g, push_grading(random_auto(cfg, rng), g)]
+    if m == 2:
+        cases.append(moved_unit_grading())
+    for g in cases:
+        frame, degrees, inv = classify._recognize_frame(g)
+        assert degrees == frame_degrees_by_solving(g, frame, inv.s)
+        assert degrees[:inv.s] == list(inv.P.basis)
+
+
 def test_trivial_grading_recognized():
     comps = {G1.identity(): [OElem(CFG, row)
                              for row in np.eye(CFG.n, dtype=np.int64)]}
@@ -374,12 +409,13 @@ def test_symplectic_degree_at_two_variables_is_the_volume_degree():
 
 def test_volume_recognition_recognizes_once(monkeypatch):
     calls = []
+    recognize = classify._recognize_frame
 
     def counted(grading):
         calls.append(grading)
-        return recognize_O(grading)
+        return recognize(grading)
 
-    monkeypatch.setattr(classify, "recognize_O", counted)
+    monkeypatch.setattr(classify, "_recognize_frame", counted)
     for grading in volume_corpus()[::7]:
         calls.clear()
         volume_degree(grading)

@@ -375,6 +375,27 @@ def test_cli_refuses_a_unit_row_labelled_past_order_p(tmp_path, capsys):
         assert "order 1 or 5" in err
 
 
+def test_cli_classify_and_iso_refuse_a_non_grading(capsys):
+    # O_swapped is a pushed O grading with the labels of two components
+    # swapped: verify rejects it, and classify and iso refuse it (exit 3).
+    # Flavor S refuses it in recognition already: its volume line is not
+    # homogeneous.
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    swapped, raw = str(inputs / "O_swapped.json"), str(inputs / "O_raw_x.json")
+    assert cli.main(["grade", "verify", "--grading", swapped]) == 4
+    capsys.readouterr()
+    not_a_grading = "error: payload is not a grading: degrees ("
+    runs = [(["grade", "classify", "--grading", swapped, "--flavor", "O"], not_a_grading),
+            (["grade", "classify", "--grading", swapped, "--flavor", "S"],
+             "error: grading does not keep the volume line homogeneous")]
+    runs += [(["grade", "iso", "--flavor", "O", "--g1", a, "--g2", b], not_a_grading)
+             for a, b in ((swapped, raw), (raw, swapped))]
+    for argv, error in runs:
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(error)
+
+
 def test_cli_verifies_a_raw_O_grading_at_four_variables(tmp_path, capsys):
     # dim = 625: the certificate checks 4 generator rows instead of 625.
     cfg = Config(5, 4)
@@ -604,6 +625,15 @@ def test_cli_survives_mutated_payloads(case):
                 code = cli.main(argv)
         finally:
             sys.stdin = stdin
+        # classify and iso answer only on gradings: an O payload they accept
+        # passes verify.
+        accepted = [d for d in (data, second) if code == 0 and verb in ("classify", "iso")
+                    and isinstance(d, dict) and d.get("ambient") == "O"]
+        for k, d in enumerate(accepted):
+            path = Path(tmp) / f"accepted{k}.json"
+            path.write_text(json.dumps(d))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["grade", "verify", "--grading", str(path)]) == 0
     assert code in (0, 2, 3, 4)
     # A reply is a payload on stdout (exit 0, or a verify report with exit
     # 4) or one error line on stderr.
