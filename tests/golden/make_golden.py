@@ -123,6 +123,12 @@ def cases():
         "fine_O_m2": ["grade", "fine", "--p", "5", "--m", "2", "--ambient", "O"],
         "refusal_dependent_basis": g("construct", "--request", inp("req_dependent")),
         "malformed_payload": g("verify", "--grading", inp("malformed")),
+        "paper_check_m2": ["paper-check", "--p", "5", "--m", "2"],
+        "paper_check_m2_table": ["paper-check", "--p", "5", "--m", "2", "--format", "table"],
+        "refusal_paper_check_p3": ["paper-check", "--p", "3", "--m", "2"],
+        "dims_m3": ["dims", "--p", "5", "--m", "3"],
+        "dims_m2_r2": ["dims", "--p", "5", "--m", "2", "--r", "2"],
+        "dims_p7_m4": ["dims", "--p", "7", "--m", "4"],
     }
 
 

@@ -20,6 +20,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 def test_golden_corpus_covers_every_verb_and_exit_code():
     verbs = {tuple(c["argv"][:2]) for c in CASES}
     assert {("grade", v) for v in ("construct", "verify", "classify", "iso", "fine")} <= verbs
+    assert {"paper-check", "dims"} <= {c["argv"][0] for c in CASES}
     assert {c["exit"] for c in CASES} == {0, 2, 3, 4}
     flavors = {}
     for c in CASES:
