@@ -44,8 +44,8 @@ from .errors import (
     NoSuchBasisError,
     ObstructionError,
 )
-from .gfp import Config, radix_weights
-from .gradings import Grading, fine_grading, grade_O_construct, induce_W
+from .gfp import Config
+from .gradings import Grading, fine_grading, frame_rows, grade_O_construct, induce_W
 from .oalg import OElem, mult_operator
 
 # Status returned for the symplectic flavor at half-rank > 1, whose
@@ -135,34 +135,61 @@ def recognize_O(grading: Grading):
 def _recognize_frame(grading: Grading):
     """Homogeneous frame, its degrees, and the invariants of an algebra grading.
 
-    Greedy pass: walk the homogeneous basis vectors in degree order and keep
-    those independent modulo constants and the square of the maximal ideal.
-    Vectors with a unit constant term are normalized to 1 + y with y in the
-    maximal ideal; the rest are frame vectors as they stand.  A homogeneous
-    unit u has u^p in GF(p)^x, inside the identity component, so its degree
-    has order 1 or p; a unit row labelled otherwise is refused before its
-    degree reaches the subgroup arithmetic.  One pass over the unit slots
-    then keeps each degree independent of those already kept; a dependent
-    one, a = prod b_i^{l_i} over the kept degrees, moves its slot to the
-    free part as (1 + y) - prod (1 + y_i)^{l_i}, so the kept degrees form a
-    basis of the unit-support subgroup.  The frame degrees are the row
-    labels: a moved slot keeps its label a, since both terms of the
-    difference are homogeneous of degree a.  Returns (frame, degrees,
-    invariants), the degrees in frame order.
+    The frame rows are the basis rows whose linear parts are independent,
+    picked greedily in row order (gradings.frame_rows), so in degree order.
+    A row with a unit constant term c is normalized to y = u/c - 1 in the
+    maximal ideal (a unit slot); the rest are frame vectors as they stand.
+    A homogeneous unit u has u^p in GF(p)^x, inside the identity component,
+    so its degree has order 1 or p; a unit row labelled otherwise is refused
+    before its degree reaches the subgroup arithmetic.  A unit slot of
+    degree e goes to the free part as y.  Any other unit slot is toral when
+    its degree is independent of the toral degrees kept before it, and is
+    refused otherwise: no grading has such a slot (proof below).  The frame
+    degrees are the row labels.  Returns (frame, degrees, invariants),
+    the toral slots first, then the free ones in pick order.
+
+    Proof that no grading reaches the refusal.  The grading is isomorphic
+    to a standard one: there is a frame y_1..y_m (zero constant terms,
+    independent linear parts) with 1 + y_i homogeneous of degree b_i for
+    i <= s, the b_i independent of order p and spanning P, and y_j
+    homogeneous of degree gamma_j for j > s.  The linear parts in the x and
+    in the y coordinates differ by an invertible map, so every independence
+    below is the same in either.  The component V_g is spanned by the
+    monomials (1 + y)^c y^d (c over the toral slots, d over the free ones,
+    entries below p) of degree b^c gamma^d = g.  A unit needs a monomial
+    with d = 0, so every unit degree lies in P, and P, a p-group, has free
+    coordinates 0.  Blocks are walked in label order: those before e have
+    a negative free coordinate and hold no unit, so the e block is walked
+    before every other block that holds a unit.
+    (1) The linear parts of V_e span F_P = <y_j : j > s, gamma_j in P>:
+    a monomial with |d| >= 2 has linear part 0, one with d = 0 in V_e is 1,
+    and one with d the unit vector at j has linear part y_j and lies in V_e
+    exactly when b^c = gamma_j^-1, which has a solution c exactly when
+    gamma_j lies in P.  So once the e block is walked, the picked linear
+    parts span F_P.
+    (2) For a in P write a = prod b_i^alpha_i(a); alpha is linear from P
+    to GF(p)^s.  By the same count of monomials, a unit of degree a with
+    constant term c has linear part c * sum_i alpha_i(a) y_i plus an element
+    of F_P.
+    So let a unit be picked after the e block, of degree a != e, with a
+    in the span of the toral degrees a_1..a_k kept before it: a = prod
+    a_t^l_t.  Each kept unit has linear part c_t * alpha(a_t).y + f_t with
+    f_t in F_P, and alpha(a) = sum l_t alpha(a_t), so the picked unit's
+    linear part lies in the span of the kept linear parts and F_P, all
+    picked before it: the greedy pick does not take it.  Every unit that
+    is picked therefore has degree e or a degree of order p independent of
+    the toral degrees kept before it.
     """
     if grading.ambient != "O":
         raise AdmissibilityError("recognition expects a grading of the algebra")
     cfg = grading.cfg
-    group = grading.group
     one = OElem.one(cfg)
-    radix = radix_weights(cfg.p, cfg.m)
-    ech = linalg.EchelonSpace(cfg.m, cfg.p)
+    picks = frame_rows(grading)
+    if len(picks) != cfg.m:
+        raise InternalError("homogeneous components must span all cotangent directions")
     units, free = [], []
-    for row, g in zip(grading.basis, grading.labels):
-        if ech.dim == cfg.m:
-            break
-        if not ech.add(row[radix]):
-            continue
+    for k in picks:
+        row, g = grading.basis[k], grading.labels[k]
         if row[0]:
             order = g.order()
             if order not in (1, cfg.p):
@@ -172,23 +199,16 @@ def _recognize_frame(grading: Grading):
             units.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
         else:
             free.append((OElem(cfg, row), g))
-    if ech.dim != cfg.m:
-        raise InternalError("homogeneous components must span all cotangent directions")
     toral = []
     for y, a in units:
-        degs = tuple(g for _, g in toral)
-        if p_independent(degs + (a,)):
+        if a.is_identity:
+            free.append((y, a))
+        elif p_independent(tuple(g for _, g in toral) + (a,)):
             toral.append((y, a))
-            continue
-        exps = PSubgroup(group, degs).exponents_of(a)
-        if exps is None:
-            raise InternalError("a failing unit degree must lie over the earlier ones")
-        prod = one
-        for (yi, _), l in zip(toral, exps):
-            prod = prod * (one + yi) ** l
-        free.append(((one + y) - prod, a))
+        else:
+            raise AdmissibilityError("unit rows of dependent degrees: not a grading")
     pairs = toral + free
-    psub = PSubgroup(group, tuple(g for _, g in toral))
+    psub = PSubgroup(grading.group, tuple(g for _, g in toral))
     return ([y for y, _ in pairs], [g for _, g in pairs],
             GradingInvariants(psub, [g for _, g in free]))
 

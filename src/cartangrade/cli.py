@@ -51,6 +51,7 @@ capped by the environment variable CARTAN_GRADE_MAX_DIM (default 2401).
 import argparse
 import random
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
 from .errors import (AdmissibilityError, CartanGradeError, ConfigError, InternalError,
                      ObstructionError, ParseError)
 from .forms import algebra_rows, derived_rows
-from .gfp import Config, max_dim_limit
+from .gfp import Config, max_dim_limit, mi_enumerate
 from .gradings import (check_toral_orders, grade_O_construct, grade_S_construct, induce_W,
                        verify_grading)
 from .linalg import matmul, row_space
@@ -164,31 +165,37 @@ def _check_record(name: str, cases: int, fails, detail: str = "",
     return rec
 
 
+def _sweep(left, right, rng):
+    """The cases of an identity sweep over left x right, and whether they
+    are all of them: every pair (left-major) within EXHAUSTIVE_CASES, else
+    SAMPLE_CASES seeded draws.  rng.choice(seq) makes the same draw as
+    rng.randrange(len(seq))."""
+    if len(left) * len(right) <= EXHAUSTIVE_CASES:
+        return ((a, b) for a in left for b in right), True
+    return ((rng.choice(left), rng.choice(right)) for _ in range(SAMPLE_CASES)), False
+
+
 def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
     """Bracket conformance over all admissible index pairs.
 
-    Exhaustive over every exponent pair within the case budget, seeded
-    sampling beyond it.
+    Each index pair sweeps its n x n exponent pairs, exhaustively within the
+    case budget and by seeded sampling beyond it.  At every (p, m) the CLI
+    accepts this picks the same mode as a budget on all index pairs
+    together: no p**3 has its square in (20000, 60000], and no p**4 with
+    p > 3 has its square in (10000, 60000].
     """
-    alphas = [cfg.alpha(t) for t in range(cfg.n)]
-    pairs = [(i, j) for i in range(1, cfg.m + 1) for j in range(i + 1, cfg.m + 1)]
-    gens = {ij: [d_ij_z(cfg, ij[0], ij[1], a) for a in alphas] for ij in pairs}
-    base = gens[(1, 2)]
-    exhaustive = len(pairs) * cfg.n * cfg.n <= EXHAUSTIVE_CASES
+    alphas = mi_enumerate(cfg)
+    pairs = list(combinations(range(1, cfg.m + 1), 2))
+    gens = {ij: list(zip(alphas, [d_ij_z(cfg, ij[0], ij[1], a) for a in alphas]))
+            for ij in pairs}
     rng = random.Random(seed)
     cases = 0
     fails = []
     for i, j in pairs:
-        col = gens[(i, j)]
-        if exhaustive:
-            sweep = ((ta, tb) for ta in range(cfg.n) for tb in range(cfg.n))
-        else:
-            sweep = ((rng.randrange(cfg.n), rng.randrange(cfg.n))
-                     for _ in range(SAMPLE_CASES))
-        for ta, tb in sweep:
+        sweep, exhaustive = _sweep(gens[(1, 2)], gens[(i, j)], rng)
+        for (a, u), (b, v) in sweep:
             cases += 1
-            a, b = alphas[ta], alphas[tb]
-            if base[ta].bracket(col[tb]) != closed_form_bracket(cfg, a, b, i, j):
+            if u.bracket(v) != closed_form_bracket(cfg, a, b, i, j):
                 fails.append({"i": i, "j": j, "alpha": list(a), "beta": list(b)})
     mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
     detail = f"index pairs {pairs}, {mode}"
@@ -197,26 +204,17 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
 
 def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
     """One-term stratum shortcut: equality on the stratum, refusal off it."""
-    alphas = [cfg.alpha(t) for t in range(cfg.n)]
-    pairs = [(i, j) for i in range(2, cfg.m + 1) for j in range(i + 1, cfg.m + 1)]
+    alphas = mi_enumerate(cfg)
+    pairs = list(combinations(range(2, cfg.m + 1), 2))
     cases = 0
     fails = []
     rng = random.Random(seed)
     for i, j in pairs:
-        on_stratum = []
-        off_stratum = []
+        k, v = (1, 1) if i == 2 else (i - 1, 0)     # the stratum: a[k] == v, a[j - 1] == 0
+        on_stratum, off_stratum = [], []
         for a in alphas:
-            if i == 2:
-                (on_stratum if a[1] == 1 and a[j - 1] == 0 else off_stratum).append(a)
-            else:
-                (on_stratum if a[i - 1] == 0 and a[j - 1] == 0 else off_stratum).append(a)
-        full = len(on_stratum) * cfg.n
-        if full <= EXHAUSTIVE_CASES:
-            sweep = ((a, b) for a in on_stratum for b in alphas)
-        else:
-            sweep = ((rng.choice(on_stratum), alphas[rng.randrange(cfg.n)])
-                     for _ in range(SAMPLE_CASES))
-        for a, b in sweep:
+            (on_stratum if a[k] == v and a[j - 1] == 0 else off_stratum).append(a)
+        for a, b in _sweep(on_stratum, alphas, rng)[0]:
             cases += 1
             want = closed_form_bracket(cfg, a, b, i, j)
             if closed_form_bracket_reduced(cfg, a, b, i, j) != want:
@@ -234,21 +232,14 @@ def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
 
 def _check_h_bracket(cfg: Config, seed: int) -> dict:
     """Hamiltonian bracket conformance (even m), sampled past the budget."""
-    alphas = [cfg.alpha(t) for t in range(cfg.n)]
-    gens = [d_h_z(cfg, a) for a in alphas]
-    exhaustive = cfg.n * cfg.n <= EXHAUSTIVE_CASES
-    if exhaustive:
-        sweep = ((ta, tb) for ta in range(cfg.n) for tb in range(cfg.n))
-    else:
-        rng = random.Random(seed)
-        sweep = ((rng.randrange(cfg.n), rng.randrange(cfg.n))
-                 for _ in range(SAMPLE_CASES))
+    alphas = mi_enumerate(cfg)
+    gens = list(zip(alphas, [d_h_z(cfg, a) for a in alphas]))
+    sweep, exhaustive = _sweep(gens, gens, random.Random(seed))
     cases = 0
     fails = []
-    for ta, tb in sweep:
+    for (a, u), (b, v) in sweep:
         cases += 1
-        a, b = alphas[ta], alphas[tb]
-        if gens[ta].bracket(gens[tb]) != closed_form_h_bracket(cfg, a, b):
+        if u.bracket(v) != closed_form_h_bracket(cfg, a, b):
             fails.append({"alpha": list(a), "beta": list(b)})
     mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
     return _check_record("hamiltonian-bracket", cases, fails, mode)
@@ -256,12 +247,11 @@ def _check_h_bracket(cfg: Config, seed: int) -> dict:
 
 def _check_h_partial(cfg: Config) -> dict:
     """Partial derivatives against Hamiltonian generators."""
-    alphas = [cfg.alpha(t) for t in range(cfg.n)]
-    zero = cfg.alpha(0)
+    alphas = mi_enumerate(cfg)
     cases = 0
     fails = []
     for ell in range(1, cfg.m + 1):
-        d_ell = WElem.basis_element(cfg, zero, ell)
+        d_ell = WElem.basis_element(cfg, alphas[0], ell)
         for b in alphas:
             cases += 1
             if d_ell.bracket(d_h_z(cfg, b)) != closed_form_h_partial(cfg, ell, b):
@@ -277,17 +267,15 @@ def _check_h_basis_count(cfg: Config) -> dict:
     algebra) leaves exactly a basis of the simple algebra.
     """
     expect = cfg.n - 2
-    if cfg.m * cfg.n > RANK_ROUTE_LIMIT:
+    family, derived = _two_routes(cfg, "H")
+    if family is None:
         return _check_record("hamiltonian-basis-count", 0, [],
                              "elimination too large at this scale", skipped=True)
-    flats = np.stack([d_h_z(cfg, cfg.alpha(t)).flat() for t in range(1, cfg.n - 1)])
-    family = row_space(flats, cfg.p)
     fails = []
     if family.shape[0] != expect:
         fails.append({"family-rank": int(family.shape[0]), "expected": expect})
     detail = f"rank of the generator family, target {expect}"
-    if cfg.m * cfg.n <= DERIVED_ROUTE_LIMIT:
-        derived = derived_rows(cfg, algebra_rows(cfg, "H"), iterations=2)
+    if derived is not None:
         if derived.shape[0] != expect:
             fails.append({"derived-rank": int(derived.shape[0]), "expected": expect})
         if not np.array_equal(family, derived):
@@ -297,7 +285,10 @@ def _check_h_basis_count(cfg: Config) -> dict:
 
 
 def _check_restricted_power(cfg: Config, seed: int) -> dict:
-    """p-th power conformance: the pinned generator plus seeded samples."""
+    """p-th power conformance: the pinned generator plus seeded samples.
+
+    The samples take ad-matrix powers, cubic in m * p**m like the derived
+    route, and run where it does."""
     p = cfg.p
     fails = []
     cases = 0
@@ -307,7 +298,7 @@ def _check_restricted_power(cfg: Config, seed: int) -> dict:
     if d.p_power() != d:
         fails.append({"pinned": "d_12 of the rank-two unit monomial is not idempotent"})
     detail = "the pinned generator is its own p-th power"
-    if cfg.m * cfg.n <= DERIVED_ROUTE_LIMIT:
+    if _routes_run(cfg)[1]:
         rng = random.Random(seed)
         for k in range(10):
             t = np.array([[rng.randrange(p) for _ in range(cfg.n)]
@@ -324,15 +315,19 @@ def _check_restricted_power(cfg: Config, seed: int) -> dict:
     return _check_record("restricted-power", cases, fails, detail)
 
 
+def _h_config(p: int, r: int) -> Config:
+    """Configuration of the Hamiltonian suites and dims row: m = 2r."""
+    if not 1 <= 2 * r <= 4:
+        raise ConfigError(f"r must lie in 1..2, got {r}")
+    return _make_config(p, 2 * r)
+
+
 def cmd_paper_check(args) -> int:
     cfg = _make_config(args.p, args.m)
     _require_classical(cfg, "the conformance suite")
     if cfg.m < 2:
         raise ConfigError("the bracket suites need m >= 2")
-    r = args.r
-    if not 1 <= 2 * r <= 4:
-        raise ConfigError(f"r must lie in 1..2, got {r}")
-    cfg_h = _make_config(args.p, 2 * r)
+    cfg_h = _h_config(args.p, args.r)
     checks = [_check_bracket_closed_form(cfg, args.seed)]
     if cfg.m >= 3:
         checks.append(_check_bracket_one_term(cfg, args.seed))
@@ -345,7 +340,7 @@ def cmd_paper_check(args) -> int:
         "suite": "paper-check",
         "p": cfg.p,
         "m": cfg.m,
-        "r": r,
+        "r": args.r,
         "seed": args.seed,
         "checks": checks,
         "ok": ok,
@@ -370,24 +365,65 @@ def _render_paper_check(payload) -> str:
 # dims
 
 
-def _s_family_rank(cfg: Config) -> int:
-    """Rank of the volume-annihilating generator family d_ij(z-monomials).
+def _routes_run(cfg: Config):
+    """Whether the rank route and the derived route run at flat dimension
+    m * p**m."""
+    flat = cfg.m * cfg.n
+    return flat <= RANK_ROUTE_LIMIT, flat <= DERIVED_ROUTE_LIMIT
 
-    The family spans the derived algebra of the volume flavor, giving a
-    second dimension route independent of the closed formula.
+
+def _family_space(cfg: Config, flavor: str) -> np.ndarray:
+    """Row space of the generator family of flavor "S" or "H".
+
+    "S": d_ij(z^alpha) for i < j, which spans the derived algebra of the
+    volume flavor.  "H": d_h(z^alpha) without the constant potential (zero
+    field) and the top potential, a basis of the second derived algebra of
+    the Hamiltonian flavor.  Either gives a dimension route independent of
+    the closed formula.
     """
-    flats = []
-    for i in range(1, cfg.m + 1):
-        for j in range(i + 1, cfg.m + 1):
-            for t in range(cfg.n):
-                flats.append(d_ij_z(cfg, i, j, cfg.alpha(t)).flat())
-    return int(row_space(np.stack(flats), cfg.p).shape[0])
+    alphas = mi_enumerate(cfg)
+    if flavor == "S":
+        gens = [d_ij_z(cfg, i, j, a)
+                for i, j in combinations(range(1, cfg.m + 1), 2) for a in alphas]
+    else:
+        gens = [d_h_z(cfg, a) for a in alphas[1:-1]]
+    return row_space(np.stack([d.flat() for d in gens]), cfg.p)
+
+
+def _two_routes(cfg: Config, flavor: str):
+    """The two routes to the simple algebra of flavor "S" (first derived
+    algebra) or "H" (second): the generator family's row space, None when
+    the rank route is skipped, and the derived algebra's rows, None when
+    the derived route is skipped."""
+    rank_runs, derived_runs = _routes_run(cfg)
+    if not rank_runs:
+        return None, None
+    family = _family_space(cfg, flavor)
+    if not derived_runs:
+        return family, None
+    iterations = 2 if flavor == "H" else 1
+    return family, derived_rows(cfg, algebra_rows(cfg, flavor), iterations=iterations)
+
+
+def _route_rank(cfg: Config, flavor: str):
+    """The dims figure of the S or H row: the generator family's rank, -1
+    when the derived route disagrees with it, None when it is skipped."""
+    family, derived = _two_routes(cfg, flavor)
+    if family is None:
+        return None
+    if derived is not None and derived.shape[0] != family.shape[0]:
+        return -1
+    return family.shape[0]
+
+
+def _s_family_rank(cfg: Config) -> int:
+    """Rank of the volume-annihilating generator family d_ij(z-monomials)."""
+    return int(_family_space(cfg, "S").shape[0])
 
 
 def _h_family_rank(cfg: Config) -> int:
     """Rank of the Hamiltonian generator family off the two dropped potentials."""
-    flats = [d_h_z(cfg, cfg.alpha(t)).flat() for t in range(1, cfg.n - 1)]
-    return int(row_space(np.stack(flats), cfg.p).shape[0])
+    return int(_family_space(cfg, "H").shape[0])
 
 
 def cmd_dims(args) -> int:
@@ -396,41 +432,20 @@ def cmd_dims(args) -> int:
     rows = []
 
     def add(name, formula, computed):
-        if computed is None:
-            rows.append({"algebra": name, "formula": int(formula),
-                         "computed": None, "agree": None})
-        else:
-            rows.append({"algebra": name, "formula": int(formula),
-                         "computed": int(computed),
-                         "agree": int(formula) == int(computed)})
+        agree = None if computed is None else formula == computed
+        rows.append({"algebra": name, "formula": formula, "computed": computed, "agree": agree})
 
     add(f"O({m};1)", p ** m, cfg.n)
-    basis = w_basis(cfg)
-    if m * cfg.n <= RANK_ROUTE_LIMIT:
-        w_computed = row_space(np.stack([d.flat() for d in basis]), p).shape[0]
+    if _routes_run(cfg)[0]:
+        w_computed = row_space(np.stack([d.flat() for d in w_basis(cfg)]), p).shape[0]
     else:
-        w_computed = len(basis)
+        w_computed = m * cfg.n      # the size of w_basis(cfg), which is not built
     add(f"W({m};1)", m * p ** m, w_computed)
     if p > 3:
         if m >= 2:
-            big = m * cfg.n > RANK_ROUTE_LIMIT
-            s_rank = None if big else _s_family_rank(cfg)
-            if not big and m * cfg.n <= DERIVED_ROUTE_LIMIT:
-                derived = derived_rows(cfg, algebra_rows(cfg, "S"), iterations=1)
-                if derived.shape[0] != s_rank:
-                    s_rank = -1
-            add(f"S({m};1)^(1)", (m - 1) * (p ** m - 1), s_rank)
-        r = args.r
-        if not 1 <= 2 * r <= 4:
-            raise ConfigError(f"r must lie in 1..2, got {r}")
-        cfg_h = _make_config(p, 2 * r)
-        big = 2 * r * cfg_h.n > RANK_ROUTE_LIMIT
-        h_rank = None if big else _h_family_rank(cfg_h)
-        if not big and 2 * r * cfg_h.n <= DERIVED_ROUTE_LIMIT:
-            derived = derived_rows(cfg_h, algebra_rows(cfg_h, "H"), iterations=2)
-            if derived.shape[0] != h_rank:
-                h_rank = -1
-        add(f"H({2 * r};1)^(2)", p ** (2 * r) - 2, h_rank)
+            add(f"S({m};1)^(1)", (m - 1) * (p ** m - 1), _route_rank(cfg, "S"))
+        cfg_h = _h_config(p, args.r)
+        add(f"H({cfg_h.m};1)^(2)", cfg_h.n - 2, _route_rank(cfg_h, "H"))
     ok = all(row["agree"] is not False for row in rows)
     payload = {"p": p, "m": m, "dims": rows, "ok": ok}
     _emit(args, payload, _render_dims)

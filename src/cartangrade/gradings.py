@@ -51,10 +51,13 @@ class Grading:
     and exhaust the ambient dimension, and for "sub" that they span the
     rows of sub; multiplicativity is checked separately by verify_grading.
     components (degree -> elements) and sub_basis are views built from the
-    matrices on each access and never cached.  origin optionally records
-    standard construction data (toral rank s and the m axis degrees) used
-    by fast induction paths; raw gradings carry origin=None and are handled
-    through recognition.
+    matrices on each access and never cached.  origin is None except in
+    two shapes: a standard "O" grading from grade_O_construct carries
+    {"s": toral rank, "degrees": the m axis degrees}, which the fast
+    induction and normalization paths read, and a "sub" grading from
+    grade_S_construct carries {"o_grading": the inducing "O" grading}, which
+    the volume-flavor decision reads.  Raw gradings carry origin=None and
+    are handled through recognition.
     """
 
     def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels,
@@ -252,8 +255,7 @@ def induce_W(grading: Grading) -> Grading:
         zt = z_basis_matrix(cfg, s).T
         for i in range(m):
             rows[:, i, i, :] = zt
-        return Grading(cfg, grading.group, "W", rows.reshape(n * m, m * n), labels,
-                       origin={"s": s, "degrees": degrees})
+        return Grading(cfg, grading.group, "W", rows.reshape(n * m, m * n), labels)
     from .autos import AutO, push_grading
     from .classify import _recognize_frame
 
@@ -325,7 +327,7 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
         b_list = basis_with_product(psub, target)
     o_grading = grade_O_construct(cfg, group, b_list, gamma)
     out = induce_subalgebra(induce_W(o_grading), _s_rows(cfg))
-    out.origin = {"o_grading": o_grading, "g0": g0}
+    out.origin = {"o_grading": o_grading}
     return out
 
 
@@ -381,17 +383,12 @@ def _degree_table(group: AbGroup, supp) -> np.ndarray:
     return key[k:].reshape(k, k)
 
 
-def _generator_rows(grading: Grading, coords_of):
-    """The certificate's data for an "O" grading: indices of m basis rows
-    whose linear parts are independent, picked greedily in row order, or
-    None when 1 has coordinates outside the identity block.  coords_of is
-    the inverse of the (square, invertible) basis matrix, so its row 0 holds
-    the coordinates of 1."""
+def frame_rows(grading: Grading) -> list:
+    """Indices of the basis rows of an "O" grading whose linear parts (the
+    coefficients of x_1..x_m) are independent of those picked before them,
+    picked greedily in row order until they span the cotangent space: m
+    rows, since the basis spans the algebra."""
     cfg = grading.cfg
-    identity = grading.blocks().get(grading.group.identity())
-    one = coords_of[0]
-    if identity is None or one[:identity.start].any() or one[identity.stop:].any():
-        return None
     radix = radix_weights(cfg.p, cfg.m)
     ech = linalg.EchelonSpace(cfg.m, cfg.p)
     rows = []
@@ -401,6 +398,18 @@ def _generator_rows(grading: Grading, coords_of):
         if ech.add(row[radix]):
             rows.append(k)
     return rows
+
+
+def _generator_rows(grading: Grading, coords_of):
+    """The certificate's data for an "O" grading: the frame rows, or None
+    when 1 has coordinates outside the identity block.  coords_of is the
+    inverse of the (square, invertible) basis matrix, so its row 0 holds
+    the coordinates of 1."""
+    identity = grading.blocks().get(grading.group.identity())
+    one = coords_of[0]
+    if identity is None or one[:identity.start].any() or one[identity.stop:].any():
+        return None
+    return frame_rows(grading)
 
 
 def verify_grading(grading: Grading) -> GradingReport:

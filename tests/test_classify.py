@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cartangrade import classify, linalg
+from cartangrade import classify, cli, linalg, serialize
 from cartangrade.abgroup import (AbGroup, PSubgroup, coset_rep, p_independent,
                                  subgroup_key)
 from cartangrade.autos import (AutO, push_grading, random_auto,
@@ -16,7 +16,7 @@ from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
                                   o_grading_from_w, orbit_probe, recognize_O,
                                   recognize_S)
 from cartangrade.errors import AdmissibilityError, ObstructionError
-from cartangrade.gfp import Config
+from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct,
                                   grade_S_construct, induce_W)
 from cartangrade.oalg import OElem, mult_operator
@@ -74,18 +74,26 @@ def test_invariants_stable_under_pushing():
             assert inv2 == inv
 
 
-def test_reduction_loop_on_dependent_unit_degrees():
+def dependent_unit_presentation():
+    """The standard grading with toral degree C and free degree C^2, its
+    C^2 component presented with the unit z1^2 + x2 first."""
     g = grade_O_construct(CFG, G1, [C], [C ** 2])
-    _, inv = recognize_O(g)
     x2 = OElem.variable(CFG, 2)
     comps = {d: list(vs) for d, vs in g.components.items()}
-    # the component at C^2 contains the unit z1^2 next to the free slot x2;
-    # replacing the unit by z1^2 + x2 (same span, presented first) forces a
-    # toral pick whose degree depends on the one found at C
     old = comps[C ** 2]
     unit = next(v for v in old if v.constant_term)
     comps[C ** 2] = [unit + x2] + [v for v in old if not v.constant_term]
-    g2 = Grading.from_components(CFG, G1, "O", comps)
+    return g, Grading.from_components(CFG, G1, "O", comps)
+
+
+def test_reduction_loop_on_dependent_unit_degrees():
+    # The unit z1^2 + x2 of degree C^2 depends on the toral degree C, but
+    # recognition never reaches it: the C component already holds z1^4 x2,
+    # whose linear part x2 completes the cotangent space first.  On a
+    # grading no unit of a dependent degree other than e is picked (see
+    # classify._recognize_frame).
+    g, g2 = dependent_unit_presentation()
+    _, inv = recognize_O(g)
     _, inv2 = recognize_O(g2)
     assert inv2.s == 1
     assert canonical_key(inv2) == canonical_key(inv)
@@ -102,6 +110,78 @@ def moved_unit_grading():
     comps[G2.identity()] = [one + x2, one] + [v for v in comps[G2.identity()]
                                               if v != one and v != x2]
     return Grading.from_components(CFG, G2, "O", comps)
+
+
+def recognize_frame_by_reduction(grading):
+    """Recognition with a unit-slot reduction loop, the oracle for
+    classify._recognize_frame: a picked unit whose degree a depends on the
+    toral degrees kept before it, a = prod b_i^l_i, moves to the free part
+    as (1 + y) - prod (1 + y_i)^l_i."""
+    cfg = grading.cfg
+    one = OElem.one(cfg)
+    radix = radix_weights(cfg.p, cfg.m)
+    ech = linalg.EchelonSpace(cfg.m, cfg.p)
+    units, free = [], []
+    for row, g in zip(grading.basis, grading.labels):
+        if ech.dim < cfg.m and ech.add(row[radix]):
+            if row[0]:
+                units.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
+            else:
+                free.append((OElem(cfg, row), g))
+    toral = []
+    for y, a in units:
+        degs = tuple(g for _, g in toral)
+        if p_independent(degs + (a,)):
+            toral.append((y, a))
+            continue
+        prod = one
+        for (yi, _), l in zip(toral, PSubgroup(grading.group, degs).exponents_of(a)):
+            prod = prod * (one + yi) ** l
+        free.append(((one + y) - prod, a))
+    pairs = toral + free
+    psub = PSubgroup(grading.group, tuple(g for _, g in toral))
+    return ([y for y, _ in pairs], [g for _, g in pairs],
+            GradingInvariants(psub, [g for _, g in free]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_recognition_matches_the_reduction_loop_oracle(m):
+    rng = random.Random(90 + m)
+    cfg = Config(5, m)
+    cases = []
+    for g in strata_gradings(m, rng):
+        cases += [g, push_grading(random_auto(cfg, rng), g)]
+    if m == 2:
+        cases += [moved_unit_grading(), dependent_unit_presentation()[1]]
+    for g in cases:
+        frame, degrees, inv = classify._recognize_frame(g)
+        want_frame, want_degrees, want_inv = recognize_frame_by_reduction(g)
+        assert frame == want_frame
+        assert degrees == want_degrees
+        assert canonical_key(inv) == canonical_key(want_inv)
+
+
+def dependent_units_non_grading():
+    """Not a grading of O(2;1) at p = 5 over Z_5: 1 and every x^alpha with
+    |alpha| >= 2 at e, 1 + x1 at C, 1 + x2 at C^2.  (1 + x1)^2 misses the
+    C^2 component; a reduction loop would move 1 + x2 to the free part."""
+    one = OElem.one(CFG)
+    x1, x2 = OElem.variable(CFG, 1), OElem.variable(CFG, 2)
+    high = [OElem(CFG, row) for row in np.eye(CFG.n, dtype=np.int64)
+            if sum(CFG.alpha(int(np.flatnonzero(row)[0]))) >= 2]
+    comps = {G1.identity(): [one] + high, C: [one + x1], C ** 2: [one + x2]}
+    return Grading.from_components(CFG, G1, "O", comps)
+
+
+def test_recognition_refuses_units_of_dependent_degrees(tmp_path, capsys):
+    g = dependent_units_non_grading()
+    assert recognize_frame_by_reduction(g)[2].s == 1
+    with pytest.raises(AdmissibilityError, match="dependent degrees"):
+        recognize_O(g)
+    path = tmp_path / "g.json"
+    path.write_text(serialize.dumps(serialize.grading_to_data(g)))
+    assert cli.main(["grade", "classify", "--grading", str(path), "--flavor", "O"]) == 3
+    assert "unit rows of dependent degrees" in capsys.readouterr().err
 
 
 def frame_degrees_by_solving(grading, frame, s):
