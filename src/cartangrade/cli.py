@@ -394,15 +394,15 @@ def _two_routes(cfg: Config, flavor: str):
     """The two routes to the simple algebra of flavor "S" (first derived
     algebra) or "H" (second): the generator family's row space, None when
     the rank route is skipped, and the derived algebra's rows, None when
-    the derived route is skipped."""
+    the derived route is skipped.  The derived route runs first: its
+    elimination is the larger, and no family rows are held through it."""
     rank_runs, derived_runs = _routes_run(cfg)
     if not rank_runs:
         return None, None
-    family = _family_space(cfg, flavor)
-    if not derived_runs:
-        return family, None
-    iterations = 2 if flavor == "H" else 1
-    return family, derived_rows(cfg, algebra_rows(cfg, flavor), iterations=iterations)
+    derived = None
+    if derived_runs:
+        derived = derived_rows(cfg, algebra_rows(cfg, flavor), iterations=2 if flavor == "H" else 1)
+    return _family_space(cfg, flavor), derived
 
 
 def _route_rank(cfg: Config, flavor: str):
