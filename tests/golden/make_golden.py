@@ -53,6 +53,25 @@ def swap_degrees(data, i, j):
     return data
 
 
+def share_row(data, i, j):
+    """Give component i the basis of component j: the same number of rows,
+    but two components share a row, so the rows are dependent."""
+    data = json.loads(json.dumps(data))
+    comps = data["components"]
+    comps[i]["basis"] = json.loads(json.dumps(comps[j]["basis"]))
+    return data
+
+
+def two_faults(data):
+    """An exponent out of range in an early term and a missing coefficient in
+    a later one: the reader reports the first in document order."""
+    data = json.loads(json.dumps(data))
+    comps = data["components"]
+    comps[0]["basis"][0]["terms"][0]["alpha"] = [9, 0]
+    del comps[3]["basis"][0]["terms"][-1]["c"]
+    return data
+
+
 def unipotent(cfg, k):
     """Jacobian-one substitution x1 -> x1 + k*x2^2."""
     x1, x2 = OElem.variable(cfg, 1), OElem.variable(cfg, 2)
@@ -81,6 +100,8 @@ def inputs():
         "O_raw_x": grading(raw_x),
         "O_raw_y": grading(raw_y),
         "O_swapped": swap_degrees(grading(raw_x), 1, 5),
+        "O_dependent": share_row(grading(raw_x), 1, 2),
+        "O_two_faults": two_faults(grading(raw_x)),
         "O_other": grading(grade_O_construct(CFG, G2, [B], [A])),
         "W_std": grading(wx),
         "W_raw": grading(raw_wy),
@@ -88,6 +109,7 @@ def inputs():
         "W_other": grading(induce_W(grade_O_construct(CFG, G2, [B], [A]))),
         "sub_std": grading(sx),
         "sub_swapped": swap_degrees(grading(sx), 1, 5),
+        "sub_dependent": share_row(grading(sx), 1, 2),
         "S_vol_x": grading(vol_x),
         "S_vol_y": grading(vol_y),
         "S_other": grading(grade_O_construct(CFG, G2, [A], [A * B])),
@@ -112,6 +134,9 @@ def cases():
         "verify_W_corrupt": g("verify", "--grading", inp("W_swapped")),
         "verify_sub_valid": g("verify", "--grading", inp("sub_std")),
         "verify_sub_corrupt": g("verify", "--grading", inp("sub_swapped")),
+        "verify_O_dependent": g("verify", "--grading", inp("O_dependent")),
+        "verify_sub_dependent": g("verify", "--grading", inp("sub_dependent")),
+        "verify_O_two_faults": g("verify", "--grading", inp("O_two_faults")),
         "classify_O": g("classify", "--grading", inp("O_raw_x"), "--flavor", "O"),
         "classify_W": g("classify", "--grading", inp("W_raw"), "--flavor", "W"),
         "iso_O_pos": g("iso", "--g1", inp("O_raw_x"), "--g2", inp("O_raw_y"), "--flavor", "O"),
