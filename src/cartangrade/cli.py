@@ -43,8 +43,8 @@ the recognition theory (paper-check, classify, iso, fine, kind S) demands
 p > 3.
 
 Exit codes: 0 success, 2 malformed input, 3 semantic refusal (valid syntax,
-impossible request), 4 conformance failure (including a failed internal
-soundness check).  The dimension guard p**m is
+impossible request, or a request that runs out of memory), 4 conformance
+failure (including a failed internal soundness check).  The dimension guard p**m is
 capped by the environment variable CARTAN_GRADE_MAX_DIM (default 2401).
 """
 
@@ -59,12 +59,12 @@ from . import serialize
 from .abgroup import PSubgroup
 from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
                        o_grading_from_w, recognize_O, recognize_S)
-from .errors import (AdmissibilityError, CartanGradeError, ConfigError, InternalError,
-                     ObstructionError, ParseError)
+from .errors import (AdmissibilityError, CartanGradeError, ConfigError, DimensionError,
+                     InternalError, ObstructionError, ParseError)
 from .forms import algebra_rows, derived_rows
 from .gfp import Config, max_dim_limit, mi_enumerate
-from .gradings import (check_toral_orders, grade_O_construct, grade_S_construct, induce_W,
-                       verify_grading)
+from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_construct,
+                       induce_W, verify_grading)
 from .linalg import matmul, row_space
 from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                    closed_form_h_bracket, closed_form_h_partial, d_h_z,
@@ -428,6 +428,7 @@ def _h_family_rank(cfg: Config) -> int:
 
 def cmd_dims(args) -> int:
     cfg = _make_config(args.p, args.m)
+    cfg_h = _h_config(cfg.p, args.r)
     p, m = cfg.p, cfg.m
     rows = []
 
@@ -436,15 +437,13 @@ def cmd_dims(args) -> int:
         rows.append({"algebra": name, "formula": formula, "computed": computed, "agree": agree})
 
     add(f"O({m};1)", p ** m, cfg.n)
+    w_computed = None
     if _routes_run(cfg)[0]:
         w_computed = row_space(np.stack([d.flat() for d in w_basis(cfg)]), p).shape[0]
-    else:
-        w_computed = m * cfg.n      # the size of w_basis(cfg), which is not built
     add(f"W({m};1)", m * p ** m, w_computed)
     if p > 3:
         if m >= 2:
             add(f"S({m};1)^(1)", (m - 1) * (p ** m - 1), _route_rank(cfg, "S"))
-        cfg_h = _h_config(p, args.r)
         add(f"H({cfg_h.m};1)^(2)", cfg_h.n - 2, _route_rank(cfg_h, "H"))
     ok = all(row["agree"] is not False for row in rows)
     payload = {"p": p, "m": m, "dims": rows, "ok": ok}
@@ -510,8 +509,13 @@ def cmd_grade_construct(args) -> int:
 
 
 def cmd_grade_verify(args) -> int:
-    grading = serialize.grading_from_data(_load_json(args.grading))
-    report = verify_grading(grading)
+    fields = serialize._grading_fields(_load_json(args.grading))
+    try:
+        # One elimination: verify_grading's own checks that the rows are
+        # independent, which the checking constructor would do first.
+        report = verify_grading(Grading._deferred(*fields))
+    except DimensionError as exc:
+        raise serialize._inconsistent(exc) from exc
     payload = {
         "valid": report.ok,
         "pairs_checked": report.pairs_checked,
@@ -677,6 +681,9 @@ def main(argv=None) -> int:
         return 4
     except CartanGradeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:      # a refusal too: no check ran to its end
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

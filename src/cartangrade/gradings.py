@@ -34,6 +34,13 @@ from .witt import WElem
 
 AMBIENTS = ("O", "W", "sub")
 
+_DEPENDENT = "component vectors are linearly dependent"
+
+# Bytes of each temporary of the verify_grading sweep: it takes as many
+# basis rows per chunk as keep their stacked operators within this, and
+# never fewer than one.
+_SWEEP_BYTES = 1 << 18
+
 # verify_grading's failure messages, indexed by the status codes it assigns.
 _FAILURES = (None, "product escapes the subalgebra", "degree product outside support",
              "product misses its component")
@@ -62,6 +69,22 @@ class Grading:
 
     def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels,
                  sub=None, origin=None):
+        self._store(cfg, group, ambient, basis, labels, sub, origin)
+        span = linalg.row_space(self.basis, cfg.p)
+        if span.shape[0] != self.dim():
+            raise DimensionError(_DEPENDENT)
+        if self.sub is not None:
+            sub_span = linalg.row_space(self.sub, cfg.p)
+            if sub_span.shape[0] != self.sub.shape[0]:
+                raise DimensionError("subalgebra basis is dependent")
+            # Both spans have dimension dim, so they agree iff their
+            # canonical bases do.
+            if not np.array_equal(span, sub_span):
+                raise DimensionError("component vectors leave the subalgebra")
+
+    def _store(self, cfg, group, ambient, basis, labels, sub, origin):
+        """Every check of the constructor but its eliminations, and the
+        sorted, reduced, read-only matrices."""
         if ambient not in AMBIENTS:
             raise ConfigError(f"unknown ambient {ambient!r}")
         self.cfg = cfg
@@ -91,17 +114,18 @@ class Grading:
         if self.dim() != self.ambient_dim:
             raise DimensionError(
                 f"components span dimension {self.dim()}, ambient needs {self.ambient_dim}")
-        span = linalg.row_space(self.basis, cfg.p)
-        if span.shape[0] != self.dim():
-            raise DimensionError("component vectors are linearly dependent")
-        if self.sub is not None:
-            sub_span = linalg.row_space(self.sub, cfg.p)
-            if sub_span.shape[0] != self.sub.shape[0]:
-                raise DimensionError("subalgebra basis is dependent")
-            # Both spans have dimension dim, so they agree iff their
-            # canonical bases do.
-            if not np.array_equal(span, sub_span):
-                raise DimensionError("component vectors leave the subalgebra")
+
+    @classmethod
+    def _deferred(cls, cfg: Config, group: AbGroup, ambient: str, basis, labels,
+                  sub=None) -> "Grading":
+        """The grading without the constructor's eliminations, for
+        verify_grading alone: its own elimination of the basis raises the
+        constructor's DimensionError when the rows are dependent.  For
+        "sub", sub must hold the rows of basis (in any order), so that the
+        two spans agree once the rows are independent."""
+        grading = cls.__new__(cls)
+        grading._store(cfg, group, ambient, basis, labels, sub, None)
+        return grading
 
     @classmethod
     def from_components(cls, cfg: Config, group: AbGroup, ambient: str, components,
@@ -412,6 +436,19 @@ def _generator_rows(grading: Grading, coords_of):
     return frame_rows(grading)
 
 
+def _operators(grading: Grading, rows) -> np.ndarray:
+    """The operators of the given basis rows, stacked into one (k, F, F)
+    array over the flat size F: multiplication by the row for "O" (one
+    stacked mult_operator), ad of the row for "W" and "sub"."""
+    if grading.ambient == "O":
+        return mult_operator(grading.cfg, grading.basis[rows])
+    flat = grading.flat_size
+    out = np.empty((len(rows), flat, flat), dtype=np.int64)
+    for i, k in enumerate(rows):
+        out[i] = WElem.from_flat(grading.cfg, grading.basis[k]).ad_matrix()
+    return out
+
+
 def verify_grading(grading: Grading) -> GradingReport:
     """Check the grading axioms directly: direct sum plus multiplicativity.
 
@@ -421,17 +458,23 @@ def verify_grading(grading: Grading) -> GradingReport:
     basis vectors lands in the component of the degree product, or vanishes
     when that degree is outside the support.
 
-    The per-row check takes one basis row u: one product with the operator
-    of u (multiplication by u, or ad(u)) gives u times every row, and the
-    coordinates of those products over the basis come from the inverse of
-    basis[:, pivots], computed once per call.  A product lies in its target
+    The sweep takes the basis rows in chunks.  For a chunk of rows u it
+    stacks their operators (multiplication by u, or ad(u)), and one product
+    with the basis gives u times every row for every u of the chunk; one
+    more product with the inverse of basis[:, pivots], computed once per
+    call, gives the coordinates of all those products over the basis.  A
+    chunk holds as many rows as keep each of these temporaries within
+    _SWEEP_BYTES (at least one row).  A product lies in its target
     component when its coordinates vanish off that degree's block; on "sub"
     it must first lie in the subalgebra at all.  The degree products come
-    from one table over the support (_degree_table).
+    from one table over the support (_degree_table).  That inverse (for
+    "sub", the elimination that finds the pivots) is also the check that the
+    rows are independent: a grading from Grading._deferred with dependent
+    rows raises the constructor's DimensionError here.
 
     Certificate (ambient "O").  If 1 has coordinates only in the identity
     block, and m rows u_1..u_m with independent linear parts pass the
-    per-row check, every pair holds and the other rows are not checked.
+    check, every pair holds and the other rows are not checked.
     Proof: write a_i for the degree of u_i and V_g for the components (V_g
     = 0 off the support).  The u_i minus their constant terms lie in the
     maximal ideal with independent linear parts, so by Nakayama they
@@ -442,51 +485,56 @@ def verify_grading(grading: Grading) -> GradingReport:
     V_g (so it is 0 when g is off the support).  The monomials span
     O = (+) V_g and the sum is direct, so each V_g is spanned by the
     monomials of degree g.  A product of monomials of degrees g and h is a
-    monomial of degree gh, so V_g V_h lies in V_{gh} for all g, h.  If a
-    certificate check fails, the
-    per-row check runs on every row (the full sweep), which lists the
-    failures.  W and "sub" always take the sweep.
+    monomial of degree gh, so V_g V_h lies in V_{gh} for all g, h.  The
+    certificate rows are checked first, as a chunk of their own; if one
+    fails, the sweep runs on every other row, which lists the failures.  W
+    and "sub" always take the full sweep.
 
     Failures are listed by degree pair (g, h) in support order, then by row
     pair; pairs_checked is dim^2 either way: the pairs checked or certified.
     """
-    cfg, p = grading.cfg, grading.cfg.p
+    p = grading.cfg.p
     basis, labels = grading.basis, grading.labels
-    dim = grading.dim()
+    dim, flat = grading.dim(), grading.flat_size
     failures = []
     if dim != grading.ambient_dim:
         failures.append(("dimension", None, f"{dim} != {grading.ambient_dim}"))
     blocks = grading.blocks()
     block = np.repeat(np.arange(len(blocks)), [sl.stop - sl.start for sl in blocks.values()])
     target = _degree_table(grading.group, tuple(blocks))
-    # "O" and "W" bases are square and invertible (the constructor checks
-    # it), so every column is a pivot; a "sub" basis has more columns.
+    # "O" and "W" bases are square, so every column is a pivot once the rows
+    # are independent; a "sub" basis has more columns.
     pivots = linalg.rref(basis, p)[1] if grading.sub is not None else list(range(dim))
-    coords_of = linalg.inverse(basis[:, pivots], p)
+    try:
+        coords_of = linalg.inverse(basis[:, pivots], p)
+    except NoSuchBasisError:
+        raise DimensionError(_DEPENDENT) from None
     status = np.zeros((dim, dim), dtype=np.int8)      # index into _FAILURES
+    chunk = max(1, _SWEEP_BYTES // (8 * flat * flat))
 
-    def check_row(k):
-        if grading.ambient == "O":
-            op = mult_operator(cfg, basis[k])
-        else:
-            op = WElem.from_flat(cfg, basis[k]).ad_matrix()
-        prods = linalg.matmul(basis, op.T, p)          # row j: u * v_j or [u, v_j]
-        coords = linalg.matmul(prods[:, pivots], coords_of, p)
-        tgt = target[block[k]][block]
-        stray = ((coords != 0) & (block != tgt[:, None])).any(axis=1)
-        escaped = np.zeros(dim, dtype=bool)
-        if grading.sub is not None:
-            escaped = (linalg.matmul(coords, basis, p) != prods).any(axis=1)
-        status[k] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray], [0, 1, 2, 3])
+    def check_rows(rows):
+        for lo in range(0, len(rows), chunk):
+            ks = rows[lo:lo + chunk]
+            c = len(ks)
+            ops = _operators(grading, ks).reshape(c * flat, flat)
+            # prods[i, :, j]: u * v_j or [u, v_j] for the i-th row u of the chunk
+            prods = linalg.matmul(ops, basis.T, p).reshape(c, flat, dim)
+            coords = linalg.matmul(prods[:, pivots].transpose(0, 2, 1).reshape(c * dim, dim),
+                                   coords_of, p)
+            tgt = target[block[ks]][:, block]
+            stray = ((coords.reshape(c, dim, dim) != 0) & (block != tgt[:, :, None])).any(axis=2)
+            escaped = np.zeros((c, dim), dtype=bool)
+            if grading.sub is not None:
+                back = linalg.matmul(coords, basis, p).reshape(c, dim, flat)
+                escaped = (back != prods.transpose(0, 2, 1)).any(axis=2)
+            status[ks] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray], [0, 1, 2, 3])
 
-    todo = range(dim)
+    rows = np.arange(dim)
     gens = _generator_rows(grading, coords_of) if grading.ambient == "O" else None
     if gens is not None:
-        for k in gens:
-            check_row(k)
-        todo = [k for k in todo if k not in gens] if status.any() else ()
-    for k in todo:
-        check_row(k)
+        check_rows(gens)
+        rows = np.setdiff1d(rows, gens) if status.any() else rows[:0]
+    check_rows(rows)
     us, vs = np.nonzero(status)
     for i in np.lexsort((vs, us, block[vs], block[us])):
         u, v = us[i], vs[i]

@@ -70,17 +70,26 @@ def partial_table(cfg: Config, arr, i: int):
 
 
 def mult_operator(cfg: Config, table):
-    """n x n matrix of multiplication by the element with the given table."""
+    """n x n matrix of multiplication by the element with the given table.
+
+    A (k, n) stack of tables gives the k matrices as one (k, n, n) array,
+    from one bincount over k regions of n + 1 rows (the last row of each
+    collects the truncated products)."""
     p, n = cfg.p, cfg.n
     tbl = mul_index_table(p, cfg.m)
-    ia = np.flatnonzero(table)
+    stack = table.reshape(-1, n)
+    k = stack.shape[0]
+    owner, ia = np.nonzero(stack)
     if ia.size == 0:
-        return np.zeros((n, n), dtype=np.int64)
+        return np.zeros(table.shape[:-1] + (n, n), dtype=np.int64)
     cols = np.broadcast_to(np.arange(n, dtype=np.int64), (ia.size, n))
     flat = tbl[ia].astype(np.int64) * n + cols
-    w = np.repeat(table[ia].astype(np.float64), n)  # exact: see mul_tables
-    out = np.bincount(flat.ravel(), weights=w, minlength=(n + 1) * n)
-    return out[: n * n].reshape(n, n).astype(np.int64) % p
+    if k > 1:
+        flat += (owner * ((n + 1) * n))[:, None]
+    w = np.repeat(stack[owner, ia].astype(np.float64), n)  # exact: see mul_tables
+    out = np.bincount(flat.ravel(), weights=w, minlength=k * (n + 1) * n)
+    out = out.reshape(k, n + 1, n)[:, :n].astype(np.int64) % p
+    return out.reshape(table.shape[:-1] + (n, n))
 
 
 class OElem:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .abgroup import AbGroup, GElem, PSubgroup
 from .errors import CartanGradeError, ParseError, ValidityError
-from .gfp import Config
+from .gfp import Config, radix_weights
 from .oalg import OElem
 from .witt import WElem
 
@@ -61,7 +61,12 @@ def oelem_to_data(f: OElem) -> dict:
     return {"basis": "x", "m": f.cfg.m, "p": f.cfg.p, "terms": terms}
 
 
-def oelem_from_data(data, cfg: Config | None = None) -> OElem:
+def _function_terms(data, cfg: Config | None):
+    """(cfg, exponent vectors, coefficients mod p) of a function payload.
+
+    The fields are checked in document order: the basis tag, p and m
+    (against cfg, or building it when cfg is None), then each term's alpha
+    and c.  A repeated alpha keeps its last coefficient, as in a table."""
     if _need(data, "basis", "function", str) != "x":
         raise ParseError(f"unknown basis tag {data['basis']!r}")
     p = _need(data, "p", "function", int)
@@ -73,12 +78,27 @@ def oelem_from_data(data, cfg: Config | None = None) -> OElem:
             raise ParseError(f"bad configuration in payload: {exc}") from exc
     elif (cfg.p, cfg.m) != (p, m):
         raise ParseError(f"payload is for p={p}, m={m}, expected p={cfg.p}, m={cfg.m}")
-    table = np.zeros(cfg.n, dtype=np.int64)
+    alphas, coeffs = [], []
     for term in _need(data, "terms", "function", list):
-        alpha = _int_list(_need(term, "alpha", "term", list), "alpha")
-        if len(alpha) != m or not all(0 <= a < p for a in alpha):
-            raise ParseError(f"bad exponent vector {alpha!r}")
-        table[cfg.index(alpha)] = _need(term, "c", "term", int) % p
+        # The common case first: exact types that every check below accepts
+        # unchanged.
+        if not (type(term) is dict and type(alpha := term.get("alpha")) is list
+                and type(c := term.get("c")) is int and len(alpha) == m
+                and all(type(a) is int and 0 <= a < p for a in alpha)):
+            alpha = _int_list(_need(term, "alpha", "term", list), "alpha")
+            if len(alpha) != m or not all(0 <= a < p for a in alpha):
+                raise ParseError(f"bad exponent vector {alpha!r}")
+            c = _need(term, "c", "term", int)
+        alphas.append(alpha)
+        coeffs.append(c % p)
+    return cfg, alphas, coeffs
+
+
+def oelem_from_data(data, cfg: Config | None = None) -> OElem:
+    cfg, alphas, coeffs = _function_terms(data, cfg)
+    table = np.zeros(cfg.n, dtype=np.int64)
+    for alpha, c in zip(alphas, coeffs):
+        table[cfg.index(alpha)] = c
     return OElem(cfg, table)
 
 
@@ -165,36 +185,78 @@ def grading_to_data(grading) -> dict:
             "components": comps}
 
 
-def grading_from_data(data, cfg: Config | None = None):
-    from .gradings import Grading
+def _grading_fields(data, cfg: Config | None = None):
+    """(cfg, group, ambient, basis, labels, sub) of a grading payload, before
+    any check of the rows themselves.
 
+    Every field is checked in document order, with the messages of
+    oelem_from_data and welem_from_data, so a payload with several faults
+    reports the first.  basis holds one row per basis payload in document
+    order (for "W" and "sub" the m coefficient tables side by side), built
+    from the term lists by one scatter with no element object per row;
+    labels holds the degree of each row; sub is basis for ambient "sub" and
+    None otherwise.
+    """
     group = group_from_data(_need(data, "group", "grading", dict))
     ambient = _need(data, "ambient", "grading", str)
     if ambient not in ("O", "W", "sub"):
         raise ParseError(f"unknown ambient {ambient!r}")
-    vec_from = oelem_from_data if ambient == "O" else welem_from_data
-    comps = {}
+    labels, degrees = [], set()
+    slots, alphas, coeffs = [], [], []      # per term: row * m + table, exponents, c
+
+    def function(payload, row, k):
+        nonlocal cfg
+        cfg, exps, cs = _function_terms(payload, cfg)
+        slots.extend([row if ambient == "O" else row * cfg.m + k] * len(cs))
+        alphas.extend(exps)
+        coeffs.extend(cs)
+
     for item in _need(data, "components", "grading", list):
         degree = gelem_from_data(_need(item, "degree", "component", list), group)
-        vecs = []
+        start = len(labels)
         for payload in _need(item, "basis", "component", list):
-            v = vec_from(payload, cfg)
-            cfg = v.cfg
-            vecs.append(v)
-        if degree in comps:
+            row = len(labels)
+            if ambient == "O":
+                function(payload, row, 0)
+            else:
+                tables = _need(payload, "coeffs", "derivation", list)
+                if not tables:
+                    raise ParseError("derivation payload needs a nonempty coefficient list")
+                for k, table in enumerate(tables):
+                    function(table, row, k)
+                if len(tables) != cfg.m:
+                    raise ParseError(f"derivation needs {cfg.m} coefficients, got {len(tables)}")
+            labels.append(degree)
+        if degree in degrees:
             raise ParseError(f"duplicate component degree {degree!r}")
-        if not vecs:
+        if len(labels) == start:
             raise ParseError("empty component in grading payload")
-        comps[degree] = vecs
-    if not comps:
+        degrees.add(degree)
+    if not labels:
         raise ParseError("grading payload has no components")
-    sub_basis = None
-    if ambient == "sub":
-        sub_basis = [v for vecs in comps.values() for v in vecs]
+    n = cfg.n
+    index = np.array(alphas, dtype=np.int64).reshape(-1, cfg.m) @ radix_weights(cfg.p, cfg.m)
+    flat = np.array(slots, dtype=np.int64) * n + index
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]   # a repeated alpha
+    basis = np.zeros((len(labels), n if ambient == "O" else cfg.m * n), dtype=np.int64)
+    basis.ravel()[flat[last]] = np.array(coeffs, dtype=np.int64)[last]
+    return cfg, group, ambient, basis, labels, basis if ambient == "sub" else None
+
+
+def _inconsistent(exc: CartanGradeError) -> ValidityError:
+    """The refusal of a parsed grading whose rows fail the constructor's
+    checks."""
+    return ValidityError(f"parsed grading is inconsistent: {exc}")
+
+
+def grading_from_data(data, cfg: Config | None = None):
+    from .gradings import Grading
+
+    cfg, group, ambient, basis, labels, sub = _grading_fields(data, cfg)
     try:
-        return Grading.from_components(cfg, group, ambient, comps, sub_basis=sub_basis)
+        return Grading(cfg, group, ambient, basis, labels, sub=sub)
     except CartanGradeError as exc:
-        raise ValidityError(f"parsed grading is inconsistent: {exc}") from exc
+        raise _inconsistent(exc) from exc
 
 
 def auto_to_data(mu) -> dict:

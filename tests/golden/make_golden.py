@@ -154,6 +154,7 @@ def cases():
         "dims_m3": ["dims", "--p", "5", "--m", "3"],
         "dims_m2_r2": ["dims", "--p", "5", "--m", "2", "--r", "2"],
         "dims_p7_m4": ["dims", "--p", "7", "--m", "4"],
+        "refusal_dims_r_small_p": ["dims", "--p", "2", "--m", "2", "--r", "3"],
     }
 
 

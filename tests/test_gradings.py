@@ -313,6 +313,43 @@ def test_verify_matches_the_per_pair_oracle():
                                            "product misses its component"}
 
 
+def test_verify_matches_the_per_pair_oracle_in_small_chunks(monkeypatch):
+    # Three operators of side 50 (W, "sub") or twelve of side 25 ("O") per
+    # chunk: every sweep spans several chunks, the last one partial.
+    monkeypatch.setattr(gradings, "_SWEEP_BYTES", 3 * 8 * 50 * 50)
+    chunks = []
+    operators = gradings._operators
+
+    def counting(grading, rows):
+        chunks.append(len(rows))
+        return operators(grading, rows)
+
+    monkeypatch.setattr(gradings, "_operators", counting)
+    for grading in _oracle_cases():
+        chunks.clear()
+        assert_verify_matches_oracles(grading)
+        assert len(chunks) > 2 and max(chunks) == (12 if grading.ambient == "O" else 3)
+
+
+def test_verify_raises_the_constructor_error_on_dependent_rows():
+    cfg = Config(5, 2)
+    g, b, c = z5sq()
+    o = grade_O_construct(cfg, g, [b], [c])
+    sub = grade_S_construct(cfg, g, PSubgroup(g, [b]), [c], b * c)
+    for x in (o, induce_W(o), sub):
+        rows = x.basis.copy()
+        rows[1] = rows[2]
+        with pytest.raises(DimensionError, match="linearly dependent"):
+            Grading(cfg, g, x.ambient, rows, x.labels, sub=rows if x.sub is not None else None)
+        deferred = Grading._deferred(cfg, g, x.ambient, rows, x.labels,
+                                     sub=rows if x.sub is not None else None)
+        with pytest.raises(DimensionError, match="linearly dependent"):
+            verify_grading(deferred)
+        same = Grading._deferred(cfg, g, x.ambient, x.basis, x.labels, sub=x.sub)
+        assert np.array_equal(same.basis, x.basis) and same.labels == x.labels
+        assert verify_grading(same).ok
+
+
 def _certificate_cases():
     """Valid O gradings at m=2: standard and pushed over Z_5^2, trivial, Z,
     Z x Z_5, and Z with degree coordinates past 2^63."""
@@ -341,17 +378,17 @@ def test_certificate_agrees_with_the_sweep_on_valid_gradings(monkeypatch):
     assert max(abs(c) for g in CERTIFICATE_CASES[5].labels for c in g.coords) > 2**63
     for grading in CERTIFICATE_CASES:
         assert_verify_matches_oracles(grading)
-    calls = []
+    rows = []
 
     def counting(cfg, table):
-        calls.append(1)
+        rows.append(len(table) if table.ndim == 2 else 1)
         return mult_operator(cfg, table)
 
     monkeypatch.setattr(gradings, "mult_operator", counting)
     for grading in CERTIFICATE_CASES:
-        calls.clear()
+        rows.clear()
         assert verify_grading(grading).ok
-        assert len(calls) <= grading.cfg.m
+        assert sum(rows) <= grading.cfg.m
 
 
 def test_certificate_failure_on_a_generator_row_falls_back_to_the_sweep():

@@ -121,6 +121,20 @@ def test_mult_operator_matrix_agrees_with_products():
         assert np.array_equal((mat @ g.table) % 5, (f * g).table)
 
 
+def test_stacked_mult_operator_is_one_matrix_per_table():
+    cfg = Config(5, 2)
+    rng = random.Random(31)
+    stack = np.array([random_elem(cfg, rng).table for _ in range(4)])
+    stack[2] = 0                                   # a zero table in the stack
+    stack[3] = 0
+    stack[3, cfg.index((4, 4))] = 3                # a table whose products all truncate but one
+    mats = mult_operator(cfg, stack)
+    assert mats.shape == (4, cfg.n, cfg.n)
+    for table, mat in zip(stack, mats):
+        assert np.array_equal(mat, mult_operator(cfg, table))
+    assert mult_operator(cfg, np.zeros((2, cfg.n), dtype=np.int64)).shape == (2, cfg.n, cfg.n)
+
+
 def test_queries_and_bookkeeping():
     cfg = Config(5, 2)
     f = OElem.from_terms(cfg, [((1, 0), 2), ((0, 1), 3), ((2, 1), 4)])

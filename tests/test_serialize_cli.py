@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartangrade import cli, gradings, serialize
+from cartangrade import cli, gradings, linalg, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import AutO, push_grading, random_auto, shift_auto
 from cartangrade.classify import GradingInvariants, canonical_key, recognize_O
-from cartangrade.errors import ParseError, ValidityError
+from cartangrade.errors import CartanGradeError, ParseError, ValidityError
 from cartangrade.forms import KForm, omega_volume
 from cartangrade.gfp import Config
-from cartangrade.gradings import grade_O_construct, grade_S_construct, induce_W
+from cartangrade.gradings import Grading, grade_O_construct, grade_S_construct, induce_W
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem, d_ij_z
 
@@ -536,9 +536,10 @@ def _swap_two_degrees(draw, data) -> bool:
 
 
 @st.composite
-def mutated_payloads(draw):
-    """(verb, payload on stdin or None, flags, second iso payload or None)."""
-    verb = draw(st.sampled_from(sorted(FUZZ_BASES) + sorted(FLAG_VERBS)))
+def mutated_payloads(draw, verbs=None):
+    """(verb, payload on stdin or None, flags, second iso payload or None),
+    for a verb drawn from verbs (every verb by default)."""
+    verb = draw(st.sampled_from(verbs or sorted(FUZZ_BASES) + sorted(FLAG_VERBS)))
     if verb in FLAG_VERBS:
         flags = []
         for flag, values in FLAG_VALUES.items():
@@ -638,3 +639,136 @@ def test_cli_survives_mutated_payloads(case):
     # A reply is a payload on stdout (exit 0, or a verify report with exit
     # 4) or one error line on stderr.
     assert bool(out.getvalue()) != err.getvalue().startswith("error: ")
+
+
+def element_oelem_from_data(data, cfg=None):
+    """One OElem from a function payload, each term checked and written into
+    a table in turn: the element reader the array reader replaced."""
+    if serialize._need(data, "basis", "function", str) != "x":
+        raise ParseError(f"unknown basis tag {data['basis']!r}")
+    p = serialize._need(data, "p", "function", int)
+    m = serialize._need(data, "m", "function", int)
+    if cfg is None:
+        try:
+            cfg = Config(p, m) if p > 3 else Config(p, m, allow_small_p=True)
+        except CartanGradeError as exc:
+            raise ParseError(f"bad configuration in payload: {exc}") from exc
+    elif (cfg.p, cfg.m) != (p, m):
+        raise ParseError(f"payload is for p={p}, m={m}, expected p={cfg.p}, m={cfg.m}")
+    table = np.zeros(cfg.n, dtype=np.int64)
+    for term in serialize._need(data, "terms", "function", list):
+        alpha = serialize._int_list(serialize._need(term, "alpha", "term", list), "alpha")
+        if len(alpha) != m or not all(0 <= a < p for a in alpha):
+            raise ParseError(f"bad exponent vector {alpha!r}")
+        table[cfg.index(alpha)] = serialize._need(term, "c", "term", int) % p
+    return OElem(cfg, table)
+
+
+def element_welem_from_data(data, cfg=None):
+    coeffs = serialize._need(data, "coeffs", "derivation", list)
+    if not coeffs:
+        raise ParseError("derivation payload needs a nonempty coefficient list")
+    parsed = []
+    for item in coeffs:
+        f = element_oelem_from_data(item, cfg)
+        cfg = f.cfg
+        parsed.append(f)
+    if len(parsed) != cfg.m:
+        raise ParseError(f"derivation needs {cfg.m} coefficients, got {len(parsed)}")
+    return WElem.from_coeffs(parsed)
+
+
+def element_grading_from_data(data):
+    """The oracle of the array reader: one element object per row, then
+    Grading.from_components."""
+    group = serialize.group_from_data(serialize._need(data, "group", "grading", dict))
+    ambient = serialize._need(data, "ambient", "grading", str)
+    if ambient not in ("O", "W", "sub"):
+        raise ParseError(f"unknown ambient {ambient!r}")
+    vec_from = element_oelem_from_data if ambient == "O" else element_welem_from_data
+    cfg, comps = None, {}
+    for item in serialize._need(data, "components", "grading", list):
+        degree = serialize.gelem_from_data(serialize._need(item, "degree", "component", list),
+                                           group)
+        vecs = []
+        for payload in serialize._need(item, "basis", "component", list):
+            v = vec_from(payload, cfg)
+            cfg = v.cfg
+            vecs.append(v)
+        if degree in comps:
+            raise ParseError(f"duplicate component degree {degree!r}")
+        if not vecs:
+            raise ParseError("empty component in grading payload")
+        comps[degree] = vecs
+    if not comps:
+        raise ParseError("grading payload has no components")
+    sub_basis = [v for vecs in comps.values() for v in vecs] if ambient == "sub" else None
+    try:
+        return Grading.from_components(cfg, group, ambient, comps, sub_basis=sub_basis)
+    except CartanGradeError as exc:
+        raise ValidityError(f"parsed grading is inconsistent: {exc}") from exc
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except CartanGradeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_payloads(verbs=("verify",)))
+def test_array_reader_matches_the_element_reader(case):
+    _, data, _, _ = case
+    got, want = _outcome(serialize.grading_from_data, data), _outcome(element_grading_from_data, data)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Grading)
+    assert np.array_equal(got.basis, want.basis) and got.labels == want.labels
+    assert (got.sub is None) == (want.sub is None)
+    assert got.sub is None or np.array_equal(got.sub, want.sub)
+
+
+def test_array_reader_keeps_the_last_of_repeated_terms():
+    data = _standard_grading_payload()
+    terms = data["components"][3]["basis"][0]["terms"]
+    terms += [{"alpha": terms[0]["alpha"], "c": 3}, {"alpha": [True, 0], "c": True},
+              {"alpha": [1, 0], "c": 2**70 + 2}]
+    got = serialize.grading_from_data(data)
+    want = element_grading_from_data(data)
+    assert np.array_equal(got.basis, want.basis) and got.labels == want.labels
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("name, eliminations", [("O_raw_x", 1), ("W_raw", 1), ("sub_std", 2)])
+def test_cli_verify_eliminates_the_basis_once(name, eliminations, monkeypatch, capsys):
+    calls = []
+    rref = linalg.rref
+
+    def counting(mat, p):
+        calls.append(np.shape(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    assert cli.main(["grade", "verify", "--grading", str(GOLDEN_INPUTS / f"{name}.json")]) == 0
+    assert len(calls) == eliminations
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 704. MiB for an array with shape (9604, 9604) and data type float64",
+     "error: out of memory: Unable to allocate 704. MiB for an array with shape (9604, 9604) "
+     "and data type float64"),
+    ("", "error: out of memory")])
+def test_cli_maps_memory_error_to_a_refusal(message, line, monkeypatch, capsys):
+    def exhausted(grading):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "verify_grading", exhausted)
+    argv = ["grade", "verify", "--grading", str(GOLDEN_INPUTS / "O_raw_x.json")]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
