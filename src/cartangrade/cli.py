@@ -44,8 +44,9 @@ p > 3.
 
 Exit codes: 0 success, 2 malformed input, 3 semantic refusal (valid syntax,
 impossible request, or a request that runs out of memory), 4 conformance
-failure (including a failed internal soundness check).  The dimension guard p**m is
-capped by the environment variable CARTAN_GRADE_MAX_DIM (default 2401).
+failure (including a failed internal soundness check).  The dimension guard
+p**m is capped by the environment variable CARTAN_GRADE_MAX_DIM (default
+2401).
 """
 
 import argparse
@@ -511,8 +512,8 @@ def cmd_grade_construct(args) -> int:
 def cmd_grade_verify(args) -> int:
     fields = serialize._grading_fields(_load_json(args.grading))
     try:
-        # One elimination: verify_grading's own checks that the rows are
-        # independent, which the checking constructor would do first.
+        # The basis is eliminated once: verify_grading's own elimination
+        # checks that the rows are independent, in place of the constructor.
         report = verify_grading(Grading._deferred(*fields))
     except DimensionError as exc:
         raise serialize._inconsistent(exc) from exc

@@ -504,7 +504,7 @@ def verify_grading(grading: Grading) -> GradingReport:
     target = _degree_table(grading.group, tuple(blocks))
     # "O" and "W" bases are square, so every column is a pivot once the rows
     # are independent; a "sub" basis has more columns.
-    pivots = linalg.rref(basis, p)[1] if grading.sub is not None else list(range(dim))
+    pivots = linalg.rref(basis, p)[1] if grading.sub is not None else slice(None)
     try:
         coords_of = linalg.inverse(basis[:, pivots], p)
     except NoSuchBasisError:
@@ -536,9 +536,11 @@ def verify_grading(grading: Grading) -> GradingReport:
         rows = np.setdiff1d(rows, gens) if status.any() else rows[:0]
     check_rows(rows)
     us, vs = np.nonzero(status)
-    for i in np.lexsort((vs, us, block[vs], block[us])):
-        u, v = us[i], vs[i]
-        failures.append((labels[u].coords, labels[v].coords, _FAILURES[status[u, v]]))
+    order = np.lexsort((vs, us, block[vs], block[us]))
+    us, vs = us[order], vs[order]
+    degrees = [g.coords for g in labels]
+    failures += [(degrees[u], degrees[v], _FAILURES[s])
+                 for u, v, s in zip(us.tolist(), vs.tolist(), status[us, vs].tolist())]
     return GradingReport(not failures, failures, dim * dim)
 
 

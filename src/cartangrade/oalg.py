@@ -74,19 +74,18 @@ def mult_operator(cfg: Config, table):
 
     A (k, n) stack of tables gives the k matrices as one (k, n, n) array,
     from one bincount over k regions of n + 1 rows (the last row of each
-    collects the truncated products)."""
+    collects the truncated products); one table is the case k = 1."""
     p, n = cfg.p, cfg.n
+    k = table.size // n
     tbl = mul_index_table(p, cfg.m)
-    stack = table.reshape(-1, n)
-    k = stack.shape[0]
-    owner, ia = np.nonzero(stack)
+    ia = np.flatnonzero(table)      # flat positions in the stack: owner * n + index
     if ia.size == 0:
         return np.zeros(table.shape[:-1] + (n, n), dtype=np.int64)
     cols = np.broadcast_to(np.arange(n, dtype=np.int64), (ia.size, n))
-    flat = tbl[ia].astype(np.int64) * n + cols
+    flat = tbl[ia % n if k > 1 else ia].astype(np.int64) * n + cols
     if k > 1:
-        flat += (owner * ((n + 1) * n))[:, None]
-    w = np.repeat(stack[owner, ia].astype(np.float64), n)  # exact: see mul_tables
+        flat += (ia // n * ((n + 1) * n))[:, None]
+    w = np.repeat(table.ravel()[ia].astype(np.float64), n)  # exact: see mul_tables
     out = np.bincount(flat.ravel(), weights=w, minlength=k * (n + 1) * n)
     out = out.reshape(k, n + 1, n)[:, :n].astype(np.int64) % p
     return out.reshape(table.shape[:-1] + (n, n))

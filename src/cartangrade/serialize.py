@@ -94,30 +94,53 @@ def _function_terms(data, cfg: Config | None):
     return cfg, alphas, coeffs
 
 
+def _scatter(cfg: Config, rows) -> np.ndarray:
+    """The matrix whose row r holds the tables of rows[r] side by side, each
+    table given by its (exponent vectors, coefficients): one scatter, in
+    which a repeated exponent keeps its last coefficient, as one assignment
+    per term would."""
+    width = len(rows[0])
+    slots, alphas, coeffs = [], [], []
+    for r, tables in enumerate(rows):
+        for k, (exps, cs) in enumerate(tables):
+            slots += [r * width + k] * len(cs)
+            alphas += exps
+            coeffs += cs
+    index = np.array(alphas, dtype=np.int64).reshape(-1, cfg.m) @ radix_weights(cfg.p, cfg.m)
+    flat = np.array(slots, dtype=np.int64) * cfg.n + index
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    out = np.zeros((len(rows), width * cfg.n), dtype=np.int64)
+    out.ravel()[flat[last]] = np.array(coeffs, dtype=np.int64)[last]
+    return out
+
+
 def oelem_from_data(data, cfg: Config | None = None) -> OElem:
     cfg, alphas, coeffs = _function_terms(data, cfg)
-    table = np.zeros(cfg.n, dtype=np.int64)
-    for alpha, c in zip(alphas, coeffs):
-        table[cfg.index(alpha)] = c
-    return OElem(cfg, table)
+    return OElem(cfg, _scatter(cfg, [[(alphas, coeffs)]])[0])
 
 
 def welem_to_data(d: WElem) -> dict:
     return {"coeffs": [oelem_to_data(d.coeff(i)) for i in range(1, d.cfg.m + 1)]}
 
 
-def welem_from_data(data, cfg: Config | None = None) -> WElem:
-    coeffs = _need(data, "coeffs", "derivation", list)
-    if not coeffs:
+def _derivation_terms(data, cfg: Config | None):
+    """(cfg, the (exponent vectors, coefficients) of each of its m tables) of
+    a derivation payload, its fields checked in document order."""
+    items = _need(data, "coeffs", "derivation", list)
+    if not items:
         raise ParseError("derivation payload needs a nonempty coefficient list")
-    parsed = []
-    for item in coeffs:
-        f = oelem_from_data(item, cfg)
-        cfg = f.cfg
-        parsed.append(f)
-    if len(parsed) != cfg.m:
-        raise ParseError(f"derivation needs {cfg.m} coefficients, got {len(parsed)}")
-    return WElem.from_coeffs(parsed)
+    tables = []
+    for item in items:
+        cfg, alphas, coeffs = _function_terms(item, cfg)
+        tables.append((alphas, coeffs))
+    if len(tables) != cfg.m:
+        raise ParseError(f"derivation needs {cfg.m} coefficients, got {len(tables)}")
+    return cfg, tables
+
+
+def welem_from_data(data, cfg: Config | None = None) -> WElem:
+    cfg, tables = _derivation_terms(data, cfg)
+    return WElem(cfg, _scatter(cfg, [tables]).reshape(cfg.m, cfg.n))
 
 
 def kform_to_data(w) -> dict:
@@ -193,53 +216,33 @@ def _grading_fields(data, cfg: Config | None = None):
     oelem_from_data and welem_from_data, so a payload with several faults
     reports the first.  basis holds one row per basis payload in document
     order (for "W" and "sub" the m coefficient tables side by side), built
-    from the term lists by one scatter with no element object per row;
-    labels holds the degree of each row; sub is basis for ambient "sub" and
-    None otherwise.
+    by one scatter with no element object per row; labels holds the degree
+    of each row; sub is basis for ambient "sub" and None otherwise.
     """
     group = group_from_data(_need(data, "group", "grading", dict))
     ambient = _need(data, "ambient", "grading", str)
     if ambient not in ("O", "W", "sub"):
         raise ParseError(f"unknown ambient {ambient!r}")
-    labels, degrees = [], set()
-    slots, alphas, coeffs = [], [], []      # per term: row * m + table, exponents, c
-
-    def function(payload, row, k):
-        nonlocal cfg
-        cfg, exps, cs = _function_terms(payload, cfg)
-        slots.extend([row if ambient == "O" else row * cfg.m + k] * len(cs))
-        alphas.extend(exps)
-        coeffs.extend(cs)
-
+    rows, labels, degrees = [], [], set()
     for item in _need(data, "components", "grading", list):
         degree = gelem_from_data(_need(item, "degree", "component", list), group)
-        start = len(labels)
+        start = len(rows)
         for payload in _need(item, "basis", "component", list):
-            row = len(labels)
             if ambient == "O":
-                function(payload, row, 0)
+                cfg, alphas, coeffs = _function_terms(payload, cfg)
+                rows.append([(alphas, coeffs)])
             else:
-                tables = _need(payload, "coeffs", "derivation", list)
-                if not tables:
-                    raise ParseError("derivation payload needs a nonempty coefficient list")
-                for k, table in enumerate(tables):
-                    function(table, row, k)
-                if len(tables) != cfg.m:
-                    raise ParseError(f"derivation needs {cfg.m} coefficients, got {len(tables)}")
+                cfg, tables = _derivation_terms(payload, cfg)
+                rows.append(tables)
             labels.append(degree)
         if degree in degrees:
             raise ParseError(f"duplicate component degree {degree!r}")
-        if len(labels) == start:
+        if len(rows) == start:
             raise ParseError("empty component in grading payload")
         degrees.add(degree)
-    if not labels:
+    if not rows:
         raise ParseError("grading payload has no components")
-    n = cfg.n
-    index = np.array(alphas, dtype=np.int64).reshape(-1, cfg.m) @ radix_weights(cfg.p, cfg.m)
-    flat = np.array(slots, dtype=np.int64) * n + index
-    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]   # a repeated alpha
-    basis = np.zeros((len(labels), n if ambient == "O" else cfg.m * n), dtype=np.int64)
-    basis.ravel()[flat[last]] = np.array(coeffs, dtype=np.int64)[last]
+    basis = _scatter(cfg, rows)
     return cfg, group, ambient, basis, labels, basis if ambient == "sub" else None
 
 
