@@ -66,7 +66,7 @@ def _function_terms(data, cfg: Config | None):
 
     The fields are checked in document order: the basis tag, p and m
     (against cfg, or building it when cfg is None), then each term's alpha
-    and c.  A repeated alpha keeps its last coefficient, as in a table."""
+    and c."""
     if _need(data, "basis", "function", str) != "x":
         raise ParseError(f"unknown basis tag {data['basis']!r}")
     p = _need(data, "p", "function", int)
