@@ -150,6 +150,8 @@ def cases():
         "malformed_payload": g("verify", "--grading", inp("malformed")),
         "paper_check_m2": ["paper-check", "--p", "5", "--m", "2"],
         "paper_check_m2_table": ["paper-check", "--p", "5", "--m", "2", "--format", "table"],
+        "paper_check_m3": ["paper-check", "--p", "5", "--m", "3"],
+        "paper_check_p7_m3": ["paper-check", "--p", "7", "--m", "3"],
         "refusal_paper_check_p3": ["paper-check", "--p", "3", "--m", "2"],
         "dims_m3": ["dims", "--p", "5", "--m", "3"],
         "dims_m2_r2": ["dims", "--p", "5", "--m", "2", "--r", "2"],
