@@ -139,14 +139,6 @@ class AutO:
                         self.matrix, mult_operator(cfg, dv), p)
         return out
 
-    def push_derivation(self, d: WElem) -> WElem:
-        """Conjugated derivation mu o d o mu^-1: one product with the
-        conjugation matrix."""
-        if d.cfg != self.cfg:
-            raise ConfigMismatchError("derivation built over a different configuration")
-        flat = linalg.matmul(self.conjugation_matrix(), d.flat(), self.cfg.p)
-        return WElem.from_flat(self.cfg, flat)
-
     def jacobian(self) -> OElem:
         """Determinant of the matrix of partials of the variable images."""
         cfg = self.cfg

@@ -7,8 +7,10 @@ paper-check
     against independently derived formulas: generator brackets in all three
     index strata, the one-term stratum shortcut (including domain
     enforcement), Hamiltonian brackets and partials, the Hamiltonian basis
-    count, and restricted p-th power samples.  Exit code 4 when any suite
-    fails; counterexample payloads are embedded in the report.
+    count, and restricted p-th power samples.  Each identity sweep runs as
+    stacked products: one ad matrix per left generator against closed forms
+    built row-stacked from exponents alone.  Exit code 4 when any suite
+    fails; the first counterexamples in case order are embedded in the report.
 
 dims
     Dimension table computed by two independent routes (closed formula vs
@@ -63,13 +65,13 @@ from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
 from .errors import (AdmissibilityError, CartanGradeError, ConfigError, DimensionError,
                      InternalError, ObstructionError, ParseError)
 from .forms import algebra_rows, derived_rows
-from .gfp import Config, max_dim_limit, mi_enumerate
+from .gfp import Config, alpha_table, max_dim_limit, mi_enumerate
 from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_construct,
                        induce_W, verify_grading)
 from .linalg import matmul, row_space
-from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
-                   closed_form_h_bracket, closed_form_h_partial, d_h_z,
-                   d_ij_z, w_basis)
+from .witt import (WElem, closed_form_bracket_reduced, closed_form_bracket_reduced_rows,
+                   closed_form_bracket_rows, closed_form_h_bracket_rows,
+                   closed_form_h_partial_rows, d_h_z, d_ij_z, w_basis)
 
 DEFAULT_SEED = 1729
 MAX_COUNTEREXAMPLES = 3
@@ -166,14 +168,36 @@ def _check_record(name: str, cases: int, fails, detail: str = "",
     return rec
 
 
-def _sweep(left, right, rng):
-    """The cases of an identity sweep over left x right, and whether they
-    are all of them: every pair (left-major) within EXHAUSTIVE_CASES, else
-    SAMPLE_CASES seeded draws.  rng.choice(seq) makes the same draw as
-    rng.randrange(len(seq))."""
-    if len(left) * len(right) <= EXHAUSTIVE_CASES:
-        return ((a, b) for a in left for b in right), True
-    return ((rng.choice(left), rng.choice(right)) for _ in range(SAMPLE_CASES)), False
+def _sweep(n_left: int, n_right: int, rng):
+    """The cases of an identity sweep over left x right, as index arrays
+    (left, right), and whether they are all of them: every pair (left-major)
+    within EXHAUSTIVE_CASES, else SAMPLE_CASES seeded draws.  Drawing
+    rng.randrange(len(seq)) makes the same draw as rng.choice(seq)."""
+    if n_left * n_right <= EXHAUSTIVE_CASES:
+        return np.repeat(np.arange(n_left), n_right), np.tile(np.arange(n_right), n_left), True
+    draws = [(rng.randrange(n_left), rng.randrange(n_right)) for _ in range(SAMPLE_CASES)]
+    left, right = np.array(draws, dtype=np.int64).T
+    return left, right, False
+
+
+def _first_mismatches(left, block):
+    """The first MAX_COUNTEREXAMPLES cases, in case order, whose two sides
+    differ.  The cases are taken one left element at a time: block(a, pos)
+    gives both sides, (generic rows, closed-form rows), of the cases at
+    positions pos, which all have left element a.  Only a mismatch flag per
+    case outlives its block, so no array of cases x flat dimension is held."""
+    flags = np.zeros(left.size, dtype=bool)
+    order = np.argsort(left, kind="stable")
+    starts = np.flatnonzero(np.diff(left[order], prepend=-1))
+    for pos in np.split(order, starts[1:]):
+        got, want = block(left[pos[0]], pos)
+        flags[pos] = (got != want).any(axis=1)
+    return np.flatnonzero(flags)[:MAX_COUNTEREXAMPLES]
+
+
+def _bracket_rows(u: WElem, rows):
+    """[u, v] for every flat row v: one product of ad(u) with the rows."""
+    return matmul(u.ad_matrix(), rows.T, u.cfg.p).T
 
 
 def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
@@ -183,81 +207,99 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
     case budget and by seeded sampling beyond it.  At every (p, m) the CLI
     accepts this picks the same mode as a budget on all index pairs
     together: no p**3 has its square in (20000, 60000], and no p**4 with
-    p > 3 has its square in (10000, 60000].
+    p > 3 has its square in (10000, 60000].  The generic side takes one
+    ad(d_12(z^alpha)) per left exponent alpha, shared by every index pair,
+    and brackets all of alpha's right partners with it in one product; the
+    closed forms come stacked from closed_form_bracket_rows.
     """
-    alphas = mi_enumerate(cfg)
+    alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(1, cfg.m + 1), 2))
-    gens = {ij: list(zip(alphas, [d_ij_z(cfg, ij[0], ij[1], a) for a in alphas]))
-            for ij in pairs}
+    rights = np.stack([d_ij_z(cfg, i, j, a).flat() for i, j in pairs for a in alphas])
     rng = random.Random(seed)
-    cases = 0
-    fails = []
-    for i, j in pairs:
-        sweep, exhaustive = _sweep(gens[(1, 2)], gens[(i, j)], rng)
-        for (a, u), (b, v) in sweep:
-            cases += 1
-            if u.bracket(v) != closed_form_bracket(cfg, a, b, i, j):
-                fails.append({"i": i, "j": j, "alpha": list(a), "beta": list(b)})
-    mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
+    sweeps = [_sweep(cfg.n, cfg.n, rng) for _ in pairs]
+    pair = np.concatenate([np.full(s[0].size, k) for k, s in enumerate(sweeps)])
+    left = np.concatenate([s[0] for s in sweeps])
+    right = np.concatenate([s[1] for s in sweeps])
+
+    def block(a, pos):
+        got = _bracket_rows(d_ij_z(cfg, 1, 2, alphas[a]), rights[pair[pos] * cfg.n + right[pos]])
+        want = np.empty_like(got)
+        for k, (i, j) in enumerate(pairs):
+            sel = pair[pos] == k
+            want[sel] = closed_form_bracket_rows(cfg, alphas[a], alphas[right[pos[sel]]], i, j)
+        return got, want
+
+    fails = [{"i": pairs[pair[c]][0], "j": pairs[pair[c]][1], "alpha": alphas[left[c]].tolist(),
+              "beta": alphas[right[c]].tolist()} for c in _first_mismatches(left, block)]
+    mode = "exhaustive" if sweeps[-1][2] else f"sampled, seed {seed}"
     detail = f"index pairs {pairs}, {mode}"
-    return _check_record("bracket-closed-form", cases, fails, detail)
+    return _check_record("bracket-closed-form", left.size, fails, detail)
 
 
 def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
-    """One-term stratum shortcut: equality on the stratum, refusal off it."""
-    alphas = mi_enumerate(cfg)
+    """One-term stratum shortcut: equality on the stratum, refusal off it.
+
+    Both sides are closed forms, compared a left exponent at a time on
+    stacked rows; the 20 off-stratum refusals are single calls."""
+    alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(2, cfg.m + 1), 2))
     cases = 0
     fails = []
     rng = random.Random(seed)
     for i, j in pairs:
         k, v = (1, 1) if i == 2 else (i - 1, 0)     # the stratum: a[k] == v, a[j - 1] == 0
-        on_stratum, off_stratum = [], []
-        for a in alphas:
-            (on_stratum if a[k] == v and a[j - 1] == 0 else off_stratum).append(a)
-        for a, b in _sweep(on_stratum, alphas, rng)[0]:
-            cases += 1
-            want = closed_form_bracket(cfg, a, b, i, j)
-            if closed_form_bracket_reduced(cfg, a, b, i, j) != want:
-                fails.append({"i": i, "j": j, "alpha": list(a), "beta": list(b)})
+        on = (alphas[:, k] == v) & (alphas[:, j - 1] == 0)
+        on_stratum, off_stratum = np.flatnonzero(on), np.flatnonzero(~on).tolist()
+        left, right, _ = _sweep(on_stratum.size, cfg.n, rng)
+
+        def block(a, pos):
+            alpha, beta = alphas[on_stratum[a]], alphas[right[pos]]
+            return (closed_form_bracket_reduced_rows(cfg, alpha, beta, i, j),
+                    closed_form_bracket_rows(cfg, alpha, beta, i, j))
+
+        cases += left.size
+        fails += [{"i": i, "j": j, "alpha": alphas[on_stratum[left[c]]].tolist(),
+                   "beta": alphas[right[c]].tolist()} for c in _first_mismatches(left, block)]
         for a in rng.sample(off_stratum, min(20, len(off_stratum))):
             cases += 1
             try:
-                closed_form_bracket_reduced(cfg, a, alphas[1], i, j)
+                closed_form_bracket_reduced(cfg, alphas[a], alphas[1], i, j)
             except ValueError:
                 continue
-            fails.append({"i": i, "j": j, "alpha": list(a), "off-stratum": True})
+            fails.append({"i": i, "j": j, "alpha": alphas[a].tolist(), "off-stratum": True})
     detail = f"strata over index pairs {pairs}; off-stratum domain enforced"
     return _check_record("bracket-one-term-stratum", cases, fails, detail)
 
 
 def _check_h_bracket(cfg: Config, seed: int) -> dict:
-    """Hamiltonian bracket conformance (even m), sampled past the budget."""
-    alphas = mi_enumerate(cfg)
-    gens = list(zip(alphas, [d_h_z(cfg, a) for a in alphas]))
-    sweep, exhaustive = _sweep(gens, gens, random.Random(seed))
-    cases = 0
-    fails = []
-    for (a, u), (b, v) in sweep:
-        cases += 1
-        if u.bracket(v) != closed_form_h_bracket(cfg, a, b):
-            fails.append({"alpha": list(a), "beta": list(b)})
+    """Hamiltonian bracket conformance (even m), sampled past the budget:
+    one ad(d_h(z^alpha)) per left exponent against closed_form_h_bracket_rows."""
+    alphas = alpha_table(cfg.p, cfg.m)
+    gens = np.stack([d_h_z(cfg, a).flat() for a in alphas])
+    left, right, exhaustive = _sweep(cfg.n, cfg.n, random.Random(seed))
+
+    def block(a, pos):
+        b = right[pos]
+        return (_bracket_rows(WElem.from_flat(cfg, gens[a]), gens[b]),
+                closed_form_h_bracket_rows(cfg, alphas[a], alphas[b]))
+
+    fails = [{"alpha": alphas[left[c]].tolist(), "beta": alphas[right[c]].tolist()}
+             for c in _first_mismatches(left, block)]
     mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
-    return _check_record("hamiltonian-bracket", cases, fails, mode)
+    return _check_record("hamiltonian-bracket", left.size, fails, mode)
 
 
 def _check_h_partial(cfg: Config) -> dict:
-    """Partial derivatives against Hamiltonian generators."""
-    alphas = mi_enumerate(cfg)
-    cases = 0
+    """Partial derivatives against Hamiltonian generators: one ad(d/dx_ell)
+    per axis against closed_form_h_partial_rows."""
+    alphas = alpha_table(cfg.p, cfg.m)
+    gens = np.stack([d_h_z(cfg, b).flat() for b in alphas])
     fails = []
     for ell in range(1, cfg.m + 1):
-        d_ell = WElem.basis_element(cfg, alphas[0], ell)
-        for b in alphas:
-            cases += 1
-            if d_ell.bracket(d_h_z(cfg, b)) != closed_form_h_partial(cfg, ell, b):
-                fails.append({"ell": ell, "beta": list(b)})
-    return _check_record("hamiltonian-partial", cases, fails)
+        got = _bracket_rows(WElem.basis_element(cfg, alphas[0], ell), gens)
+        bad = np.flatnonzero((got != closed_form_h_partial_rows(cfg, ell, alphas)).any(axis=1))
+        fails += [{"ell": ell, "beta": alphas[b].tolist()} for b in bad[:MAX_COUNTEREXAMPLES]]
+    return _check_record("hamiltonian-partial", cfg.m * cfg.n, fails)
 
 
 def _check_h_basis_count(cfg: Config) -> dict:

@@ -157,21 +157,3 @@ def mul_index_table(p: int, m: int):
 def mi_enumerate(cfg: Config) -> list:
     """All multi-indices for cfg, lexicographically."""
     return [tuple(int(a) for a in row) for row in alpha_table(cfg.p, cfg.m)]
-
-
-def binom_mod_p(alpha, beta, p: int) -> int:
-    """Product of per-coordinate binomials C(a_i+b_i, a_i) mod p; 0 on truncation.
-
-    The explicit cutoff at a_i+b_i >= p agrees with the mod-p value of the
-    integer binomial (Lucas), so divided-power products can use it directly.
-    """
-    if len(alpha) != len(beta):
-        raise DimensionError(f"multi-index lengths differ: {len(alpha)} vs {len(beta)}")
-    out = 1
-    for a, b in zip(alpha, beta):
-        if a < 0 or b < 0:
-            raise AxisRangeError("multi-index entries must be nonnegative")
-        if a + b >= p:
-            return 0
-        out = out * math.comb(a + b, a) % p
-    return out

@@ -20,9 +20,8 @@ from .errors import (
     ConfigMismatchError,
     DimensionError,
     ValidityError,
-    ZeroElementError,
 )
-from .gfp import Config, alpha_table, mul_index_table, radix_weights, weight_table
+from .gfp import Config, alpha_table, mul_index_table, radix_weights
 
 
 def _freeze(arr):
@@ -156,20 +155,10 @@ class OElem:
     def is_unit(self) -> bool:
         return self.constant_term != 0
 
-    def in_max_ideal(self) -> bool:
-        return self.constant_term == 0
-
     def linear_part(self):
         """Coefficients of x_1..x_m as a length-m vector."""
         radix = radix_weights(self.cfg.p, self.cfg.m)
         return self.table[radix].copy()
-
-    def weight_degree(self) -> int:
-        """Minimal total degree among nonzero monomials (filtration level)."""
-        nz = np.flatnonzero(self.table)
-        if nz.size == 0:
-            raise ZeroElementError("weight degree of 0 is undefined")
-        return int(weight_table(self.cfg.p, self.cfg.m)[nz].min())
 
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "OElem") -> None:
@@ -238,18 +227,6 @@ class OElem:
     def partial(self, i: int) -> "OElem":
         return OElem(self.cfg, partial_table(self.cfg, self.table, i))
 
-    def substitute(self, images) -> "OElem":
-        """Evaluate at x_i -> images[i-1].  Images must have zero constant
-        term so p-th powers of images vanish and the map is an algebra map."""
-        if len(images) != self.cfg.m:
-            raise DimensionError(f"need {self.cfg.m} images, got {len(images)}")
-        for u in images:
-            if u.cfg != self.cfg:
-                raise ConfigMismatchError("image built over a different configuration")
-            if u.constant_term != 0:
-                raise ValidityError("substitution image has nonzero constant term")
-        return _subst(self.cfg, self.table, images, 0)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -258,20 +235,6 @@ class OElem:
             mono = "*".join(f"x{i + 1}^{a}" if a > 1 else f"x{i + 1}" for i, a in enumerate(alpha) if a)
             parts.append(str(c) if not mono else (mono if c == 1 else f"{c}*{mono}"))
         return " + ".join(parts)
-
-
-def _subst(cfg: Config, table, images, axis: int) -> OElem:
-    """Horner evaluation, one axis at a time; table has length p**(m-axis)."""
-    if not table.any():
-        return OElem.zero(cfg)
-    if axis == cfg.m:
-        return OElem.constant(cfg, int(table[0]))
-    shaped = table.reshape(cfg.p, -1)
-    acc = _subst(cfg, shaped[cfg.p - 1], images, axis + 1)
-    u = images[axis]
-    for k in range(cfg.p - 2, -1, -1):
-        acc = acc * u + _subst(cfg, shaped[k], images, axis + 1)
-    return acc
 
 
 def dp_monomial(cfg: Config, alpha) -> OElem:
@@ -285,14 +248,27 @@ def dp_monomial(cfg: Config, alpha) -> OElem:
 
 
 @lru_cache(maxsize=None)
+def _binomials(p: int):
+    """p x p table of C(e, a) mod p, row e, column a."""
+    return _freeze(np.array([[math.comb(e, a) % p for a in range(p)] for e in range(p)],
+                            dtype=np.int64))
+
+
+def z_tables(p: int, m: int, gammas):
+    """(K, p**m) coefficient tables of the z-monomials z^gamma, one per row of
+    a (K, m) exponent array taken mod p: x^a has coefficient prod_i C(gamma_i, a_i),
+    an outer product over the axes in lexicographic order."""
+    g = np.asarray(gammas, dtype=np.int64).reshape(-1, m) % p
+    rows = _binomials(p)[g]                 # (K, m, p): C(gamma_i, a) per axis
+    out = rows[:, 0]
+    for i in range(1, m):
+        out = (out[:, :, None] * rows[:, i, None, :] % p).reshape(len(g), p ** (i + 1))
+    return out
+
+
+@lru_cache(maxsize=None)
 def _z_table(p: int, m: int, alpha: tuple):
-    rows = []
-    for e in alpha:
-        rows.append(np.array([math.comb(e, a) % p for a in range(p)], dtype=np.int64))
-    out = rows[0]
-    for r in rows[1:]:
-        out = np.kron(out, r)
-    return _freeze(out % p)
+    return _freeze(z_tables(p, m, [alpha])[0])
 
 
 def z_monomial(cfg: Config, alpha) -> OElem:

@@ -2,8 +2,10 @@
 
 A derivation is stored as the m coefficient tables of D = sum f_i d/dx_i,
 stacked into an (m, n) array.  The bracket is computed from the coefficient
-formula [D, E]_j = sum_i (f_i * d_i(g_j) - g_i * d_i(f_j)); closed-form
-bracket identities for the generator families serve as test oracles only.
+formula [D, E]_j = sum_i (f_i * d_i(g_j) - g_i * d_i(f_j)).  The closed-form
+bracket identities for the generator families are oracles for it: they
+build their flat rows, stacked over exponent pairs, from exponents and
+z-monomial tables alone, and never call the bracket or ad_matrix.
 p-th powers are computed by p-fold application to the variables, which
 pins down a derivation uniquely.
 """
@@ -15,7 +17,8 @@ import numpy as np
 from .errors import AxisRangeError, ConfigError, ConfigMismatchError, DimensionError
 from .gfp import Config
 from .linalg import matmul
-from .oalg import OElem, mul_tables, mult_operator, partial_matrix, partial_table, z_monomial
+from .oalg import (OElem, mul_tables, mult_operator, partial_matrix, partial_table, z_monomial,
+                   z_tables)
 
 
 class WElem:
@@ -225,10 +228,14 @@ def conjugate_axis(cfg: Config, i: int) -> int:
     return i + r if i <= r else i - r
 
 
-def d_h(cfg: Config, f: OElem) -> WElem:
-    """Hamiltonian field of f: sum sigma(i) d_i(f) d/dx_{i'}, even m only."""
+def _require_even(cfg: Config) -> None:
     if cfg.m % 2 != 0:
         raise ConfigError(f"hamiltonian fields need even m, got {cfg.m}")
+
+
+def d_h(cfg: Config, f: OElem) -> WElem:
+    """Hamiltonian field of f: sum sigma(i) d_i(f) d/dx_{i'}, even m only."""
+    _require_even(cfg)
     if f.cfg != cfg:
         raise ConfigMismatchError("argument built over a different configuration")
     t = np.zeros((cfg.m, cfg.n), dtype=np.int64)
@@ -247,104 +254,165 @@ def d_h_z(cfg: Config, alpha) -> WElem:
     return d_h(cfg, z_monomial(cfg, alpha))
 
 
-def _shifted(alpha, beta, *drops):
-    """Exponent vector alpha + beta - sum of unit vectors for the 1-based axes in drops."""
-    out = [a + b for a, b in zip(alpha, beta)]
-    for k in drops:
-        out[k - 1] -= 1
+def _exponents(cfg: Config, *stacks):
+    """Exponent stacks broadcast to (K, m) int64 arrays reduced mod p (z_i^p = 1)."""
+    arrs = [np.asarray(x, dtype=np.int64) for x in stacks]
+    arrs = np.broadcast_arrays(*(a.reshape(-1, a.shape[-1]) for a in arrs))
+    if arrs[0].shape[1] != cfg.m:
+        raise DimensionError(f"multi-index length {arrs[0].shape[1]} != m={cfg.m}")
+    return [a % cfg.p for a in arrs]
+
+
+def _unit(cfg: Config, *axes):
+    """Sum of the unit exponent vectors of the 1-based axes."""
+    out = np.zeros(cfg.m, dtype=np.int64)
+    for k in axes:
+        out[k - 1] += 1
     return out
 
 
-def closed_form_bracket(cfg: Config, alpha, beta, i: int, j: int) -> WElem:
-    """Closed form for [d_ij(1,2, z^alpha), d_ij(i,j, z^beta)], i < j.
+def _d_ij_z_terms(cfg: Config, c, i: int, j: int, gammas, shift=0):
+    """Slot terms of c * z^shift * d_ij(z^gamma), for _field_rows.
+
+    From exponents alone: d_k(z^gamma) = gamma_k z^(gamma - e_k), and
+    z-monomials multiply by adding exponents, so the i and j coefficients
+    are c gamma_j z^(gamma + shift - e_j) and -c gamma_i z^(gamma + shift - e_i).
+    """
+    base = gammas + shift
+    return [(c * gammas[:, j - 1], i, base - _unit(cfg, j)),
+            (-c * gammas[:, i - 1], j, base - _unit(cfg, i))]
+
+
+def _d_h_z_terms(cfg: Config, c, gammas):
+    """Slot terms of c * d_h(z^gamma): sigma(i) gamma_i z^(gamma - e_i) in coefficient i'."""
+    return [(c * sigma(cfg, i) * gammas[:, i - 1], conjugate_axis(cfg, i), gammas - _unit(cfg, i))
+            for i in range(1, cfg.m + 1)]
+
+
+def _field_rows(cfg: Config, terms):
+    """Flat rows of sum c z^gamma d/dx_s over the slot terms (c, s, gamma),
+    whose c and gamma hold one entry per pair; one z_tables call builds the
+    z-monomial tables of every term."""
+    p, m, n = cfg.p, cfg.m, cfg.n
+    k = len(terms[0][2])
+    z = z_tables(p, m, np.concatenate([g for _, _, g in terms])).reshape(len(terms), k, n)
+    out = np.zeros((k, m, n), dtype=np.int64)
+    for t, (c, s, _) in enumerate(terms):
+        out[:, s - 1] += (c % p)[:, None] * z[t]
+    return (out % p).reshape(k, m * n)
+
+
+def closed_form_bracket_rows(cfg: Config, alphas, betas, i: int, j: int):
+    """Flat rows of [d_12(z^alpha), d_ij(z^beta)], i < j, one per exponent pair.
 
     Expresses the bracket of two generator fields as a short combination of
     generator fields again, split by how {i, j} meets {1, 2}: a single term
     for (1, 2), three-term combinations when the index sets share one axis,
-    and a two-term module-action combination when they are disjoint.  Used
-    as an independent oracle against the generic coefficient-formula bracket.
-    Exponents are taken mod p (z_i^p = 1) before the scalar cofactors are
-    formed, so alpha and beta should be given by their 0..p-1 representatives.
+    and a two-term module-action combination (z-monomial multiples of the
+    two fields) when they are disjoint.  Exponents are taken mod p
+    (z_i^p = 1) before the scalar cofactors are formed, so an exponent is
+    read as its 0..p-1 representative.  Built from exponents and z-monomial
+    tables alone, it never calls the generic bracket or ad_matrix, and so
+    serves as an independent oracle for them.  Returns a (K, m*n) array.
     """
     cfg.check_axis(i)
     cfg.check_axis(j)
     if i >= j:
         raise AxisRangeError(f"need i < j, got ({i}, {j})")
-    p = cfg.p
-    alpha = [a % p for a in alpha]
-    beta = [b % p for b in beta]
-    a1, a2 = alpha[0], alpha[1] if cfg.m > 1 else 0
-    b1, b2 = beta[0], beta[1] if cfg.m > 1 else 0
-    aj, bj = alpha[j - 1], beta[j - 1]
+    alpha, beta = _exponents(cfg, alphas, betas)
+    a1, a2, ai, aj = (alpha[:, k - 1] for k in (1, 2, i, j))
+    b1, b2, bi, bj = (beta[:, k - 1] for k in (1, 2, i, j))
+    ab = alpha + beta
     if i > 2:
-        ai, bi = alpha[i - 1], beta[i - 1]
-        left = d_ij_z(cfg, 1, 2, alpha) * z_monomial(cfg, _shifted(beta, [0] * cfg.m, i, j))
-        right = d_ij_z(cfg, i, j, beta) * z_monomial(cfg, _shifted(alpha, [0] * cfg.m, 1, 2))
-        return ((a2 * b1 - a1 * b2) % p) * right + ((aj * bi - ai * bj) % p) * left
+        return _field_rows(cfg, _d_ij_z_terms(cfg, a2 * b1 - a1 * b2, i, j, beta,
+                                              shift=alpha - _unit(cfg, 1, 2))
+                           + _d_ij_z_terms(cfg, aj * bi - ai * bj, 1, 2, alpha,
+                                           shift=beta - _unit(cfg, i, j)))
     if (i, j) == (1, 2):
-        terms = [(-(a1 * b2 - a2 * b1), 1, 2, _shifted(alpha, beta, 1, 2))]
+        gens = [(-(a1 * b2 - a2 * b1), 1, 2, (1, 2))]
     elif i == 1:
-        terms = [
-            (-a1 * bj, 1, 2, _shifted(alpha, beta, 1, j)),
-            (a2 * b1, 1, j, _shifted(alpha, beta, 1, 2)),
-            (-a1 * b1, 2, j, _shifted(alpha, beta, 1, 1)),
-        ]
+        gens = [(-a1 * bj, 1, 2, (1, j)), (a2 * b1, 1, j, (1, 2)), (-a1 * b1, 2, j, (1, 1))]
     else:
-        terms = [
-            (-a2 * bj, 1, 2, _shifted(alpha, beta, 2, j)),
-            (-a1 * b2, 2, j, _shifted(alpha, beta, 1, 2)),
-            (a2 * b2, 1, j, _shifted(alpha, beta, 2, 2)),
-        ]
-    total = WElem.zero(cfg)
-    for c, u, v, gamma in terms:
-        if c % p:
-            total = total + (c % p) * d_ij_z(cfg, u, v, gamma)
-    return total
+        gens = [(-a2 * bj, 1, 2, (2, j)), (-a1 * b2, 2, j, (1, 2)), (a2 * b2, 1, j, (2, 2))]
+    return _field_rows(cfg, [t for c, u, v, drops in gens
+                             for t in _d_ij_z_terms(cfg, c, u, v, ab - _unit(cfg, *drops))])
 
 
-def closed_form_bracket_reduced(cfg: Config, alpha, beta, i: int, j: int) -> WElem:
-    """One-term shortcut for [d_ij(1,2, z^alpha), d_ij(i,j, z^beta)], 2 <= i < j.
+def closed_form_bracket(cfg: Config, alpha, beta, i: int, j: int) -> WElem:
+    """[d_ij(1,2, z^alpha), d_ij(i,j, z^beta)] for one pair: see closed_form_bracket_rows."""
+    return WElem.from_flat(cfg, closed_form_bracket_rows(cfg, [alpha], [beta], i, j)[0])
+
+
+def closed_form_bracket_reduced_rows(cfg: Config, alphas, betas, i: int, j: int):
+    """One-term shortcut for [d_12(z^alpha), d_ij(z^beta)], 2 <= i < j, as flat rows.
 
     Valid for every beta only on a stratum of alpha where the extra terms of
     the general form cancel: alpha_2 = 1 and alpha_j = 0 when i = 2, and
     alpha_i = alpha_j = 0 when i > 2.  Off the stratum the one-term
-    expression is provably not the bracket, so the domain is enforced.
-    Kept separate so conformance checks can pin both facts.
+    expression is provably not the bracket, so the domain is enforced: a
+    stack with any pair off the stratum is refused.  Kept separate so
+    conformance checks can pin both facts.  Like closed_form_bracket_rows,
+    it never calls the generic bracket or ad_matrix.
     """
     cfg.check_axis(i)
     cfg.check_axis(j)
     if not 2 <= i < j:
         raise AxisRangeError(f"need 2 <= i < j, got ({i}, {j})")
-    p = cfg.p
-    alpha = [a % p for a in alpha]
-    beta = [b % p for b in beta]
+    alpha, beta = _exponents(cfg, alphas, betas)
+    a1, a2 = alpha[:, 0], alpha[:, 1]
+    b1, b2 = beta[:, 0], beta[:, 1]
     if i == 2:
-        if alpha[1] != 1 or alpha[j - 1] != 0:
+        if (alpha[:, 1] != 1).any() or alpha[:, j - 1].any():
             raise ValueError("one-term form needs alpha_2 = 1 and alpha_j = 0; use closed_form_bracket")
-        c = -(alpha[0] * (beta[1] - 1) - alpha[1] * beta[0])
+        c = -(a1 * (b2 - 1) - a2 * b1)
     else:
-        if alpha[i - 1] != 0 or alpha[j - 1] != 0:
+        if alpha[:, i - 1].any() or alpha[:, j - 1].any():
             raise ValueError("one-term form needs alpha_i = alpha_j = 0; use closed_form_bracket")
-        c = -(alpha[0] * beta[1] - alpha[1] * beta[0])
-    if c % p == 0:
-        return WElem.zero(cfg)
-    return (c % p) * d_ij_z(cfg, i, j, _shifted(alpha, beta, 1, 2))
+        c = -(a1 * b2 - a2 * b1)
+    return _field_rows(cfg, _d_ij_z_terms(cfg, c, i, j, alpha + beta - _unit(cfg, 1, 2)))
 
 
-def closed_form_h_bracket(cfg: Config, alpha, beta) -> WElem:
-    """Closed form for [d_h(z^alpha), d_h(z^beta)]: d_h of the applied potential.
+def closed_form_bracket_reduced(cfg: Config, alpha, beta, i: int, j: int) -> WElem:
+    """The one-term shortcut for one pair: see closed_form_bracket_reduced_rows."""
+    return WElem.from_flat(cfg, closed_form_bracket_reduced_rows(cfg, [alpha], [beta], i, j)[0])
+
+
+def closed_form_h_bracket_rows(cfg: Config, alphas, betas):
+    """Flat rows of [d_h(z^alpha), d_h(z^beta)]: d_h of the applied potential.
 
     The bracket of two Hamiltonian generator fields equals d_h evaluated at
     the image of the second potential under the first field, for any number
-    of symplectic pairs.  Serves as an independent oracle for the generic
-    bracket on the Hamiltonian family.
+    r of symplectic pairs.  That image is the Poisson bracket
+    sum_k (alpha_k beta_k' - alpha_k' beta_k) z^(alpha + beta - e_k - e_k'),
+    k' = k + r, so the rows combine r generator rows d_h(z^gamma).  Never
+    calls the generic bracket or ad_matrix: an independent oracle for it
+    on the Hamiltonian family.
     """
-    za = d_h_z(cfg, alpha)
-    zb = z_monomial(cfg, beta)
-    return d_h(cfg, za.apply(zb))
+    _require_even(cfg)
+    alpha, beta = _exponents(cfg, alphas, betas)
+    terms = []
+    for k in range(1, cfg.m // 2 + 1):
+        kp = conjugate_axis(cfg, k)
+        c = alpha[:, k - 1] * beta[:, kp - 1] - alpha[:, kp - 1] * beta[:, k - 1]
+        terms += _d_h_z_terms(cfg, c, alpha + beta - _unit(cfg, k, kp))
+    return _field_rows(cfg, terms)
+
+
+def closed_form_h_bracket(cfg: Config, alpha, beta) -> WElem:
+    """[d_h(z^alpha), d_h(z^beta)] for one pair: see closed_form_h_bracket_rows."""
+    return WElem.from_flat(cfg, closed_form_h_bracket_rows(cfg, [alpha], [beta])[0])
+
+
+def closed_form_h_partial_rows(cfg: Config, ell: int, betas):
+    """Flat rows of [d/dx_ell, d_h(z^beta)]: d_h of the differentiated
+    potential, beta_ell d_h(z^(beta - e_ell)).  Never calls the generic
+    bracket or ad_matrix."""
+    cfg.check_axis(ell)
+    _require_even(cfg)
+    beta, = _exponents(cfg, betas)
+    return _field_rows(cfg, _d_h_z_terms(cfg, beta[:, ell - 1], beta - _unit(cfg, ell)))
 
 
 def closed_form_h_partial(cfg: Config, ell: int, beta) -> WElem:
-    """Closed form for [d/dx_ell, d_h(z^beta)]: d_h of the differentiated potential."""
-    cfg.check_axis(ell)
-    return d_h(cfg, z_monomial(cfg, beta).partial(ell))
+    """[d/dx_ell, d_h(z^beta)] for one beta: see closed_form_h_partial_rows."""
+    return WElem.from_flat(cfg, closed_form_h_partial_rows(cfg, ell, [beta])[0])

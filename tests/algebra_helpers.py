@@ -1,0 +1,85 @@
+"""Element operations that only the tests use.
+
+Substitution of the variables, the filtration degree, the maximal-ideal
+test, the divided-power binomial and the conjugation of one derivation by
+an automorphism.  The package computes none of them on its own paths; the
+tests use them as independent routes to what it does compute.
+"""
+
+import math
+
+import numpy as np
+
+from cartangrade import linalg
+from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionError,
+                                ValidityError, ZeroElementError)
+from cartangrade.gfp import weight_table
+from cartangrade.oalg import OElem
+from cartangrade.witt import WElem
+
+
+def in_max_ideal(f: OElem) -> bool:
+    return f.constant_term == 0
+
+
+def weight_degree(f: OElem) -> int:
+    """Minimal total degree among nonzero monomials (filtration level)."""
+    nz = np.flatnonzero(f.table)
+    if nz.size == 0:
+        raise ZeroElementError("weight degree of 0 is undefined")
+    return int(weight_table(f.cfg.p, f.cfg.m)[nz].min())
+
+
+def substitute(f: OElem, images) -> OElem:
+    """Evaluate f at x_i -> images[i-1].  Images must have zero constant
+    term so p-th powers of images vanish and the map is an algebra map."""
+    cfg = f.cfg
+    if len(images) != cfg.m:
+        raise DimensionError(f"need {cfg.m} images, got {len(images)}")
+    for u in images:
+        if u.cfg != cfg:
+            raise ConfigMismatchError("image built over a different configuration")
+        if u.constant_term != 0:
+            raise ValidityError("substitution image has nonzero constant term")
+    return _subst(cfg, f.table, images, 0)
+
+
+def _subst(cfg, table, images, axis: int) -> OElem:
+    """Horner evaluation, one axis at a time; table has length p**(m-axis)."""
+    if not table.any():
+        return OElem.zero(cfg)
+    if axis == cfg.m:
+        return OElem.constant(cfg, int(table[0]))
+    shaped = table.reshape(cfg.p, -1)
+    acc = _subst(cfg, shaped[cfg.p - 1], images, axis + 1)
+    u = images[axis]
+    for k in range(cfg.p - 2, -1, -1):
+        acc = acc * u + _subst(cfg, shaped[k], images, axis + 1)
+    return acc
+
+
+def binom_mod_p(alpha, beta, p: int) -> int:
+    """Product of per-coordinate binomials C(a_i+b_i, a_i) mod p; 0 on truncation.
+
+    The explicit cutoff at a_i+b_i >= p agrees with the mod-p value of the
+    integer binomial (Lucas), so divided-power products can use it directly.
+    """
+    if len(alpha) != len(beta):
+        raise DimensionError(f"multi-index lengths differ: {len(alpha)} vs {len(beta)}")
+    out = 1
+    for a, b in zip(alpha, beta):
+        if a < 0 or b < 0:
+            raise AxisRangeError("multi-index entries must be nonnegative")
+        if a + b >= p:
+            return 0
+        out = out * math.comb(a + b, a) % p
+    return out
+
+
+def push_derivation(mu, d: WElem) -> WElem:
+    """Conjugated derivation mu o d o mu^-1: one product with the
+    conjugation matrix."""
+    if d.cfg != mu.cfg:
+        raise ConfigMismatchError("derivation built over a different configuration")
+    flat = linalg.matmul(mu.conjugation_matrix(), d.flat(), mu.cfg.p)
+    return WElem.from_flat(mu.cfg, flat)

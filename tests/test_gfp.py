@@ -8,8 +8,10 @@ import pytest
 
 from cartangrade import gfp
 from cartangrade.errors import AxisRangeError, ConfigError, DimensionError
-from cartangrade.gfp import (Config, alpha_table, binom_mod_p, mi_enumerate,
+from cartangrade.gfp import (Config, alpha_table, mi_enumerate,
                              mul_index_table, radix_weights, weight_table)
+
+from algebra_helpers import binom_mod_p
 
 
 def test_config_rejects_bad_parameters():

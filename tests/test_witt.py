@@ -1,6 +1,7 @@
 """Derivation algebra: brackets, restricted powers, generator families."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from cartangrade.forms import omega_symplectic, omega_volume, stabilizer_test
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
 from cartangrade.witt import (WElem, closed_form_bracket,
-                              closed_form_bracket_reduced,
-                              closed_form_h_bracket, closed_form_h_partial,
+                              closed_form_bracket_reduced, closed_form_bracket_rows,
+                              closed_form_h_bracket, closed_form_h_bracket_rows,
+                              closed_form_h_partial, closed_form_h_partial_rows,
                               conjugate_axis, d_h, d_h_z, d_ij, d_ij_z, sigma,
                               w_basis)
 
@@ -136,6 +138,25 @@ def test_hamiltonian_closed_forms_match_generic():
         for t in range(cfg.n):
             b = cfg.alpha(t)
             assert closed_form_h_partial(cfg, ell, b) == d_ell.bracket(d_h_z(cfg, b))
+
+
+def test_stacked_closed_forms_match_generic_at_m4():
+    """Every index stratum, and the Hamiltonian forms with two symplectic pairs."""
+    cfg = Config(5, 4)
+    rng = np.random.default_rng(37)
+    alphas, betas = rng.integers(0, 5, (2, 5, 4))
+    zero = (0,) * 4
+    for i, j in combinations(range(1, 5), 2):
+        rows = closed_form_bracket_rows(cfg, alphas, betas, i, j)
+        for a, b, row in zip(alphas, betas, rows):
+            want = d_ij_z(cfg, 1, 2, a).bracket(d_ij_z(cfg, i, j, b))
+            assert WElem.from_flat(cfg, row) == want
+    for a, b, row in zip(alphas, betas, closed_form_h_bracket_rows(cfg, alphas, betas)):
+        assert WElem.from_flat(cfg, row) == d_h_z(cfg, a).bracket(d_h_z(cfg, b))
+    for ell in range(1, 5):
+        d_ell = WElem.basis_element(cfg, zero, ell)
+        for b, row in zip(betas, closed_form_h_partial_rows(cfg, ell, betas)):
+            assert WElem.from_flat(cfg, row) == d_ell.bracket(d_h_z(cfg, b))
 
 
 def test_p_power_agrees_with_iterated_application():
