@@ -65,13 +65,14 @@ from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
 from .errors import (AdmissibilityError, CartanGradeError, ConfigError, DimensionError,
                      InternalError, ObstructionError, ParseError)
 from .forms import algebra_rows, derived_rows
-from .gfp import Config, alpha_table, max_dim_limit, mi_enumerate
+from .gfp import Config, alpha_table, max_dim_limit
 from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_construct,
                        induce_W, verify_grading)
 from .linalg import matmul, row_space
+from .oalg import z_tables
 from .witt import (WElem, closed_form_bracket_reduced, closed_form_bracket_reduced_rows,
                    closed_form_bracket_rows, closed_form_h_bracket_rows,
-                   closed_form_h_partial_rows, d_h_z, d_ij_z, w_basis)
+                   closed_form_h_partial_rows, d_h_rows, d_ij_rows, d_ij_z, w_basis)
 
 DEFAULT_SEED = 1729
 MAX_COUNTEREXAMPLES = 3
@@ -180,6 +181,17 @@ def _sweep(n_left: int, n_right: int, rng):
     return left, right, False
 
 
+def _generators(cfg: Config, flavor: str):
+    """Flat rows of a generator family, exponents alpha in lexicographic
+    order: d_ij(z^alpha) for each index pair i < j in turn ("S"), or
+    d_h(z^alpha) ("H")."""
+    zs = z_tables(cfg.p, cfg.m, alpha_table(cfg.p, cfg.m))
+    if flavor == "S":
+        return np.concatenate([d_ij_rows(cfg, i, j, zs)
+                               for i, j in combinations(range(1, cfg.m + 1), 2)])
+    return d_h_rows(cfg, zs)
+
+
 def _first_mismatches(left, block):
     """The first MAX_COUNTEREXAMPLES cases, in case order, whose two sides
     differ.  The cases are taken one left element at a time: block(a, pos)
@@ -214,15 +226,15 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
     """
     alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(1, cfg.m + 1), 2))
-    rights = np.stack([d_ij_z(cfg, i, j, a).flat() for i, j in pairs for a in alphas])
+    rights = _generators(cfg, "S")
     rng = random.Random(seed)
     sweeps = [_sweep(cfg.n, cfg.n, rng) for _ in pairs]
     pair = np.concatenate([np.full(s[0].size, k) for k, s in enumerate(sweeps)])
     left = np.concatenate([s[0] for s in sweeps])
     right = np.concatenate([s[1] for s in sweeps])
 
-    def block(a, pos):
-        got = _bracket_rows(d_ij_z(cfg, 1, 2, alphas[a]), rights[pair[pos] * cfg.n + right[pos]])
+    def block(a, pos):         # rights[a] is d_12(z^alpha_a), the left generator
+        got = _bracket_rows(WElem.from_flat(cfg, rights[a]), rights[pair[pos] * cfg.n + right[pos]])
         want = np.empty_like(got)
         for k, (i, j) in enumerate(pairs):
             sel = pair[pos] == k
@@ -275,7 +287,7 @@ def _check_h_bracket(cfg: Config, seed: int) -> dict:
     """Hamiltonian bracket conformance (even m), sampled past the budget:
     one ad(d_h(z^alpha)) per left exponent against closed_form_h_bracket_rows."""
     alphas = alpha_table(cfg.p, cfg.m)
-    gens = np.stack([d_h_z(cfg, a).flat() for a in alphas])
+    gens = _generators(cfg, "H")
     left, right, exhaustive = _sweep(cfg.n, cfg.n, random.Random(seed))
 
     def block(a, pos):
@@ -293,7 +305,7 @@ def _check_h_partial(cfg: Config) -> dict:
     """Partial derivatives against Hamiltonian generators: one ad(d/dx_ell)
     per axis against closed_form_h_partial_rows."""
     alphas = alpha_table(cfg.p, cfg.m)
-    gens = np.stack([d_h_z(cfg, b).flat() for b in alphas])
+    gens = _generators(cfg, "H")
     fails = []
     for ell in range(1, cfg.m + 1):
         got = _bracket_rows(WElem.basis_element(cfg, alphas[0], ell), gens)
@@ -424,13 +436,8 @@ def _family_space(cfg: Config, flavor: str) -> np.ndarray:
     the Hamiltonian flavor.  Either gives a dimension route independent of
     the closed formula.
     """
-    alphas = mi_enumerate(cfg)
-    if flavor == "S":
-        gens = [d_ij_z(cfg, i, j, a)
-                for i, j in combinations(range(1, cfg.m + 1), 2) for a in alphas]
-    else:
-        gens = [d_h_z(cfg, a) for a in alphas[1:-1]]
-    return row_space(np.stack([d.flat() for d in gens]), cfg.p)
+    gens = _generators(cfg, flavor)
+    return row_space(gens if flavor == "S" else gens[1:-1], cfg.p)
 
 
 def _two_routes(cfg: Config, flavor: str):

@@ -59,13 +59,16 @@ def partial_matrix(p: int, m: int, i: int):
 
 
 def partial_table(cfg: Config, arr, i: int):
+    """d/dx_i of a coefficient table, or of every row of a (k, n) stack."""
     cfg.check_axis(i)
     p, m = cfg.p, cfg.m
-    moved = np.moveaxis(arr.reshape((p,) * m), i - 1, 0)
+    lead = arr.shape[:-1]
+    axis = len(lead) + i - 1
+    moved = np.moveaxis(arr.reshape(lead + (p,) * m), axis, 0)
     out = np.zeros_like(moved)
-    scale = np.arange(1, p, dtype=np.int64).reshape((p - 1,) + (1,) * (m - 1))
+    scale = np.arange(1, p, dtype=np.int64).reshape((p - 1,) + (1,) * (moved.ndim - 1))
     out[: p - 1] = moved[1:] * scale % p
-    return np.ascontiguousarray(np.moveaxis(out, 0, i - 1)).reshape(-1)
+    return np.ascontiguousarray(np.moveaxis(out, 0, axis)).reshape(arr.shape)
 
 
 def mult_operator(cfg: Config, table):

@@ -202,19 +202,29 @@ def w_basis(cfg: Config):
     return out
 
 
-def d_ij(cfg: Config, i: int, j: int, f: OElem) -> WElem:
-    """Generator of the volume-annihilating family:
-    d_ij(f) = d_j(f) d/dx_i - d_i(f) d/dx_j, for i < j."""
+def _check_pair(cfg: Config, i: int, j: int) -> None:
     cfg.check_axis(i)
     cfg.check_axis(j)
     if i >= j:
         raise AxisRangeError(f"need i < j, got ({i}, {j})")
+
+
+def d_ij(cfg: Config, i: int, j: int, f: OElem) -> WElem:
+    """Generator of the volume-annihilating family:
+    d_ij(f) = d_j(f) d/dx_i - d_i(f) d/dx_j, for i < j."""
+    _check_pair(cfg, i, j)
     if f.cfg != cfg:
         raise ConfigMismatchError("argument built over a different configuration")
-    t = np.zeros((cfg.m, cfg.n), dtype=np.int64)
-    t[i - 1] = partial_table(cfg, f.table, j)
-    t[j - 1] = (-partial_table(cfg, f.table, i)) % cfg.p
-    return WElem(cfg, t)
+    return WElem.from_flat(cfg, d_ij_rows(cfg, i, j, f.table[None])[0])
+
+
+def d_ij_rows(cfg: Config, i: int, j: int, tables):
+    """Flat rows of d_ij(f), one per row f of a (k, n) stack of coefficient tables."""
+    _check_pair(cfg, i, j)
+    t = np.zeros((len(tables), cfg.m, cfg.n), dtype=np.int64)
+    t[:, i - 1] = partial_table(cfg, tables, j)
+    t[:, j - 1] = -partial_table(cfg, tables, i) % cfg.p
+    return t.reshape(len(tables), -1)
 
 
 def sigma(cfg: Config, i: int) -> int:
@@ -238,11 +248,16 @@ def d_h(cfg: Config, f: OElem) -> WElem:
     _require_even(cfg)
     if f.cfg != cfg:
         raise ConfigMismatchError("argument built over a different configuration")
-    t = np.zeros((cfg.m, cfg.n), dtype=np.int64)
+    return WElem.from_flat(cfg, d_h_rows(cfg, f.table[None])[0])
+
+
+def d_h_rows(cfg: Config, tables):
+    """Flat rows of d_h(f), one per row f of a (k, n) stack of coefficient tables."""
+    _require_even(cfg)
+    t = np.zeros((len(tables), cfg.m, cfg.n), dtype=np.int64)
     for i in range(1, cfg.m + 1):
-        ip = conjugate_axis(cfg, i)
-        t[ip - 1] = (t[ip - 1] + sigma(cfg, i) * partial_table(cfg, f.table, i)) % cfg.p
-    return WElem(cfg, t)
+        t[:, conjugate_axis(cfg, i) - 1] = sigma(cfg, i) * partial_table(cfg, tables, i) % cfg.p
+    return t.reshape(len(tables), -1)
 
 
 def d_ij_z(cfg: Config, i: int, j: int, alpha) -> WElem:
@@ -315,10 +330,7 @@ def closed_form_bracket_rows(cfg: Config, alphas, betas, i: int, j: int):
     tables alone, it never calls the generic bracket or ad_matrix, and so
     serves as an independent oracle for them.  Returns a (K, m*n) array.
     """
-    cfg.check_axis(i)
-    cfg.check_axis(j)
-    if i >= j:
-        raise AxisRangeError(f"need i < j, got ({i}, {j})")
+    _check_pair(cfg, i, j)
     alpha, beta = _exponents(cfg, alphas, betas)
     a1, a2, ai, aj = (alpha[:, k - 1] for k in (1, 2, i, j))
     b1, b2, bi, bj = (beta[:, k - 1] for k in (1, 2, i, j))
