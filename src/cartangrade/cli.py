@@ -8,9 +8,11 @@ paper-check
     index strata, the one-term stratum shortcut (including domain
     enforcement), Hamiltonian brackets and partials, the Hamiltonian basis
     count, and restricted p-th power samples.  Each identity sweep runs as
-    stacked products: one ad matrix per left generator against closed forms
-    built row-stacked from exponents alone.  Exit code 4 when any suite
-    fails; the first counterexamples in case order are embedded in the report.
+    stacked products: one ad matrix per left generator when exhaustive,
+    else bracket_rows over case-order chunks, against closed forms built
+    row-stacked from exponents alone.  Exit code 4 when any
+    suite fails; the first counterexamples in case order are embedded in
+    the report.
 
 dims
     Dimension table computed by two independent routes (closed formula vs
@@ -70,9 +72,10 @@ from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_c
                        induce_W, verify_grading)
 from .linalg import matmul, row_space
 from .oalg import z_tables
-from .witt import (WElem, closed_form_bracket_reduced, closed_form_bracket_reduced_rows,
-                   closed_form_bracket_rows, closed_form_h_bracket_rows,
-                   closed_form_h_partial_rows, d_h_rows, d_ij_rows, d_ij_z, w_basis)
+from .witt import (WElem, bracket_rows, closed_form_bracket_reduced,
+                   closed_form_bracket_reduced_rows, closed_form_bracket_rows,
+                   closed_form_h_bracket_rows, closed_form_h_partial_rows, d_h_rows, d_ij_rows,
+                   d_ij_z, w_basis)
 
 DEFAULT_SEED = 1729
 MAX_COUNTEREXAMPLES = 3
@@ -85,6 +88,9 @@ EXHAUSTIVE_CASES = 60000
 SAMPLE_CASES = 4000
 DERIVED_ROUTE_LIMIT = 600
 RANK_ROUTE_LIMIT = 1100
+# Row entries a chunk of a sampled identity sweep holds per side (8 MiB of
+# int64); a chunk takes at least one case.
+CHUNK_ENTRIES = 1 << 16
 
 
 def _make_config(p: int, m: int) -> Config:
@@ -186,30 +192,55 @@ def _generators(cfg: Config, flavor: str):
     order: d_ij(z^alpha) for each index pair i < j in turn ("S"), or
     d_h(z^alpha) ("H")."""
     zs = z_tables(cfg.p, cfg.m, alpha_table(cfg.p, cfg.m))
-    if flavor == "S":
-        return np.concatenate([d_ij_rows(cfg, i, j, zs)
-                               for i, j in combinations(range(1, cfg.m + 1), 2)])
-    return d_h_rows(cfg, zs)
+    if flavor == "H":
+        return d_h_rows(cfg, zs)
+    pairs = list(combinations(range(1, cfg.m + 1), 2))
+    out = np.empty((len(pairs) * cfg.n, cfg.m * cfg.n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):          # filled in place: no second copy at the peak
+        out[k * cfg.n:(k + 1) * cfg.n] = d_ij_rows(cfg, i, j, zs)
+    return out
 
 
-def _first_mismatches(left, block):
+def _first_mismatches(groups, cases: int, block):
     """The first MAX_COUNTEREXAMPLES cases, in case order, whose two sides
-    differ.  The cases are taken one left element at a time: block(a, pos)
-    gives both sides, (generic rows, closed-form rows), of the cases at
-    positions pos, which all have left element a.  Only a mismatch flag per
-    case outlives its block, so no array of cases x flat dimension is held."""
-    flags = np.zeros(left.size, dtype=bool)
-    order = np.argsort(left, kind="stable")
-    starts = np.flatnonzero(np.diff(left[order], prepend=-1))
-    for pos in np.split(order, starts[1:]):
-        got, want = block(left[pos[0]], pos)
+    differ.  block(pos) gives both sides, (generic rows, closed-form rows),
+    of the cases at positions pos, one group of positions at a time.  Only
+    a mismatch flag per case outlives its group, so no array of cases x
+    flat dimension is held."""
+    flags = np.zeros(cases, dtype=bool)
+    for pos in groups:
+        got, want = block(pos)
         flags[pos] = (got != want).any(axis=1)
     return np.flatnonzero(flags)[:MAX_COUNTEREXAMPLES]
 
 
-def _bracket_rows(u: WElem, rows):
-    """[u, v] for every flat row v: one product of ad(u) with the rows."""
-    return matmul(u.ad_matrix(), rows.T, u.cfg.p).T
+def _chunks(cases: int, flat: int):
+    """Case positions in case-order runs of about CHUNK_ENTRIES row entries."""
+    step = max(1, CHUNK_ENTRIES // flat)
+    return (np.arange(s, min(s + step, cases)) for s in range(0, cases, step))
+
+
+def _generic_side(cfg: Config, lefts, rights, left, right, by_ad: bool):
+    """Groups of case positions, and the generic side of a group pos: the
+    brackets [lefts[left[c]], rights[right[c]]] of its cases c.
+
+    by_ad: each left generator u takes one ad matrix, and a group is the
+    cases of one left element, bracketed by one product of ad(u) with their
+    stacked right partners.  That pays in an exhaustive sweep, which gives u
+    at least p**m partners.  Otherwise the groups are case-order chunks,
+    bracketed row by row (bracket_rows) at a cost that follows the number
+    of pairs: a sampled sweep leaves u only about SAMPLE_CASES / p**m
+    partners per index pair, too few for an (m * p**m)**2 ad matrix.
+    """
+    if by_ad:
+        order = np.argsort(left, kind="stable")
+
+        def generic(pos):
+            u = WElem.from_flat(cfg, lefts[left[pos[0]]])
+            return matmul(u.ad_matrix(), rights[right[pos]].T, cfg.p).T
+        return np.split(order, np.flatnonzero(np.diff(left[order])) + 1), generic
+    return (_chunks(left.size, cfg.m * cfg.n),
+            lambda pos: bracket_rows(cfg, lefts[left[pos]], rights[right[pos]]))
 
 
 def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
@@ -219,31 +250,34 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
     case budget and by seeded sampling beyond it.  At every (p, m) the CLI
     accepts this picks the same mode as a budget on all index pairs
     together: no p**3 has its square in (20000, 60000], and no p**4 with
-    p > 3 has its square in (10000, 60000].  The generic side takes one
-    ad(d_12(z^alpha)) per left exponent alpha, shared by every index pair,
-    and brackets all of alpha's right partners with it in one product; the
-    closed forms come stacked from closed_form_bracket_rows.
+    p > 3 has its square in (10000, 60000].  The left generators are the
+    d_12(z^alpha), so in an exhaustive sweep one ad(d_12(z^alpha)) serves
+    every index pair (_generic_side); the closed forms come stacked from
+    closed_form_bracket_rows.
     """
     alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(1, cfg.m + 1), 2))
-    rights = _generators(cfg, "S")
+    gens = _generators(cfg, "S")
     rng = random.Random(seed)
     sweeps = [_sweep(cfg.n, cfg.n, rng) for _ in pairs]
+    exhaustive = sweeps[-1][2]
     pair = np.concatenate([np.full(s[0].size, k) for k, s in enumerate(sweeps)])
     left = np.concatenate([s[0] for s in sweeps])
     right = np.concatenate([s[1] for s in sweeps])
+    groups, generic = _generic_side(cfg, gens, gens, left, pair * cfg.n + right, exhaustive)
 
-    def block(a, pos):         # rights[a] is d_12(z^alpha_a), the left generator
-        got = _bracket_rows(WElem.from_flat(cfg, rights[a]), rights[pair[pos] * cfg.n + right[pos]])
-        want = np.empty_like(got)
+    def block(pos):
+        want = np.empty((pos.size, cfg.m * cfg.n), dtype=np.int64)
         for k, (i, j) in enumerate(pairs):
             sel = pair[pos] == k
-            want[sel] = closed_form_bracket_rows(cfg, alphas[a], alphas[right[pos[sel]]], i, j)
-        return got, want
+            want[sel] = closed_form_bracket_rows(cfg, alphas[left[pos[sel]]],
+                                                 alphas[right[pos[sel]]], i, j)
+        return generic(pos), want
 
     fails = [{"i": pairs[pair[c]][0], "j": pairs[pair[c]][1], "alpha": alphas[left[c]].tolist(),
-              "beta": alphas[right[c]].tolist()} for c in _first_mismatches(left, block)]
-    mode = "exhaustive" if sweeps[-1][2] else f"sampled, seed {seed}"
+              "beta": alphas[right[c]].tolist()}
+             for c in _first_mismatches(groups, left.size, block)]
+    mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
     detail = f"index pairs {pairs}, {mode}"
     return _check_record("bracket-closed-form", left.size, fails, detail)
 
@@ -251,8 +285,8 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
 def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
     """One-term stratum shortcut: equality on the stratum, refusal off it.
 
-    Both sides are closed forms, compared a left exponent at a time on
-    stacked rows; the 20 off-stratum refusals are single calls."""
+    Both sides are closed forms, compared on stacked rows in case-order
+    chunks; the 20 off-stratum refusals are single calls."""
     alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(2, cfg.m + 1), 2))
     cases = 0
@@ -264,14 +298,15 @@ def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
         on_stratum, off_stratum = np.flatnonzero(on), np.flatnonzero(~on).tolist()
         left, right, _ = _sweep(on_stratum.size, cfg.n, rng)
 
-        def block(a, pos):
-            alpha, beta = alphas[on_stratum[a]], alphas[right[pos]]
+        def block(pos):
+            alpha, beta = alphas[on_stratum[left[pos]]], alphas[right[pos]]
             return (closed_form_bracket_reduced_rows(cfg, alpha, beta, i, j),
                     closed_form_bracket_rows(cfg, alpha, beta, i, j))
 
         cases += left.size
         fails += [{"i": i, "j": j, "alpha": alphas[on_stratum[left[c]]].tolist(),
-                   "beta": alphas[right[c]].tolist()} for c in _first_mismatches(left, block)]
+                   "beta": alphas[right[c]].tolist()}
+                  for c in _first_mismatches(_chunks(left.size, cfg.m * cfg.n), left.size, block)]
         for a in rng.sample(off_stratum, min(20, len(off_stratum))):
             cases += 1
             try:
@@ -285,33 +320,44 @@ def _check_bracket_one_term(cfg: Config, seed: int) -> dict:
 
 def _check_h_bracket(cfg: Config, seed: int) -> dict:
     """Hamiltonian bracket conformance (even m), sampled past the budget:
-    one ad(d_h(z^alpha)) per left exponent against closed_form_h_bracket_rows."""
+    the generic brackets of the d_h(z^alpha) (_generic_side) against
+    closed_form_h_bracket_rows."""
     alphas = alpha_table(cfg.p, cfg.m)
     gens = _generators(cfg, "H")
     left, right, exhaustive = _sweep(cfg.n, cfg.n, random.Random(seed))
+    groups, generic = _generic_side(cfg, gens, gens, left, right, exhaustive)
 
-    def block(a, pos):
-        b = right[pos]
-        return (_bracket_rows(WElem.from_flat(cfg, gens[a]), gens[b]),
-                closed_form_h_bracket_rows(cfg, alphas[a], alphas[b]))
+    def block(pos):
+        return generic(pos), closed_form_h_bracket_rows(cfg, alphas[left[pos]], alphas[right[pos]])
 
     fails = [{"alpha": alphas[left[c]].tolist(), "beta": alphas[right[c]].tolist()}
-             for c in _first_mismatches(left, block)]
+             for c in _first_mismatches(groups, left.size, block)]
     mode = "exhaustive" if exhaustive else f"sampled, seed {seed}"
     return _check_record("hamiltonian-bracket", left.size, fails, mode)
 
 
 def _check_h_partial(cfg: Config) -> dict:
-    """Partial derivatives against Hamiltonian generators: one ad(d/dx_ell)
-    per axis against closed_form_h_partial_rows."""
+    """Partial derivatives d/dx_ell against every Hamiltonian generator
+    d_h(z^beta), ell-major: the generic brackets against
+    closed_form_h_partial_rows.  The generic side is bracket_rows, which
+    takes one coefficient partial per case for a constant left field, where
+    an ad matrix would cost (m * p**m)**2 entries."""
     alphas = alpha_table(cfg.p, cfg.m)
     gens = _generators(cfg, "H")
-    fails = []
-    for ell in range(1, cfg.m + 1):
-        got = _bracket_rows(WElem.basis_element(cfg, alphas[0], ell), gens)
-        bad = np.flatnonzero((got != closed_form_h_partial_rows(cfg, ell, alphas)).any(axis=1))
-        fails += [{"ell": ell, "beta": alphas[b].tolist()} for b in bad[:MAX_COUNTEREXAMPLES]]
-    return _check_record("hamiltonian-partial", cfg.m * cfg.n, fails)
+    partials = np.stack([WElem.partial(cfg, ell).flat() for ell in range(1, cfg.m + 1)])
+    left, right = np.repeat(np.arange(cfg.m), cfg.n), np.tile(np.arange(cfg.n), cfg.m)
+    groups, generic = _generic_side(cfg, partials, gens, left, right, False)
+
+    def block(pos):
+        want = np.empty((pos.size, cfg.m * cfg.n), dtype=np.int64)
+        for ell in range(1, cfg.m + 1):
+            sel = left[pos] == ell - 1
+            want[sel] = closed_form_h_partial_rows(cfg, ell, alphas[right[pos[sel]]])
+        return generic(pos), want
+
+    fails = [{"ell": int(left[c]) + 1, "beta": alphas[right[c]].tolist()}
+             for c in _first_mismatches(groups, left.size, block)]
+    return _check_record("hamiltonian-partial", left.size, fails)
 
 
 def _check_h_basis_count(cfg: Config) -> dict:

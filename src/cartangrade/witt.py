@@ -2,10 +2,11 @@
 
 A derivation is stored as the m coefficient tables of D = sum f_i d/dx_i,
 stacked into an (m, n) array.  The bracket is computed from the coefficient
-formula [D, E]_j = sum_i (f_i * d_i(g_j) - g_i * d_i(f_j)).  The closed-form
-bracket identities for the generator families are oracles for it: they
-build their flat rows, stacked over exponent pairs, from exponents and
-z-monomial tables alone, and never call the bracket or ad_matrix.
+formula [D, E]_j = sum_i (f_i * d_i(g_j) - g_i * d_i(f_j)), over stacked row
+pairs in bracket_rows.  The closed-form bracket identities for the generator
+families are oracles for it: they build their flat rows, stacked over
+exponent pairs, from exponents and z-monomial tables alone, and never call
+the bracket, bracket_rows or ad_matrix.
 p-th powers are computed by p-fold application to the variables, which
 pins down a derivation uniquely.
 """
@@ -17,8 +18,8 @@ import numpy as np
 from .errors import AxisRangeError, ConfigError, ConfigMismatchError, DimensionError
 from .gfp import Config
 from .linalg import matmul
-from .oalg import (OElem, mul_tables, mult_operator, partial_matrix, partial_table, z_monomial,
-                   z_tables)
+from .oalg import (OElem, mul_rows, mul_tables, mult_operator, partial_matrix, partial_table,
+                   z_monomial, z_tables)
 
 
 class WElem:
@@ -130,19 +131,9 @@ class WElem:
         return OElem(self.cfg, acc)
 
     def bracket(self, other: "WElem") -> "WElem":
+        """[D, E]: the one-row case of bracket_rows."""
         self._check(other)
-        cfg = self.cfg
-        out = np.zeros((cfg.m, cfg.n), dtype=np.int64)
-        fs, gs = self.tables, other.tables
-        for j in range(cfg.m):
-            acc = np.zeros(cfg.n, dtype=np.int64)
-            for i in range(cfg.m):
-                if fs[i].any() and gs[j].any():
-                    acc = acc + mul_tables(cfg, fs[i], partial_table(cfg, gs[j], i + 1))
-                if gs[i].any() and fs[j].any():
-                    acc = acc - mul_tables(cfg, gs[i], partial_table(cfg, fs[j], i + 1))
-            out[j] = acc % cfg.p
-        return WElem(cfg, out)
+        return WElem.from_flat(self.cfg, bracket_rows(self.cfg, self.tables[None], other.tables[None])[0])
 
     def p_power(self) -> "WElem":
         """D^p, recovered from its values on the variables."""
@@ -191,6 +182,26 @@ class WElem:
             if self.tables[i].any():
                 parts.append(f"({OElem(self.cfg, self.tables[i].copy())!r})*d{i + 1}")
         return " + ".join(parts) if parts else "0"
+
+
+def bracket_rows(cfg: Config, d, e):
+    """Flat rows of [D, E], one per row pair of two stacks of derivations
+    ((K, m*n) flat rows or (K, m, n) tables), from the coefficient formula
+    [D, E]_j = sum_i D_i d_i(E_j) - E_i d_i(D_j): all 2 m^2 products of all
+    K pairs in one mul_rows call, so the cost follows the number of pairs
+    and their nonzero coefficients."""
+    p, m, n = cfg.p, cfg.m, cfg.n
+    d = np.asarray(d, dtype=np.int64).reshape(-1, m, n) % p
+    e = np.asarray(e, dtype=np.int64).reshape(-1, m, n) % p
+    f = np.stack([d, e])                # [s, k, i]: the factors D_i and E_i,
+    g = np.stack([e, -d % p])           # and the fields they differentiate, E and -D
+    b = np.stack([partial_table(cfg, g, i) for i in range(1, m + 1)], axis=2)  # d_i(g_j)
+    a = np.broadcast_to(f[:, :, :, None], b.shape).reshape(-1, n)
+    b = b.reshape(-1, n)
+    live = a.any(axis=1) & b.any(axis=1)
+    terms = np.zeros_like(a)
+    terms[live] = mul_rows(cfg, a[live], b[live])
+    return (terms.reshape(2, len(d), m, m, n).sum(axis=(0, 2)) % p).reshape(len(d), m * n)
 
 
 def w_basis(cfg: Config):

@@ -1,7 +1,8 @@
 """Per-pair oracle for the identity sweeps of `paper-check`.
 
-The CLI evaluates each sweep as stacked products: one ad matrix per left
-generator against stacked closed forms.  This module runs the same cases
+The CLI evaluates each sweep as stacked products against stacked closed
+forms: one ad matrix per left generator in an exhaustive sweep,
+bracket_rows over case-order chunks otherwise.  This module runs the same cases
 one pair at a time, with WElem.bracket on the generic side and the per-pair
 closed forms, and builds the same records (status, cases, counterexamples,
 detail).  It draws its samples with rng.choice, so it also pins the index

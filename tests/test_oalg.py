@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from cartangrade import oalg
 from cartangrade.errors import ValidityError, ZeroElementError
 from cartangrade.gfp import Config
-from cartangrade.oalg import (OElem, dp_monomial, mult_operator, z_monomial, z_tables)
+from cartangrade.oalg import (OElem, dp_monomial, mul_rows, mul_tables, mult_operator, z_monomial,
+                              z_tables)
 
 from algebra_helpers import binom_mod_p, in_max_ideal, substitute, weight_degree
 
@@ -144,6 +146,20 @@ def test_stacked_mult_operator_is_one_matrix_per_table():
     for table, mat in zip(stack, mats):
         assert np.array_equal(mat, mult_operator(cfg, table))
     assert mult_operator(cfg, np.zeros((2, cfg.n), dtype=np.int64)).shape == (2, cfg.n, cfg.n)
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (3, 2)])
+@pytest.mark.parametrize("run_terms", [40, 1 << 14])
+def test_mul_rows_is_one_product_per_row_pair(p, m, run_terms, monkeypatch):
+    monkeypatch.setattr(oalg, "_RUN_TERMS", run_terms)     # one row per run, or a few
+    cfg = Config(p, m, allow_small_p=p <= 3)
+    rng = np.random.default_rng(37)
+    a = rng.integers(0, p, (12, cfg.n)) * (rng.random((12, cfg.n)) < 0.3)
+    b = rng.integers(0, p, (12, cfg.n))
+    a[0] = b[5] = a[10] = a[11] = 0                 # zero rows, two of them trailing
+    got = mul_rows(cfg, a, b)
+    assert np.array_equal(got, np.stack([mul_tables(cfg, x, y) for x, y in zip(a, b)]))
+    assert not mul_rows(cfg, np.zeros_like(a), b).any()
 
 
 def test_queries_and_bookkeeping():

@@ -2,7 +2,8 @@
 
 Records must agree field for field (status, cases, counterexamples,
 detail): exhaustively at p = 5, sampled at p = 7, m = 3 and at shrunken
-case budgets.  A corrupted closed form must yield the same first
+case budgets, on both generic routes (one ad matrix per left generator
+in exhaustive sweeps, bracket_rows in sampled ones).  A corrupted closed form must yield the same first
 counterexamples in case order on both routes, and the stacked closed forms
 must never reach the generic bracket.
 """
@@ -37,6 +38,25 @@ def test_batched_suites_match_the_oracle_at_small_budgets(m, monkeypatch):
         got = oracle.batched_records(cfg, cfg_h, seed)
         assert got == oracle.records(cfg, cfg_h, seed)
         assert "sampled" in got[0]["detail"] and "sampled" in got[-2]["detail"]
+
+
+def test_sampled_sweeps_take_no_ad_matrix(monkeypatch):
+    """A sampled sweep, and the partials sweep, bracket with bracket_rows,
+    whose cost follows the pairs: an (m p^m)^2 ad matrix per left generator
+    made the sampled sweeps at m = 4 several times slower than per-pair
+    brackets.  The records still match the oracle's."""
+    def refuse(*args):
+        raise AssertionError("a sampled sweep built an ad matrix")
+
+    monkeypatch.setattr(cli, "SAMPLE_CASES", 60)
+    cfg = Config(5, 4)
+    want = [oracle.bracket_closed_form(cfg, 7), oracle.h_bracket(cfg, 7), oracle.h_partial(cfg)]
+    monkeypatch.setattr(WElem, "ad_matrix", refuse)
+    got = [cli._check_bracket_closed_form(cfg, 7), cli._check_h_bracket(cfg, 7),
+           cli._check_h_partial(cfg)]
+    assert got == want
+    assert [rec["cases"] for rec in got] == [6 * 60, 60, 4 * 625]
+    assert all(rec["status"] == "pass" for rec in got)
 
 
 def _exponents(cfg, *stacks):
@@ -106,6 +126,8 @@ def test_stacked_closed_forms_never_call_the_generic_bracket(monkeypatch):
 
     monkeypatch.setattr(WElem, "bracket", refuse)
     monkeypatch.setattr(WElem, "ad_matrix", refuse)
+    monkeypatch.setattr(witt, "bracket_rows", refuse)
+    monkeypatch.setattr(witt, "mul_rows", refuse)
     for m in (2, 3, 4):
         cfg = Config(5, m)
         alphas = np.arange(4 * m).reshape(4, m) % 5

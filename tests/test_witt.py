@@ -9,7 +9,7 @@ import pytest
 from cartangrade.forms import omega_symplectic, omega_volume, stabilizer_test
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
-from cartangrade.witt import (WElem, closed_form_bracket,
+from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
                               closed_form_bracket_reduced, closed_form_bracket_rows,
                               closed_form_h_bracket, closed_form_h_bracket_rows,
                               closed_form_h_partial, closed_form_h_partial_rows,
@@ -44,6 +44,21 @@ def test_bracket_is_the_operator_commutator():
         d, e = random_derivation(cfg, rng), random_derivation(cfg, rng)
         f = random_elem(cfg, rng)
         assert d.bracket(e).apply(f) == d.apply(e.apply(f)) - e.apply(d.apply(f))
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (3, 2)])
+def test_bracket_rows_match_ad_matrix_products(p, m):
+    cfg = Config(p, m, allow_small_p=p <= 3)
+    rng = random.Random(41)
+    ds = [random_derivation(cfg, rng) for _ in range(6)]
+    es = [random_derivation(cfg, rng) for _ in range(6)]
+    ds[1] = WElem.partial(cfg, m)                    # constant coefficients
+    ds[2] = WElem.zero(cfg)
+    es[4] = WElem.basis_element(cfg, (1,) * m, 1)
+    got = bracket_rows(cfg, np.stack([d.flat() for d in ds]), np.stack([e.flat() for e in es]))
+    for d, e, row in zip(ds, es, got):
+        assert np.array_equal(row, d.ad_matrix() @ e.flat() % p)
+        assert np.array_equal(row, d.bracket(e).flat())
 
 
 def test_lie_axioms_on_seeded_samples():
