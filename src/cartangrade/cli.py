@@ -10,9 +10,8 @@ paper-check
     count, and restricted p-th power samples.  Each identity sweep runs as
     stacked products: one ad matrix per left generator when exhaustive,
     else bracket_rows over case-order chunks, against closed forms built
-    row-stacked from exponents alone.  Exit code 4 when any
-    suite fails; the first counterexamples in case order are embedded in
-    the report.
+    row-stacked from exponents alone.  Exit code 4 when any suite fails;
+    the first counterexamples in case order are embedded in the report.
 
 dims
     Dimension table computed by two independent routes (closed formula vs
@@ -88,9 +87,9 @@ EXHAUSTIVE_CASES = 60000
 SAMPLE_CASES = 4000
 DERIVED_ROUTE_LIMIT = 600
 RANK_ROUTE_LIMIT = 1100
-# Row entries a chunk of a sampled identity sweep holds per side (8 MiB of
-# int64); a chunk takes at least one case.
-CHUNK_ENTRIES = 1 << 16
+# Row entries each side of a chunked identity sweep holds at once (128 KiB
+# of int64); a chunk takes at least one case.
+CHUNK_ENTRIES = 1 << 14
 
 
 def _make_config(p: int, m: int) -> Config:
