@@ -87,9 +87,9 @@ EXHAUSTIVE_CASES = 60000
 SAMPLE_CASES = 4000
 DERIVED_ROUTE_LIMIT = 600
 RANK_ROUTE_LIMIT = 1100
-# Row entries each side of a chunked identity sweep holds at once (128 KiB
+# Row entries each side of a chunked identity sweep holds at once (256 KiB
 # of int64); a chunk takes at least one case.
-CHUNK_ENTRIES = 1 << 14
+CHUNK_ENTRIES = 1 << 15
 
 
 def _make_config(p: int, m: int) -> Config:
@@ -186,18 +186,18 @@ def _sweep(n_left: int, n_right: int, rng):
     return left, right, False
 
 
-def _generators(cfg: Config, flavor: str):
+def _generators(cfg: Config, flavor: str, members=None):
     """Flat rows of a generator family, exponents alpha in lexicographic
-    order: d_ij(z^alpha) for each index pair i < j in turn ("S"), or
-    d_h(z^alpha) ("H")."""
-    zs = z_tables(cfg.p, cfg.m, alpha_table(cfg.p, cfg.m))
+    order: d_ij(z^alpha) for each index pair i < j in turn ("S"; member
+    k * p**m + a is d_ij(z^alpha_a) for the k-th pair), or d_h(z^alpha)
+    ("H").  The rows of the given members, or of all of them."""
+    pairs = list(combinations(range(1, cfg.m + 1), 2))
+    if members is None:
+        members = np.arange((len(pairs) if flavor == "S" else 1) * cfg.n)
+    zs = z_tables(cfg.p, cfg.m, alpha_table(cfg.p, cfg.m)[members % cfg.n])
     if flavor == "H":
         return d_h_rows(cfg, zs)
-    pairs = list(combinations(range(1, cfg.m + 1), 2))
-    out = np.empty((len(pairs) * cfg.n, cfg.m * cfg.n), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):          # filled in place: no second copy at the peak
-        out[k * cfg.n:(k + 1) * cfg.n] = d_ij_rows(cfg, i, j, zs)
-    return out
+    return d_ij_rows(cfg, *np.array(pairs, dtype=np.int64)[members // cfg.n].T, zs)
 
 
 def _first_mismatches(groups, cases: int, block):
@@ -221,25 +221,30 @@ def _chunks(cases: int, flat: int):
 
 def _generic_side(cfg: Config, lefts, rights, left, right, by_ad: bool):
     """Groups of case positions, and the generic side of a group pos: the
-    brackets [lefts[left[c]], rights[right[c]]] of its cases c.
+    brackets [u, v] of its cases c, u = lefts(left[c]) and v =
+    rights(right[c]), where lefts and rights give the flat rows of the
+    members they are passed.
 
     by_ad: each left generator u takes one ad matrix, and a group is the
     cases of one left element, bracketed by one product of ad(u) with their
     stacked right partners.  That pays in an exhaustive sweep, which gives u
-    at least p**m partners.  Otherwise the groups are case-order chunks,
-    bracketed row by row (bracket_rows) at a cost that follows the number
-    of pairs: a sampled sweep leaves u only about SAMPLE_CASES / p**m
-    partners per index pair, too few for an (m * p**m)**2 ad matrix.
+    at least p**m partners and meets every member, so both families are
+    built once, whole.  Otherwise the groups are case-order chunks,
+    bracketed row by row (bracket_rows) from the rows of their own members,
+    at a cost that follows the number of pairs: a sampled sweep leaves u
+    only about SAMPLE_CASES / p**m partners per index pair, too few for an
+    (m * p**m)**2 ad matrix.
     """
     if by_ad:
         order = np.argsort(left, kind="stable")
+        us, vs = lefts(np.arange(left.max() + 1)), rights(np.arange(right.max() + 1))
 
         def generic(pos):
-            u = WElem.from_flat(cfg, lefts[left[pos[0]]])
-            return matmul(u.ad_matrix(), rights[right[pos]].T, cfg.p).T
+            u = WElem.from_flat(cfg, us[left[pos[0]]])
+            return matmul(u.ad_matrix(), vs[right[pos]].T, cfg.p).T
         return np.split(order, np.flatnonzero(np.diff(left[order])) + 1), generic
     return (_chunks(left.size, cfg.m * cfg.n),
-            lambda pos: bracket_rows(cfg, lefts[left[pos]], rights[right[pos]]))
+            lambda pos: bracket_rows(cfg, lefts(left[pos]), rights(right[pos])))
 
 
 def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
@@ -256,7 +261,7 @@ def _check_bracket_closed_form(cfg: Config, seed: int) -> dict:
     """
     alphas = alpha_table(cfg.p, cfg.m)
     pairs = list(combinations(range(1, cfg.m + 1), 2))
-    gens = _generators(cfg, "S")
+    gens = lambda members: _generators(cfg, "S", members)
     rng = random.Random(seed)
     sweeps = [_sweep(cfg.n, cfg.n, rng) for _ in pairs]
     exhaustive = sweeps[-1][2]
@@ -322,7 +327,7 @@ def _check_h_bracket(cfg: Config, seed: int) -> dict:
     the generic brackets of the d_h(z^alpha) (_generic_side) against
     closed_form_h_bracket_rows."""
     alphas = alpha_table(cfg.p, cfg.m)
-    gens = _generators(cfg, "H")
+    gens = lambda members: _generators(cfg, "H", members)
     left, right, exhaustive = _sweep(cfg.n, cfg.n, random.Random(seed))
     groups, generic = _generic_side(cfg, gens, gens, left, right, exhaustive)
 
@@ -342,10 +347,11 @@ def _check_h_partial(cfg: Config) -> dict:
     takes one coefficient partial per case for a constant left field, where
     an ad matrix would cost (m * p**m)**2 entries."""
     alphas = alpha_table(cfg.p, cfg.m)
-    gens = _generators(cfg, "H")
     partials = np.stack([WElem.partial(cfg, ell).flat() for ell in range(1, cfg.m + 1)])
     left, right = np.repeat(np.arange(cfg.m), cfg.n), np.tile(np.arange(cfg.n), cfg.m)
-    groups, generic = _generic_side(cfg, partials, gens, left, right, False)
+    groups, generic = _generic_side(cfg, partials.__getitem__,
+                                    lambda members: _generators(cfg, "H", members), left, right,
+                                    False)
 
     def block(pos):
         want = np.empty((pos.size, cfg.m * cfg.n), dtype=np.int64)

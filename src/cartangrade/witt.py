@@ -187,21 +187,19 @@ class WElem:
 def bracket_rows(cfg: Config, d, e):
     """Flat rows of [D, E], one per row pair of two stacks of derivations
     ((K, m*n) flat rows or (K, m, n) tables), from the coefficient formula
-    [D, E]_j = sum_i D_i d_i(E_j) - E_i d_i(D_j): all 2 m^2 products of all
-    K pairs in one mul_rows call, so the cost follows the number of pairs
-    and their nonzero coefficients."""
+    [D, E]_j = sum_i D_i d_i(E_j) - E_i d_i(D_j): the products of all K
+    pairs whose two factors are nonzero go through one mul_rows call, so
+    the cost follows the number of pairs and their nonzero coefficients."""
     p, m, n = cfg.p, cfg.m, cfg.n
     d = np.asarray(d, dtype=np.int64).reshape(-1, m, n) % p
     e = np.asarray(e, dtype=np.int64).reshape(-1, m, n) % p
     f = np.stack([d, e])                # [s, k, i]: the factors D_i and E_i,
     g = np.stack([e, -d % p])           # and the fields they differentiate, E and -D
     b = np.stack([partial_table(cfg, g, i) for i in range(1, m + 1)], axis=2)  # d_i(g_j)
-    a = np.broadcast_to(f[:, :, :, None], b.shape).reshape(-1, n)
-    b = b.reshape(-1, n)
-    live = a.any(axis=1) & b.any(axis=1)
-    terms = np.zeros_like(a)
-    terms[live] = mul_rows(cfg, a[live], b[live])
-    return (terms.reshape(2, len(d), m, m, n).sum(axis=(0, 2)) % p).reshape(len(d), m * n)
+    s, k, i, j = np.nonzero(f.any(axis=3)[:, :, :, None] & b.any(axis=4))
+    out = np.zeros((len(d) * m, n), dtype=np.int64)
+    np.add.at(out, k * m + j, mul_rows(cfg, f[s, k, i], b[s, k, i, j]))
+    return (out % p).reshape(len(d), m * n)
 
 
 def w_basis(cfg: Config):
@@ -229,13 +227,20 @@ def d_ij(cfg: Config, i: int, j: int, f: OElem) -> WElem:
     return WElem.from_flat(cfg, d_ij_rows(cfg, i, j, f.table[None])[0])
 
 
-def d_ij_rows(cfg: Config, i: int, j: int, tables):
-    """Flat rows of d_ij(f), one per row f of a (k, n) stack of coefficient tables."""
-    _check_pair(cfg, i, j)
-    t = np.zeros((len(tables), cfg.m, cfg.n), dtype=np.int64)
-    t[:, i - 1] = partial_table(cfg, tables, j)
-    t[:, j - 1] = -partial_table(cfg, tables, i) % cfg.p
-    return t.reshape(len(tables), -1)
+def d_ij_rows(cfg: Config, i, j, tables):
+    """Flat rows of d_ij(f), one per row f of a (k, n) stack of coefficient
+    tables: i and j give one index pair for every row, or are k-arrays that
+    give each row its own pair."""
+    for pair in set(zip(np.ravel(i).tolist(), np.ravel(j).tolist())):
+        _check_pair(cfg, *pair)
+    k = len(tables)
+    i, j = np.broadcast_to(i, k), np.broadcast_to(j, k)
+    dz = np.stack([partial_table(cfg, tables, a) for a in range(1, cfg.m + 1)])   # d_a(f)
+    rows = np.arange(k)
+    t = np.zeros((k, cfg.m, cfg.n), dtype=np.int64)
+    t[rows, i - 1] = dz[j - 1, rows]
+    t[rows, j - 1] = -dz[i - 1, rows] % cfg.p
+    return t.reshape(k, cfg.m * cfg.n)
 
 
 def sigma(cfg: Config, i: int) -> int:
@@ -268,7 +273,7 @@ def d_h_rows(cfg: Config, tables):
     t = np.zeros((len(tables), cfg.m, cfg.n), dtype=np.int64)
     for i in range(1, cfg.m + 1):
         t[:, conjugate_axis(cfg, i) - 1] = sigma(cfg, i) * partial_table(cfg, tables, i) % cfg.p
-    return t.reshape(len(tables), -1)
+    return t.reshape(len(tables), cfg.m * cfg.n)
 
 
 def d_ij_z(cfg: Config, i: int, j: int, alpha) -> WElem:

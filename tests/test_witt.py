@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cartangrade.errors import AxisRangeError
 from cartangrade.forms import omega_symplectic, omega_volume, stabilizer_test
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
@@ -13,7 +14,7 @@ from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
                               closed_form_bracket_reduced, closed_form_bracket_rows,
                               closed_form_h_bracket, closed_form_h_bracket_rows,
                               closed_form_h_partial, closed_form_h_partial_rows,
-                              conjugate_axis, d_h, d_h_z, d_ij, d_ij_z, sigma,
+                              conjugate_axis, d_h, d_h_z, d_ij, d_ij_rows, d_ij_z, sigma,
                               w_basis)
 
 
@@ -59,6 +60,19 @@ def test_bracket_rows_match_ad_matrix_products(p, m):
     for d, e, row in zip(ds, es, got):
         assert np.array_equal(row, d.ad_matrix() @ e.flat() % p)
         assert np.array_equal(row, d.bracket(e).flat())
+
+
+def test_d_ij_rows_take_one_pair_per_row():
+    cfg = Config(5, 3)
+    rng = random.Random(43)
+    fs = [random_elem(cfg, rng) for _ in range(4)]
+    i, j = np.array([1, 1, 2, 1]), np.array([2, 3, 3, 2])
+    rows = d_ij_rows(cfg, i, j, np.stack([f.table for f in fs]))
+    for f, a, b, row in zip(fs, i, j, rows):
+        assert np.array_equal(row, d_ij(cfg, int(a), int(b), f).flat())
+    with pytest.raises(AxisRangeError):
+        d_ij_rows(cfg, np.array([1, 3]), np.array([2, 2]), rows[:2, :cfg.n])
+    assert d_ij_rows(cfg, 1, 2, np.zeros((0, cfg.n), dtype=np.int64)).shape == (0, 3 * cfg.n)
 
 
 def test_lie_axioms_on_seeded_samples():
