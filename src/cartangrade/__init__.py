@@ -19,10 +19,9 @@ from .errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                      GroupMismatchError, InternalError, NoSuchBasisError,
                      ObstructionError, ParseError, ValidityError,
                      ZeroElementError)
-from .forms import (KForm, algebra_basis, algebra_rows, d_form,
-                    derived_subalgebra, differential, lie_derivative,
-                    omega_symplectic, omega_volume, pair_one_form,
-                    stabilizer_test)
+from .forms import (KForm, algebra_basis, algebra_rows, d_form, differential,
+                    lie_derivative, omega_symplectic, omega_volume,
+                    pair_one_form)
 from .gfp import Config
 from .gradings import (Grading, GradingReport, fine_grading,
                        grade_O_construct, grade_S_construct, induce_W,

@@ -55,6 +55,7 @@ p**m is capped by the environment variable CARTAN_GRADE_MAX_DIM (default
 import argparse
 import random
 import sys
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -724,14 +725,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hamiltonian suites (m = 2r)")
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     output(pc)
-    pc.set_defaults(func=cmd_paper_check)
+    pc.set_defaults(verb="cmd_paper_check")
 
     dm = sub.add_parser("dims", help="dimension table via two independent routes")
     common(dm)
     dm.add_argument("--r", type=int, default=1, help="symplectic pairs for the "
                     "Hamiltonian row (m = 2r)")
     output(dm)
-    dm.set_defaults(func=cmd_dims)
+    dm.set_defaults(verb="cmd_dims")
 
     gr = sub.add_parser("grade", help="construct, verify, classify, and compare gradings")
     gsub = gr.add_subparsers(dest="grade_command", required=True)
@@ -739,18 +740,18 @@ def build_parser() -> argparse.ArgumentParser:
     gc = gsub.add_parser("construct", help="build a grading from a JSON request")
     gc.add_argument("--request", required=True, help="request file ('-' for stdin)")
     output(gc)
-    gc.set_defaults(func=cmd_grade_construct)
+    gc.set_defaults(verb="cmd_grade_construct")
 
     gv = gsub.add_parser("verify", help="re-check a serialized grading from scratch")
     gv.add_argument("--grading", required=True, help="grading file ('-' for stdin)")
     output(gv)
-    gv.set_defaults(func=cmd_grade_verify)
+    gv.set_defaults(verb="cmd_grade_verify")
 
     gl = gsub.add_parser("classify", help="emit the invariants of a grading")
     gl.add_argument("--grading", required=True, help="grading file ('-' for stdin)")
     gl.add_argument("--flavor", choices=("O", "W", "S", "H"), default="O")
     output(gl)
-    gl.set_defaults(func=cmd_grade_classify)
+    gl.set_defaults(verb="cmd_grade_classify")
 
     gi = gsub.add_parser("iso", help="decide isomorphism and emit a witness")
     gi.add_argument("--g1", required=True, help="first grading file")
@@ -759,21 +760,29 @@ def build_parser() -> argparse.ArgumentParser:
     gi.add_argument("--witness-out", default=None,
                     help="also write the bare witness automorphism to this file")
     output(gi)
-    gi.set_defaults(func=cmd_grade_iso)
+    gi.set_defaults(verb="cmd_grade_iso")
 
     gf = gsub.add_parser("fine", help="enumerate the maximally refined gradings")
     common(gf, m_default=2)
     gf.add_argument("--ambient", choices=("O", "W", "S"), default="O")
     output(gf)
-    gf.set_defaults(func=cmd_grade_fine)
+    gf.set_defaults(verb="cmd_grade_fine")
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The verb is looked up by name on each call, so a cmd_* function
+        # rebound on this module after the parser was built is the one run.
+        return globals()[args.verb](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

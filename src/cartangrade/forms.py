@@ -250,24 +250,6 @@ def omega_symplectic(cfg: Config) -> KForm:
     return KForm(cfg, 2, t)
 
 
-def stabilizer_test(d: WElem, omega: KForm, projective: bool):
-    """Whether D(omega) = 0 (strict) or D(omega) = c*omega (projective).
-    Returns (flag, c or None); c = 0 when the action is strictly zero."""
-    res = lie_derivative(d, omega)
-    if res.is_zero():
-        return True, 0
-    if not projective:
-        return False, None
-    nz = np.argwhere(omega.tables)
-    if nz.size == 0:
-        return False, None
-    r, c = nz[0]
-    scale = int(res.tables[r, c]) * pow(int(omega.tables[r, c]), -1, d.cfg.p) % d.cfg.p
-    if np.array_equal(res.tables, omega.tables * scale % d.cfg.p):
-        return True, scale
-    return False, None
-
-
 def _lie_matrix(cfg: Config, omega: KForm):
     """Matrix of D -> D(omega) on flat coordinates, one column per basis."""
     rows = []
@@ -318,16 +300,21 @@ def derived_rows(cfg: Config, rows, iterations: int = 1, cap: int = 3):
     rows span a subalgebra; each step replaces the span by the span of all
     pairwise brackets.  iterations beyond the stabilization point (or the
     cap) are no-ops.
+
+    Each step brackets b_i only with the b_j, j > i: [b_j, b_i] = -[b_i, b_j]
+    and [b_i, b_i] = 0, so the other products add nothing to the span, and
+    EchelonSpace.basis() is the RREF of that span, the same rows either way.
     """
     cur = linalg.row_space(np.asarray(rows, dtype=np.int64) % cfg.p, cfg.p)
     steps = min(iterations, cap)
     for _ in range(steps):
         space = linalg.EchelonSpace(cfg.m * cfg.n, cfg.p)
         basis = cur
-        for row in basis:
-            # Rows [row, b] = ad(row) b for b in basis, as basis @ ad(row)^T;
-            # one expression, so ad(row) is freed before add_batch runs.
-            space.add_batch(linalg.matmul(basis, WElem.from_flat(cfg, row).ad_matrix().T, cfg.p))
+        for i in range(len(basis) - 1):
+            # Rows [b_i, b_j] = ad(b_i) b_j for j > i, as basis[i + 1:] @
+            # ad(b_i)^T; one expression, so ad(b_i) is freed before add_batch.
+            space.add_batch(linalg.matmul(
+                basis[i + 1:], WElem.from_flat(cfg, basis[i]).ad_matrix().T, cfg.p))
         nxt = space.basis()
         stable = nxt.shape == cur.shape and np.array_equal(nxt, cur)
         cur = nxt
@@ -335,12 +322,3 @@ def derived_rows(cfg: Config, rows, iterations: int = 1, cap: int = 3):
             break
     return cur
 
-
-def derived_subalgebra(basis, iterations: int = 1):
-    """Derived series step(s) on a list of derivations."""
-    if not basis:
-        return []
-    cfg = basis[0].cfg
-    rows = np.stack([d.flat() for d in basis])
-    out = derived_rows(cfg, rows, iterations)
-    return [WElem.from_flat(cfg, row) for row in out]

@@ -467,7 +467,12 @@ def verify_grading(grading: Grading) -> GradingReport:
     _SWEEP_BYTES (at least one row).  A product lies in its target
     component when its coordinates vanish off that degree's block; on "sub"
     it must first lie in the subalgebra at all.  The degree products come
-    from one table over the support (_degree_table).  That inverse (for
+    from one table over the support (_degree_table).  The outcome of a pair
+    is symmetric: v u = u v for "O" and [v, u] = -[u, v] otherwise, which
+    vanishes, lies in the subalgebra and has nonzero coordinates exactly
+    where [u, v] does, and the degree table is symmetric, the group being
+    abelian.  So the sweep multiplies each chunk only with the rows from
+    its own first row on, and mirrors the outcomes.  That inverse (for
     "sub", the elimination that finds the pivots) is also the check that the
     rows are independent: a grading from Grading._deferred with dependent
     rows raises the constructor's DimensionError here.
@@ -486,9 +491,9 @@ def verify_grading(grading: Grading) -> GradingReport:
     O = (+) V_g and the sum is direct, so each V_g is spanned by the
     monomials of degree g.  A product of monomials of degrees g and h is a
     monomial of degree gh, so V_g V_h lies in V_{gh} for all g, h.  The
-    certificate rows are checked first, as a chunk of their own; if one
-    fails, the sweep runs on every other row, which lists the failures.  W
-    and "sub" always take the full sweep.
+    certificate rows are checked first, as a chunk of their own, against
+    every row; if one fails, the sweep runs on every other row, which lists
+    the failures.  W and "sub" always take the full sweep.
 
     Failures are listed by degree pair (g, h) in support order, then by row
     pair; pairs_checked is dim^2 either way: the pairs checked or certified.
@@ -512,29 +517,35 @@ def verify_grading(grading: Grading) -> GradingReport:
     status = np.zeros((dim, dim), dtype=np.int8)      # index into _FAILURES
     chunk = max(1, _SWEEP_BYTES // (8 * flat * flat))
 
-    def check_rows(rows):
+    def check_rows(rows, half):
         for lo in range(0, len(rows), chunk):
             ks = rows[lo:lo + chunk]
             c = len(ks)
+            first = int(ks[0]) if half else 0
+            vs = basis[first:]
+            w = len(vs)
             ops = _operators(grading, ks).reshape(c * flat, flat)
-            # prods[i, :, j]: u * v_j or [u, v_j] for the i-th row u of the chunk
-            prods = linalg.matmul(ops, basis.T, p).reshape(c, flat, dim)
-            coords = linalg.matmul(prods[:, pivots].transpose(0, 2, 1).reshape(c * dim, dim),
+            # prods[i, :, j]: u * v or [u, v] for the i-th row u of the chunk
+            # and the j-th row v of vs
+            prods = linalg.matmul(ops, vs.T, p).reshape(c, flat, w)
+            coords = linalg.matmul(prods[:, pivots].transpose(0, 2, 1).reshape(c * w, dim),
                                    coords_of, p)
-            tgt = target[block[ks]][:, block]
-            stray = ((coords.reshape(c, dim, dim) != 0) & (block != tgt[:, :, None])).any(axis=2)
-            escaped = np.zeros((c, dim), dtype=bool)
+            tgt = target[block[ks]][:, block[first:]]
+            stray = ((coords.reshape(c, w, dim) != 0) & (block != tgt[:, :, None])).any(axis=2)
+            escaped = np.zeros((c, w), dtype=bool)
             if grading.sub is not None:
-                back = linalg.matmul(coords, basis, p).reshape(c, dim, flat)
+                back = linalg.matmul(coords, basis, p).reshape(c, w, flat)
                 escaped = (back != prods.transpose(0, 2, 1)).any(axis=2)
-            status[ks] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray], [0, 1, 2, 3])
+            status[ks, first:] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray],
+                                           [0, 1, 2, 3])
 
     rows = np.arange(dim)
     gens = _generator_rows(grading, coords_of) if grading.ambient == "O" else None
     if gens is not None:
-        check_rows(gens)
+        check_rows(gens, half=False)
         rows = np.setdiff1d(rows, gens) if status.any() else rows[:0]
-    check_rows(rows)
+    check_rows(rows, half=True)
+    status = np.maximum(status, status.T)
     us, vs = np.nonzero(status)
     order = np.lexsort((vs, us, block[vs], block[us]))
     us, vs = us[order], vs[order]

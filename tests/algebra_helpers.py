@@ -1,9 +1,11 @@
 """Element operations that only the tests use.
 
 Substitution of the variables, the filtration degree, the maximal-ideal
-test, the divided-power binomial and the conjugation of one derivation by
-an automorphism.  The package computes none of them on its own paths; the
-tests use them as independent routes to what it does compute.
+test, the divided-power binomial, the conjugation of one derivation by
+an automorphism, the stabilizer test of a derivation on a form and the
+derived series on a list of derivations.  The package computes none of
+them on its own paths; the tests use them as independent routes to what
+it does compute.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from cartangrade import linalg
 from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionError,
                                 ValidityError, ZeroElementError)
+from cartangrade.forms import KForm, derived_rows, lie_derivative
 from cartangrade.gfp import weight_table
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
@@ -83,3 +86,31 @@ def push_derivation(mu, d: WElem) -> WElem:
         raise ConfigMismatchError("derivation built over a different configuration")
     flat = linalg.matmul(mu.conjugation_matrix(), d.flat(), mu.cfg.p)
     return WElem.from_flat(mu.cfg, flat)
+
+
+def stabilizer_test(d: WElem, omega: KForm, projective: bool):
+    """Whether D(omega) = 0 (strict) or D(omega) = c*omega (projective).
+    Returns (flag, c or None); c = 0 when the action is strictly zero."""
+    res = lie_derivative(d, omega)
+    if res.is_zero():
+        return True, 0
+    if not projective:
+        return False, None
+    nz = np.argwhere(omega.tables)
+    if nz.size == 0:
+        return False, None
+    r, c = nz[0]
+    scale = int(res.tables[r, c]) * pow(int(omega.tables[r, c]), -1, d.cfg.p) % d.cfg.p
+    if np.array_equal(res.tables, omega.tables * scale % d.cfg.p):
+        return True, scale
+    return False, None
+
+
+def derived_subalgebra(basis, iterations: int = 1):
+    """Derived series step(s) on a list of derivations."""
+    if not basis:
+        return []
+    cfg = basis[0].cfg
+    rows = np.stack([d.flat() for d in basis])
+    out = derived_rows(cfg, rows, iterations)
+    return [WElem.from_flat(cfg, row) for row in out]

@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
+from cartangrade import linalg
 from cartangrade.errors import ConfigError
 from cartangrade.forms import (KForm, algebra_basis, algebra_rows, d_form,
-                               derived_rows, derived_subalgebra, differential,
-                               lie_derivative, omega_symplectic, omega_volume,
-                               pair_one_form, stabilizer_test)
+                               derived_rows, differential, lie_derivative,
+                               omega_symplectic, omega_volume, pair_one_form)
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem, d_ij, w_basis
+
+from algebra_helpers import derived_subalgebra, stabilizer_test
 
 
 def random_elem(cfg, rng):
@@ -145,3 +147,44 @@ def test_full_derivation_algebra_rows_are_everything():
     flat = d12.flat()
     rebuilt = WElem.from_flat(cfg, flat)
     assert rebuilt == d12
+
+
+def square_derived_rows(cfg, rows, iterations=1, cap=3):
+    """The derived series bracketing every ordered pair of basis rows, as
+    derived_rows did before it took each unordered pair once; also returns
+    the dimension at the start of each step it ran."""
+    cur = linalg.row_space(np.asarray(rows, dtype=np.int64) % cfg.p, cfg.p)
+    starts = []
+    for _ in range(min(iterations, cap)):
+        starts.append(cur.shape[0])
+        space = linalg.EchelonSpace(cfg.m * cfg.n, cfg.p)
+        for row in cur:
+            space.add_batch(linalg.matmul(cur, WElem.from_flat(cfg, row).ad_matrix().T, cfg.p))
+        nxt = space.basis()
+        stable = np.array_equal(nxt, cur)
+        cur = nxt
+        if stable:
+            break
+    return cur, starts
+
+
+@pytest.mark.parametrize("kind, p, m, iterations", [
+    ("S", 5, 2, 2), ("S", 7, 2, 2), ("S", 11, 2, 2),
+    ("H", 5, 2, 2), ("H", 7, 2, 2), ("H", 11, 2, 2), ("S", 5, 3, 1)])
+def test_derived_rows_match_the_ordered_pair_loop(kind, p, m, iterations, monkeypatch):
+    cfg = Config(p, m)
+    rows = algebra_rows(cfg, kind)
+    want, starts = square_derived_rows(cfg, rows, iterations)
+    calls = []
+    ad_matrix = WElem.ad_matrix
+
+    def counting(self):
+        calls.append(1)
+        return ad_matrix(self)
+
+    monkeypatch.setattr(WElem, "ad_matrix", counting)
+    got = derived_rows(cfg, rows, iterations)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # one ad matrix per row but the last, in each step
+    assert len(calls) == sum(dim - 1 for dim in starts)

@@ -772,3 +772,46 @@ def test_cli_maps_memory_error_to_a_refusal(message, line, monkeypatch, capsys):
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == line + "\n"
+
+
+def test_cli_runs_a_verb_rebound_after_the_parser_was_built(monkeypatch, capsys):
+    argv = ["grade", "verify", "--grading", str(GOLDEN_INPUTS / "O_raw_x.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    seen = []
+
+    def patched(args):
+        seen.append(args.grading)
+        return 4
+
+    monkeypatch.setattr(cli, "cmd_grade_verify", patched)
+    assert cli.main(argv) == 4
+    assert seen == [argv[-1]]
+
+
+def test_cli_calls_in_one_process_keep_their_own_options(tmp_path, capsys):
+    """One parser serves every call of a process: the options of one call
+    leave nothing behind for the next."""
+    pc = ["paper-check", "--p", "5", "--m", "2"]
+    assert cli.main(pc + ["--format", "table"]) == 0
+    table = capsys.readouterr().out
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(table)
+    assert cli.main(pc) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    verify = ["grade", "verify", "--grading", str(GOLDEN_INPUTS / "O_raw_x.json")]
+    out = tmp_path / "report.json"
+    assert cli.main(verify + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["valid"] is True
+    assert cli.main(verify) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["grade", "verify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the following arguments are required: --grading" in captured.err
+    assert cli.main(verify) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cartangrade.errors import AxisRangeError
-from cartangrade.forms import omega_symplectic, omega_volume, stabilizer_test
+from cartangrade.forms import omega_symplectic, omega_volume
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
 from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
@@ -16,6 +16,8 @@ from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
                               closed_form_h_partial, closed_form_h_partial_rows,
                               conjugate_axis, d_h, d_h_z, d_ij, d_ij_rows, d_ij_z, sigma,
                               w_basis)
+
+from algebra_helpers import stabilizer_test
 
 
 def random_derivation(cfg, rng):
