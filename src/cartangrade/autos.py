@@ -83,7 +83,7 @@ class AutO:
             first = np.argmax(alpha_table(p, cfg.m) > 0, axis=1)
             prev = np.arange(n) - radix_weights(p, cfg.m)[first]
             degree = weight_table(p, cfg.m)
-            ops = [mult_operator(cfg, u.table) for u in self.images]
+            ops = mult_operator(cfg, np.stack([u.table for u in self.images]))
             mat = np.zeros((n, n), dtype=np.int64)
             mat[0, 0] = 1
             for d in range(1, int(degree.max()) + 1):
@@ -125,19 +125,18 @@ class AutO:
 
         With v_j = mu^-1(x_j), coefficient j of the conjugate of
         D = sum_i f_i d_i is mu(D(v_j)) = sum_i mu(d_i(v_j) * f_i), so block
-        (j, i) is mu.matrix @ mult_operator(d_i v_j).  Built on each call,
-        not cached: it is (m*n)^2 entries, m^2 times the size of the matrix.
+        (j, i) is mu.matrix @ mult_operator(d_i v_j): one stacked
+        mult_operator for the m^2 partials and one product of mu.matrix with
+        their operators side by side.  Built on each call, not cached: it is
+        (m*n)^2 entries, m^2 times the size of the matrix.
         """
         cfg = self.cfg
         p, m, n = cfg.p, cfg.m, cfg.n
-        out = np.zeros((m * n, m * n), dtype=np.int64)
-        for j, v in enumerate(self.inverse().images):
-            for i in range(m):
-                dv = partial_table(cfg, v.table, i + 1)
-                if dv.any():
-                    out[j * n:(j + 1) * n, i * n:(i + 1) * n] = linalg.matmul(
-                        self.matrix, mult_operator(cfg, dv), p)
-        return out
+        v = np.stack([u.table for u in self.inverse().images])
+        dv = np.stack([partial_table(cfg, v, i + 1) for i in range(m)], axis=1)
+        ops = mult_operator(cfg, dv.reshape(m * m, n)).transpose(1, 0, 2).reshape(n, m * m * n)
+        out = linalg.matmul(self.matrix, ops, p)
+        return out.reshape(n, m, m * n).transpose(1, 0, 2).reshape(m * n, m * n)
 
     def jacobian(self) -> OElem:
         """Determinant of the matrix of partials of the variable images."""

@@ -325,7 +325,7 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     if anchor is None:
         raise AdmissibilityError(
             "no homogeneous derivation has a unit coefficient; grading is not induced")
-    stack = np.vstack([mult_operator(cfg, anchor[i * n:(i + 1) * n]) for i in range(m)])
+    stack = mult_operator(cfg, anchor.reshape(m, n)).reshape(m * n, n)
     t = linalg.rref(np.hstack([stack, np.eye(m * n, dtype=np.int64)]), p)[0][:, n:]
     reduced = linalg.matmul(t, (-w_grading.basis.T) % p, p)
     top, bottom = reduced[:n], reduced[n:]

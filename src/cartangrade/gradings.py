@@ -411,17 +411,13 @@ def frame_rows(grading: Grading) -> list:
     """Indices of the basis rows of an "O" grading whose linear parts (the
     coefficients of x_1..x_m) are independent of those picked before them,
     picked greedily in row order until they span the cotangent space: m
-    rows, since the basis spans the algebra."""
+    rows, since the basis spans the algebra.
+
+    They are the pivot columns of the RREF of the m x dim matrix whose
+    column k is the linear part of row k: column k is a pivot exactly when
+    it is not in the span of the columns before it, the greedy test."""
     cfg = grading.cfg
-    radix = radix_weights(cfg.p, cfg.m)
-    ech = linalg.EchelonSpace(cfg.m, cfg.p)
-    rows = []
-    for k, row in enumerate(grading.basis):
-        if ech.dim == cfg.m:
-            break
-        if ech.add(row[radix]):
-            rows.append(k)
-    return rows
+    return linalg.rref(grading.basis[:, radix_weights(cfg.p, cfg.m)].T, cfg.p)[1]
 
 
 def _generator_rows(grading: Grading, coords_of):

@@ -19,7 +19,10 @@ reduces only the pivot column and the pivot row, subtracts multiples of the
 pivot row from the rows with a nonzero entry in the pivot column, from the
 pivot column rightward, and so leaves an entry in [-k(p-1)^2, p) after k
 updates; it reduces the trailing columns every k_max pivots and the whole
-matrix once, at the end.
+matrix once, at the end.  rref is the one GF(p) elimination of the
+package: rank, nullspace, solve, inverse, row_space, intersect_row_spaces
+and EchelonSpace.add_batch all read its output, and no other code pivots
+over GF(p).
 """
 
 from __future__ import annotations
@@ -134,16 +137,15 @@ def rank(mat, p: int) -> int:
 
 def nullspace(mat, p: int):
     """Rows form a canonical basis of the right kernel: one row per free
-    column, unit coefficient there, in increasing free-column order."""
+    column, unit coefficient there, in increasing free-column order.  Row k
+    is e_f - sum_i r[i, f] e_{pivot i} for the k-th free column f."""
     a = np.asarray(mat, dtype=np.int64)
     cols = a.shape[1]
     r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = (-int(r[i, fc])) % p
+    free = np.delete(np.arange(cols), pivots)
+    out = np.zeros((free.size, cols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = (-r[:, free].T) % p
     return out
 
 
@@ -156,8 +158,7 @@ def solve(mat, rhs, p: int):
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i, cols]
+    x[pivots] = aug[:, cols]
     return x
 
 
@@ -173,11 +174,12 @@ def inverse(mat, p: int):
 
 
 class EchelonSpace:
-    """Incrementally maintained row space in reduced echelon form.
+    """A row space kept as its reduced row echelon form (mat, pivots).
 
-    add() returns True when the vector enlarged the space.  add_batch()
-    reduces a whole matrix against the current space with one matmul before
-    inserting survivors, which keeps closure computations fast.
+    Every elimination goes through rref; add_batch() reduces a whole matrix
+    against the space with one matmul, eliminates the survivors with one
+    rref and clears the new pivot columns from the old rows with one more
+    matmul, which keeps closure computations fast.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -201,32 +203,32 @@ class EchelonSpace:
     def contains(self, vec) -> bool:
         return not self.residual(vec).any()
 
-    def add(self, vec) -> bool:
-        v = self.residual(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = v * pow(int(v[c]), -1, self.p) % self.p
-        if self.dim:
-            self.mat = (self.mat - np.outer(self.mat[:, c], v)) % self.p
-        pos = int(np.searchsorted(np.array(self.pivots, dtype=np.int64), c)) if self.pivots else 0
-        self.mat = np.insert(self.mat, pos, v, axis=0)
-        self.pivots.insert(pos, c)
-        return True
-
     def add_batch(self, rows) -> int:
-        m = as_matrix(rows, self.ncols, self.p)
-        if m.shape[0] == 0:
-            return 0
+        """Add the rows to the space; returns the rank increase.
+
+        The residuals of the rows vanish on the old pivot columns, and so
+        does their RREF (new, with pivots cols), whose rows are combinations
+        of them.  Subtracting mat[:, cols] @ new from the old rows clears
+        the new pivot columns there and leaves the old pivot columns, and
+        every entry left of an old row's pivot, untouched: a new row with
+        pivot q is zero left of q, and it enters an old row only when that
+        row has a nonzero entry at q, right of its own pivot.  So the merged
+        rows, in pivot order, are the RREF of the enlarged space: canonical,
+        the same matrix whatever order or grouping the rows came in.
+        """
+        p = self.p
+        m = as_matrix(rows, self.ncols, p)
         if self.dim:
-            m -= matmul(m[:, self.pivots], self.mat, self.p)
-            m %= self.p
-        added = 0
-        for v in m:
-            if v.any() and self.add(v):
-                added += 1
-        return added
+            m -= matmul(m[:, self.pivots], self.mat, p)
+        new, cols = rref(m[m.any(axis=1)], p)
+        if not cols:
+            return 0
+        old = self.mat - matmul(self.mat[:, cols], new, p)
+        old %= p
+        order = np.argsort(self.pivots + cols)
+        self.mat = np.vstack([old, new])[order]
+        self.pivots = sorted(self.pivots + cols)
+        return len(cols)
 
     def basis(self):
         return self.mat.copy()

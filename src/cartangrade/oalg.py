@@ -131,7 +131,8 @@ def mult_operator(cfg: Config, table):
         flat += (ia // n * ((n + 1) * n))[:, None]
     w = np.repeat(table.ravel()[ia].astype(np.float64), n)  # exact: see mul_tables
     out = np.bincount(flat.ravel(), weights=w, minlength=k * (n + 1) * n)
-    out = out.reshape(k, n + 1, n)[:, :n].astype(np.int64) % p
+    out = out.reshape(k, n + 1, n)[:, :n].astype(np.int64)
+    out %= p
     return out.reshape(table.shape[:-1] + (n, n))
 
 

@@ -123,7 +123,7 @@ def recognize_frame_by_reduction(grading):
     ech = linalg.EchelonSpace(cfg.m, cfg.p)
     units, free = [], []
     for row, g in zip(grading.basis, grading.labels):
-        if ech.dim < cfg.m and ech.add(row[radix]):
+        if ech.dim < cfg.m and ech.add_batch(row[radix][None]) == 1:
             if row[0]:
                 units.append((cfg.inv(int(row[0])) * OElem(cfg, row) - one, g))
             else:

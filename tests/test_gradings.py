@@ -12,11 +12,12 @@ from cartangrade.abgroup import AbGroup, PSubgroup, subgroup_key
 from cartangrade.autos import push_grading, random_auto
 from cartangrade.errors import (AdmissibilityError, DimensionError,
                                 ObstructionError)
-from cartangrade.gfp import Config
+from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
                                   grade_S_construct, induce_W,
                                   induce_subalgebra, verify_grading)
 from cartangrade.oalg import mult_operator
+from test_linalg import _rref_oracle
 from volume_oracle import admissible_degree
 
 
@@ -401,6 +402,41 @@ def test_certificate_failure_on_a_generator_row_falls_back_to_the_sweep():
     coords_of = linalg.inverse(swapped.basis, cfg.p)
     assert gradings._generator_rows(swapped, coords_of) is not None
     assert not assert_verify_matches_oracles(swapped).ok
+
+
+def _greedy_frame(grading):
+    """The oracle for frame_rows: row k joins the pick when its linear part
+    raises the rank of the linear parts picked before it, ranks taken by
+    test_linalg's own elimination."""
+    cfg = grading.cfg
+    lin = grading.basis[:, radix_weights(cfg.p, cfg.m)]
+    picked = []
+    for k in range(len(lin)):
+        if len(picked) < cfg.m and len(_rref_oracle(lin[picked + [k]], cfg.p)[1]) > len(picked):
+            picked.append(k)
+    return picked
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (7, 2)])
+def test_frame_rows_is_the_greedy_pick(p, m):
+    cfg = Config(p, m)
+    free, tor = AbGroup(m, ()), AbGroup(0, (p,) * m)
+
+    def unit(group, i):
+        return group.element(tuple(int(j == i) for j in range(group.rank)))
+
+    standard = [grade_O_construct(cfg, free, [], [unit(free, i) for i in range(m)]),
+                grade_O_construct(cfg, tor, [unit(tor, i) for i in range(m)], []),
+                grade_O_construct(cfg, tor, [unit(tor, 0)], [unit(tor, i) for i in range(1, m)])]
+    rng = random.Random(10 * p + m)
+    pushed = [push_grading(random_auto(cfg, rng), g) for g in standard]
+    # Giving a frame row another row's label moves both rows' blocks, so
+    # the pick scans a new order.
+    swapped = [_swap_labels(g, g.labels[k], rng.choice([h for h in g.labels if h != g.labels[k]]))
+               for g in standard + pushed for k in gradings.frame_rows(g)]
+    for grading in standard + pushed + swapped:
+        rows = gradings.frame_rows(grading)
+        assert rows == _greedy_frame(grading) and len(rows) == m
 
 
 def test_certificate_needs_the_unit_in_the_identity_component():

@@ -218,11 +218,20 @@ def test_echelon_space_matches_the_row_space(p, data):
     rows, cols = a.shape
     split = int(rng.integers(0, rows + 1))
     space = linalg.EchelonSpace(cols, p)
-    grew = [space.add(row) for row in a[:split]]
-    added = space.add_batch(a[split:])
     ranks = [len(_rref_oracle(a[:i], p)[1]) for i in range(rows + 1)]
+    grew = [space.add_batch(row[None]) == 1 for row in a[:split]]
     assert grew == [ranks[i + 1] > ranks[i] for i in range(split)]
-    assert added == ranks[rows] - ranks[split]
+    # The other rows in consecutive batches, each followed by an empty batch,
+    # an all-zero batch (multiples of p) and combinations of the rows added
+    # so far: every call returns the rank increase.
+    cuts = sorted(int(c) for c in rng.integers(split, rows + 1, size=int(rng.integers(0, 4))))
+    for lo, hi in zip([split] + cuts, cuts + [rows]):
+        assert space.add_batch(a[lo:hi]) == ranks[hi] - ranks[lo]
+        assert space.add_batch(np.zeros((0, cols), dtype=np.int64)) == 0
+        assert space.add_batch(p * rng.integers(-2, 3, size=(int(rng.integers(1, 4)), cols))) == 0
+        inside = _mul(rng.integers(0, p, size=(3, hi)), a[:hi], p) + p * rng.integers(-2, 3, size=(3, cols))
+        assert space.add_batch(inside) == 0
+    assert space.dim == ranks[rows]
     want, pivots = _rref_oracle(a, p)
     assert space.dim == len(pivots) and np.array_equal(space.basis(), want)
     # A vector of the span is fixed by its entries on the pivot columns, so

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -754,8 +755,14 @@ def test_cli_verify_eliminates_the_basis_once(name, eliminations, monkeypatch, c
 
     monkeypatch.setattr(linalg, "rref", counting)
     assert cli.main(["grade", "verify", "--grading", str(GOLDEN_INPUTS / f"{name}.json")]) == 0
-    assert len(calls) == eliminations
-    assert json.loads(capsys.readouterr().out)["valid"] is True
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is True
+    # An elimination of the basis has one row per basis row.  The only other
+    # one is the O certificate's frame pick (gradings.frame_rows), on the
+    # m x dim matrix of linear parts (m = 2 here).
+    dim = math.isqrt(report["pairs_checked"])
+    assert sum(shape[0] == dim for shape in calls) == eliminations
+    assert [shape for shape in calls if shape[0] != dim] == ([(2, dim)] if name == "O_raw_x" else [])
 
 
 @pytest.mark.parametrize("message, line", [
