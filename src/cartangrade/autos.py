@@ -324,21 +324,17 @@ def push_grading(mu: AutO, grading: Grading) -> Grading:
     """Transport a grading along an automorphism, keeping the degrees.
 
     Algebra components map through the substitution: all rows times
-    mu.matrix^T in one product.  Derivation components (ambient "W", and the
-    rows and `sub` of a subalgebra grading) map through conjugation: all rows
-    times the transposed conjugation matrix in one product each.  The result
-    is a raw grading (no standard origin).
+    mu.matrix^T in one product.  Derivation components (ambients "W" and
+    "sub") map through conjugation: all rows times the transposed
+    conjugation matrix in one product.  The result is a raw grading (no
+    standard origin).
     """
     cfg = grading.cfg
     if cfg != mu.cfg:
         raise ConfigMismatchError("grading built over a different configuration")
-    if grading.ambient == "O":
-        rows = linalg.matmul(grading.basis, mu.matrix.T, cfg.p)
-        return Grading(cfg, grading.group, "O", rows, grading.labels)
-    conj_t = mu.conjugation_matrix().T
-    sub = None if grading.sub is None else linalg.matmul(grading.sub, conj_t, cfg.p)
+    action = mu.matrix if grading.ambient == "O" else mu.conjugation_matrix()
     return Grading(cfg, grading.group, grading.ambient,
-                   linalg.matmul(grading.basis, conj_t, cfg.p), grading.labels, sub=sub)
+                   linalg.matmul(grading.basis, action.T, cfg.p), grading.labels)
 
 
 # -- volume form normalization ----------------------------------------------

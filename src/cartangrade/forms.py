@@ -294,20 +294,19 @@ def algebra_basis(cfg: Config, kind: str):
     return [WElem.from_flat(cfg, row) for row in algebra_rows(cfg, kind)]
 
 
-def derived_rows(cfg: Config, rows, iterations: int = 1, cap: int = 3):
+def derived_rows(cfg: Config, rows, iterations: int = 1):
     """Row space of the iterated derived subalgebra, stabilizing early.
 
     rows span a subalgebra; each step replaces the span by the span of all
-    pairwise brackets.  iterations beyond the stabilization point (or the
-    cap) are no-ops.
+    pairwise brackets.  iterations beyond the stabilization point are
+    no-ops.
 
     Each step brackets b_i only with the b_j, j > i: [b_j, b_i] = -[b_i, b_j]
     and [b_i, b_i] = 0, so the other products add nothing to the span, and
     EchelonSpace.basis() is the RREF of that span, the same rows either way.
     """
     cur = linalg.row_space(np.asarray(rows, dtype=np.int64) % cfg.p, cfg.p)
-    steps = min(iterations, cap)
-    for _ in range(steps):
+    for _ in range(iterations):
         space = linalg.EchelonSpace(cfg.m * cfg.n, cfg.p)
         basis = cur
         for i in range(len(basis) - 1):

@@ -50,41 +50,30 @@ class Grading:
     """Finite-support decomposition of an ambient space by group degrees.
 
     ambient is "O" (rows are algebra elements), "W" (derivations), or "sub"
-    (derivations spanning the subalgebra whose basis rows are sub).  basis
-    is a read-only (dim x flat_size) int64 matrix of homogeneous rows and
-    labels the degree of each row; the constructor sorts the rows stably by
-    degree coordinates, so each degree of the support owns one block of
+    (derivations spanning a subalgebra, which is the span of the rows).
+    basis is a read-only (dim x flat_size) int64 matrix of homogeneous rows
+    and labels the degree of each row; the constructor sorts the rows stably
+    by degree coordinates, so each degree of the support owns one block of
     consecutive rows (blocks()).  It checks that the rows are independent
-    and exhaust the ambient dimension, and for "sub" that they span the
-    rows of sub; multiplicativity is checked separately by verify_grading.
-    components (degree -> elements) and sub_basis are views built from the
-    matrices on each access and never cached.  origin is None except in
-    two shapes: a standard "O" grading from grade_O_construct carries
-    {"s": toral rank, "degrees": the m axis degrees}, which the fast
-    induction and normalization paths read, and a "sub" grading from
-    grade_S_construct carries {"o_grading": the inducing "O" grading}, which
-    the volume-flavor decision reads.  Raw gradings carry origin=None and
-    are handled through recognition.
+    and, for "O" and "W", that they exhaust the ambient dimension;
+    multiplicativity is checked separately by verify_grading.  components
+    (degree -> elements) is a view built from the matrix on each access and
+    never cached.  origin is None except in two shapes: a standard "O"
+    grading from grade_O_construct carries {"s": toral rank, "degrees": the
+    m axis degrees}, which the fast induction and normalization paths read,
+    and a "sub" grading from grade_S_construct carries {"o_grading": the
+    inducing "O" grading}, which the volume-flavor decision reads.  Raw
+    gradings carry origin=None and are handled through recognition.
     """
 
-    def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels,
-                 sub=None, origin=None):
-        self._store(cfg, group, ambient, basis, labels, sub, origin)
-        span = linalg.row_space(self.basis, cfg.p)
-        if span.shape[0] != self.dim():
+    def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels, origin=None):
+        self._store(cfg, group, ambient, basis, labels, origin)
+        if linalg.rank(self.basis, cfg.p) != self.dim():
             raise DimensionError(_DEPENDENT)
-        if self.sub is not None:
-            sub_span = linalg.row_space(self.sub, cfg.p)
-            if sub_span.shape[0] != self.sub.shape[0]:
-                raise DimensionError("subalgebra basis is dependent")
-            # Both spans have dimension dim, so they agree iff their
-            # canonical bases do.
-            if not np.array_equal(span, sub_span):
-                raise DimensionError("component vectors leave the subalgebra")
 
-    def _store(self, cfg, group, ambient, basis, labels, sub, origin):
-        """Every check of the constructor but its eliminations, and the
-        sorted, reduced, read-only matrices."""
+    def _store(self, cfg, group, ambient, basis, labels, origin):
+        """Every check of the constructor but its elimination, and the
+        sorted, reduced, read-only basis."""
         if ambient not in AMBIENTS:
             raise ConfigError(f"unknown ambient {ambient!r}")
         self.cfg = cfg
@@ -104,49 +93,24 @@ class Grading:
         self.basis = rows.reshape(len(labels), self.flat_size)[order]     # a new array
         self.basis %= cfg.p
         self.basis.setflags(write=False)
-        self.sub = None
-        if ambient == "sub":
-            if sub is None:
-                raise DimensionError("sub ambient needs the subalgebra basis")
-            self.sub = np.asarray(sub, dtype=np.int64) % cfg.p
-            self.sub.setflags(write=False)
         self.origin = origin
         if self.dim() != self.ambient_dim:
             raise DimensionError(
                 f"components span dimension {self.dim()}, ambient needs {self.ambient_dim}")
 
     @classmethod
-    def _deferred(cls, cfg: Config, group: AbGroup, ambient: str, basis, labels,
-                  sub=None) -> "Grading":
-        """The grading without the constructor's eliminations, for
+    def _deferred(cls, cfg: Config, group: AbGroup, ambient: str, basis, labels) -> "Grading":
+        """The grading without the constructor's elimination, for
         verify_grading alone: its own elimination of the basis raises the
-        constructor's DimensionError when the rows are dependent.  For
-        "sub", sub must hold the rows of basis (in any order), so that the
-        two spans agree once the rows are independent."""
+        constructor's DimensionError when the rows are dependent."""
         grading = cls.__new__(cls)
-        grading._store(cfg, group, ambient, basis, labels, sub, None)
+        grading._store(cfg, group, ambient, basis, labels, None)
         return grading
-
-    @classmethod
-    def from_components(cls, cfg: Config, group: AbGroup, ambient: str, components,
-                        sub_basis=None, origin=None) -> "Grading":
-        """The grading given as a dict degree -> OElem or WElem objects, rows
-        in the order listed: the element form for payload parsing and tests.
-        Elements over another config fail the constructor's shape check."""
-        pairs = [(g, v.table if ambient == "O" else v.flat())
-                 for g, vecs in components.items() for v in vecs]
-        sub = None if sub_basis is None else [v.flat() for v in sub_basis]
-        return cls(cfg, group, ambient, [row for _, row in pairs], [g for g, _ in pairs],
-                   sub=sub, origin=origin)
 
     # -- bookkeeping ---------------------------------------------------
     @property
     def ambient_dim(self) -> int:
-        if self.ambient == "O":
-            return self.cfg.n
-        if self.ambient == "W":
-            return self.cfg.m * self.cfg.n
-        return self.sub.shape[0]
+        return self.dim() if self.ambient == "sub" else self.flat_size
 
     @property
     def flat_size(self) -> int:
@@ -173,11 +137,6 @@ class Grading:
         element = OElem if self.ambient == "O" else WElem.from_flat
         return {g: tuple(element(self.cfg, row) for row in self.basis[sl])
                 for g, sl in self.blocks().items()}
-
-    @property
-    def sub_basis(self):
-        """The rows of sub as WElem objects, or None outside ambient "sub"."""
-        return None if self.sub is None else tuple(WElem.from_flat(self.cfg, r) for r in self.sub)
 
     def decompose(self, vec) -> dict:
         """Coordinates of vec over the basis rows, grouped by degree: degree ->
@@ -310,7 +269,7 @@ def induce_subalgebra(w_grading: Grading, sub_rows) -> Grading:
     if len(labels) != sub_rank:
         raise AdmissibilityError(
             f"subspace is not graded: components cover {len(labels)} of {sub_rank} dimensions")
-    return Grading(cfg, w_grading.group, "sub", np.vstack(rows), labels, sub=sub)
+    return Grading(cfg, w_grading.group, "sub", np.vstack(rows), labels)
 
 
 def _s_rows(cfg: Config):
@@ -448,8 +407,9 @@ def _operators(grading: Grading, rows) -> np.ndarray:
 def verify_grading(grading: Grading) -> GradingReport:
     """Check the grading axioms directly: direct sum plus multiplicativity.
 
-    The direct-sum property is enforced by the Grading constructor, so this
-    re-checks it cheaply; multiplicativity means that every product
+    The direct-sum property is enforced by the Grading constructor (for a
+    grading from Grading._deferred, by the elimination below), so this
+    checks multiplicativity: every product
     (algebra products for ambient "O", brackets otherwise) of homogeneous
     basis vectors lands in the component of the degree product, or vanishes
     when that degree is outside the support.
@@ -497,15 +457,12 @@ def verify_grading(grading: Grading) -> GradingReport:
     p = grading.cfg.p
     basis, labels = grading.basis, grading.labels
     dim, flat = grading.dim(), grading.flat_size
-    failures = []
-    if dim != grading.ambient_dim:
-        failures.append(("dimension", None, f"{dim} != {grading.ambient_dim}"))
     blocks = grading.blocks()
     block = np.repeat(np.arange(len(blocks)), [sl.stop - sl.start for sl in blocks.values()])
     target = _degree_table(grading.group, tuple(blocks))
     # "O" and "W" bases are square, so every column is a pivot once the rows
     # are independent; a "sub" basis has more columns.
-    pivots = linalg.rref(basis, p)[1] if grading.sub is not None else slice(None)
+    pivots = linalg.rref(basis, p)[1] if grading.ambient == "sub" else slice(None)
     try:
         coords_of = linalg.inverse(basis[:, pivots], p)
     except NoSuchBasisError:
@@ -529,7 +486,7 @@ def verify_grading(grading: Grading) -> GradingReport:
             tgt = target[block[ks]][:, block[first:]]
             stray = ((coords.reshape(c, w, dim) != 0) & (block != tgt[:, :, None])).any(axis=2)
             escaped = np.zeros((c, w), dtype=bool)
-            if grading.sub is not None:
+            if grading.ambient == "sub":
                 back = linalg.matmul(coords, basis, p).reshape(c, w, flat)
                 escaped = (back != prods.transpose(0, 2, 1)).any(axis=2)
             status[ks, first:] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray],
@@ -539,15 +496,15 @@ def verify_grading(grading: Grading) -> GradingReport:
     gens = _generator_rows(grading, coords_of) if grading.ambient == "O" else None
     if gens is not None:
         check_rows(gens, half=False)
-        rows = np.setdiff1d(rows, gens) if status.any() else rows[:0]
+        rows = np.delete(rows, gens) if status.any() else rows[:0]
     check_rows(rows, half=True)
     status = np.maximum(status, status.T)
     us, vs = np.nonzero(status)
     order = np.lexsort((vs, us, block[vs], block[us]))
     us, vs = us[order], vs[order]
     degrees = [g.coords for g in labels]
-    failures += [(degrees[u], degrees[v], _FAILURES[s])
-                 for u, v, s in zip(us.tolist(), vs.tolist(), status[us, vs].tolist())]
+    failures = [(degrees[u], degrees[v], _FAILURES[s])
+                for u, v, s in zip(us.tolist(), vs.tolist(), status[us, vs].tolist())]
     return GradingReport(not failures, failures, dim * dim)
 
 

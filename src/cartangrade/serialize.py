@@ -5,8 +5,6 @@ Schemas (field order fixed, integers decimal):
   function        {"basis": "x", "m": int, "p": int,
                    "terms": [{"alpha": [int...], "c": int}, ...]}
   derivation      {"coeffs": [<function>, ...]}
-  form            {"k": int, "terms": [{"subset": [int...],
-                   "coeff": <function>}, ...]}
   group           {"free_rank": int, "torsion": [int...]}
   grading         {"group": <group>, "ambient": "O"|"W"|"sub",
                    "components": [{"degree": [int...],
@@ -16,10 +14,9 @@ Schemas (field order fixed, integers decimal):
                    "gamma": [{"rep": [int...], "mult": int}, ...],
                    "g0": [int...] | null}
 
-Terms are listed in increasing flat-index order, form terms in increasing
-subset order, grading components sorted by degree coordinates; zero terms
-are dropped.  With those conventions serialize(parse(text)) == text byte
-for byte.
+Terms are listed in increasing flat-index order, grading components sorted
+by degree coordinates; zero terms are dropped.  With those conventions
+serialize(parse(text)) == text byte for byte.
 """
 
 from __future__ import annotations
@@ -143,36 +140,6 @@ def welem_from_data(data, cfg: Config | None = None) -> WElem:
     return WElem(cfg, _scatter(cfg, [tables]).reshape(cfg.m, cfg.n))
 
 
-def kform_to_data(w) -> dict:
-    terms = []
-    for subset, coeff in sorted(w.terms(), key=lambda t: t[0]):
-        terms.append({"subset": [int(i) for i in subset],
-                      "coeff": oelem_to_data(coeff)})
-    return {"k": w.k, "terms": terms}
-
-
-def kform_from_data(data, cfg: Config | None = None):
-    from .forms import KForm
-
-    k = _need(data, "k", "form", int)
-    if k < 0:
-        raise ParseError(f"bad form degree {k!r}")
-    parsed = []
-    for item in _need(data, "terms", "form", list):
-        subset = tuple(_int_list(_need(item, "subset", "form term", list), "subset"))
-        if len(subset) != k:
-            raise ParseError(f"subset {subset!r} does not have {k} axes")
-        coeff = oelem_from_data(_need(item, "coeff", "form term", dict), cfg)
-        cfg = coeff.cfg
-        parsed.append((subset, coeff))
-    if cfg is None:
-        raise ParseError("empty form payload needs an explicit configuration")
-    try:
-        return KForm.from_terms(cfg, k, parsed)
-    except CartanGradeError as exc:
-        raise ParseError(f"bad form payload: {exc}") from exc
-
-
 def group_to_data(group: AbGroup) -> dict:
     return {"free_rank": group.free_rank, "torsion": [int(d) for d in group.torsion]}
 
@@ -209,7 +176,7 @@ def grading_to_data(grading) -> dict:
 
 
 def _grading_fields(data, cfg: Config | None = None):
-    """(cfg, group, ambient, basis, labels, sub) of a grading payload, before
+    """(cfg, group, ambient, basis, labels) of a grading payload, before
     any check of the rows themselves.
 
     Every field is checked in document order, with the messages of
@@ -217,7 +184,7 @@ def _grading_fields(data, cfg: Config | None = None):
     reports the first.  basis holds one row per basis payload in document
     order (for "W" and "sub" the m coefficient tables side by side), built
     by one scatter with no element object per row; labels holds the degree
-    of each row; sub is basis for ambient "sub" and None otherwise.
+    of each row.
     """
     group = group_from_data(_need(data, "group", "grading", dict))
     ambient = _need(data, "ambient", "grading", str)
@@ -242,8 +209,7 @@ def _grading_fields(data, cfg: Config | None = None):
         degrees.add(degree)
     if not rows:
         raise ParseError("grading payload has no components")
-    basis = _scatter(cfg, rows)
-    return cfg, group, ambient, basis, labels, basis if ambient == "sub" else None
+    return cfg, group, ambient, _scatter(cfg, rows), labels
 
 
 def _inconsistent(exc: CartanGradeError) -> ValidityError:
@@ -255,9 +221,9 @@ def _inconsistent(exc: CartanGradeError) -> ValidityError:
 def grading_from_data(data, cfg: Config | None = None):
     from .gradings import Grading
 
-    cfg, group, ambient, basis, labels, sub = _grading_fields(data, cfg)
+    fields = _grading_fields(data, cfg)
     try:
-        return Grading(cfg, group, ambient, basis, labels, sub=sub)
+        return Grading(*fields)
     except CartanGradeError as exc:
         raise _inconsistent(exc) from exc
 

@@ -2,10 +2,10 @@
 
 Substitution of the variables, the filtration degree, the maximal-ideal
 test, the divided-power binomial, the conjugation of one derivation by
-an automorphism, the stabilizer test of a derivation on a form and the
-derived series on a list of derivations.  The package computes none of
-them on its own paths; the tests use them as independent routes to what
-it does compute.
+an automorphism, the stabilizer test of a derivation on a form, the
+derived series on a list of derivations and a grading given by element
+objects.  The package computes none of them on its own paths; the tests
+use them as independent routes to what it does compute.
 """
 
 import math
@@ -17,6 +17,7 @@ from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionEr
                                 ValidityError, ZeroElementError)
 from cartangrade.forms import KForm, derived_rows, lie_derivative
 from cartangrade.gfp import weight_table
+from cartangrade.gradings import Grading
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
 
@@ -114,3 +115,12 @@ def derived_subalgebra(basis, iterations: int = 1):
     rows = np.stack([d.flat() for d in basis])
     out = derived_rows(cfg, rows, iterations)
     return [WElem.from_flat(cfg, row) for row in out]
+
+
+def grading_from_components(cfg, group, ambient: str, components) -> Grading:
+    """The grading given as a dict degree -> OElem or WElem objects, rows in
+    the order listed.  Elements over another config fail the constructor's
+    shape check."""
+    pairs = [(g, v.table if ambient == "O" else v.flat())
+             for g, vecs in components.items() for v in vecs]
+    return Grading(cfg, group, ambient, [row for _, row in pairs], [g for g, _ in pairs])

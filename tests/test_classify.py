@@ -20,6 +20,7 @@ from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct,
                                   grade_S_construct, induce_W)
 from cartangrade.oalg import OElem, mult_operator
+from algebra_helpers import grading_from_components
 from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
 
@@ -83,7 +84,7 @@ def dependent_unit_presentation():
     old = comps[C ** 2]
     unit = next(v for v in old if v.constant_term)
     comps[C ** 2] = [unit + x2] + [v for v in old if not v.constant_term]
-    return g, Grading.from_components(CFG, G1, "O", comps)
+    return g, grading_from_components(CFG, G1, "O", comps)
 
 
 def test_reduction_loop_on_dependent_unit_degrees():
@@ -109,7 +110,7 @@ def moved_unit_grading():
     comps = {d: list(vs) for d, vs in g.components.items()}
     comps[G2.identity()] = [one + x2, one] + [v for v in comps[G2.identity()]
                                               if v != one and v != x2]
-    return Grading.from_components(CFG, G2, "O", comps)
+    return grading_from_components(CFG, G2, "O", comps)
 
 
 def recognize_frame_by_reduction(grading):
@@ -170,7 +171,7 @@ def dependent_units_non_grading():
     high = [OElem(CFG, row) for row in np.eye(CFG.n, dtype=np.int64)
             if sum(CFG.alpha(int(np.flatnonzero(row)[0]))) >= 2]
     comps = {G1.identity(): [one] + high, C: [one + x1], C ** 2: [one + x2]}
-    return Grading.from_components(CFG, G1, "O", comps)
+    return grading_from_components(CFG, G1, "O", comps)
 
 
 def test_recognition_refuses_units_of_dependent_degrees(tmp_path, capsys):
@@ -209,7 +210,7 @@ def test_frame_degrees_are_the_solved_degrees(m):
 def test_trivial_grading_recognized():
     comps = {G1.identity(): [OElem(CFG, row)
                              for row in np.eye(CFG.n, dtype=np.int64)]}
-    g = Grading.from_components(CFG, G1, "O", comps)
+    g = grading_from_components(CFG, G1, "O", comps)
     _, inv = recognize_O(g)
     assert inv.s == 0
     assert all(r.is_identity for r in inv.gamma_cosets)
@@ -515,7 +516,7 @@ def test_iso_on_attached_subalgebra_gradings():
     sg3 = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B ** 2], A * B ** 2)
     assert iso_decide(sg, sg3, "S") is None
     # stripped origin: nothing to decide on
-    bare = Grading(CFG, G2, "sub", sg.basis, sg.labels, sub=sg.sub)
+    bare = Grading(CFG, G2, "sub", sg.basis, sg.labels)
     with pytest.raises(AdmissibilityError):
         iso_decide(bare, bare, "S")
 

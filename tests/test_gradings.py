@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cartangrade import gradings, linalg
+from cartangrade import gradings, linalg, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup, subgroup_key
 from cartangrade.autos import push_grading, random_auto
 from cartangrade.errors import (AdmissibilityError, DimensionError,
@@ -17,6 +17,7 @@ from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
                                   grade_S_construct, induce_W,
                                   induce_subalgebra, verify_grading)
 from cartangrade.oalg import mult_operator
+from algebra_helpers import grading_from_components
 from test_linalg import _rref_oracle
 from volume_oracle import admissible_degree
 
@@ -69,7 +70,7 @@ def test_verify_catches_cross_degree_vectors():
     keys = sorted(comps, key=lambda e: e.coords)
     a0, a1 = keys[1], keys[5]
     comps[a0], comps[a1] = comps[a1], comps[a0]
-    swapped = Grading.from_components(cfg, g, "O", comps)
+    swapped = grading_from_components(cfg, g, "O", comps)
     report = verify_grading(swapped)
     assert not report.ok and report.failures
 
@@ -198,19 +199,37 @@ def test_sub_ambient_refuses_vectors_outside_the_subalgebra():
     cfg = Config(5, 2)
     sub = fine_grading(cfg, 1, "S")
     x1_d1 = w_basis(cfg)[cfg.index((1, 0))]      # divergence 1: not in S
-    first = next(iter(sub.components))
-    comps = dict(sub.components)
-    comps[first] = (x1_d1,) + sub.components[first][1:]
-    with pytest.raises(DimensionError, match="leave the subalgebra"):
-        Grading.from_components(cfg, sub.group, "sub", comps, sub_basis=sub.sub_basis)
-    twice = (sub.sub_basis[1],) + sub.sub_basis[1:]
-    with pytest.raises(DimensionError, match="subalgebra basis is dependent"):
-        Grading.from_components(cfg, sub.group, "sub", sub.components, sub_basis=twice)
     with pytest.raises(DimensionError):
         sub.decompose(x1_d1)
-    rows = np.array([d.flat() for d in sub.sub_basis[:1] + sub.sub_basis])
+    rows = np.vstack([sub.basis[:1], sub.basis])
     with pytest.raises(DimensionError):
         induce_subalgebra(fine_grading(cfg, 1, "W"), rows)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sub_producers_span_the_requested_subalgebra(m):
+    """A "sub" grading is its rows: the constructor checks only that they
+    are independent, so each producer must span the subalgebra it was asked
+    for, S(m;1)^(1) (its second derived algebra at m = 2) or the image of it
+    under the automorphism of a push."""
+    cfg = Config(5, m)
+    p = cfg.p
+    g = AbGroup(0, (5,) * m)
+    e = [g.element(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    total = e[0]
+    for a in e[1:]:
+        total = total * a
+    s_rows = gradings._s_rows(cfg)
+    want = linalg.row_space(s_rows, p)
+    built = grade_S_construct(cfg, g, PSubgroup(g, e[:1]), e[1:], total)
+    mu = random_auto(cfg, random.Random(60 + m))
+    moved = linalg.row_space(linalg.matmul(s_rows, mu.conjugation_matrix().T, p), p)
+    cases = [(built, want), (push_grading(mu, built), moved),
+             (serialize.grading_from_data(serialize.grading_to_data(built)), want)]
+    cases += [(fine_grading(cfg, s, "S"), want) for s in ((0, 1, 2) if m == 2 else (1,))]
+    for grading, span in cases:
+        assert grading.ambient == "sub"
+        assert np.array_equal(linalg.row_space(grading.basis, p), span)
 
 
 def _flat(vec):
@@ -228,7 +247,7 @@ def verify_oracle(grading):
     inside = None
     if grading.ambient == "sub":
         inside = linalg.EchelonSpace(grading.flat_size, cfg.p)
-        inside.add_batch(np.array([_flat(b) for b in grading.sub_basis], dtype=np.int64))
+        inside.add_batch(grading.basis)
     comps = grading.components
     spaces = {}
     for g, vecs in comps.items():
@@ -258,8 +277,7 @@ def verify_oracle(grading):
 def _swap_labels(grading, a, b):
     """The same rows with the degree labels a and b exchanged."""
     labels = [b if g == a else a if g == b else g for g in grading.labels]
-    return Grading(grading.cfg, grading.group, grading.ambient, grading.basis, labels,
-                   sub=grading.sub)
+    return Grading(grading.cfg, grading.group, grading.ambient, grading.basis, labels)
 
 
 def _oracle_cases():
@@ -282,7 +300,7 @@ def _oracle_cases():
     picked = [0, 1, 2, 3, 5, 10, 11, 20]
     rows = w.basis[picked]
     labels = [w.labels[k] for k in picked]
-    odd = Grading(cfg, g, "sub", rows, labels, sub=rows)
+    odd = Grading(cfg, g, "sub", rows, labels)
     cases.append(_swap_labels(odd, labels[1], labels[3]))
     return cases
 
@@ -341,12 +359,10 @@ def test_verify_raises_the_constructor_error_on_dependent_rows():
         rows = x.basis.copy()
         rows[1] = rows[2]
         with pytest.raises(DimensionError, match="linearly dependent"):
-            Grading(cfg, g, x.ambient, rows, x.labels, sub=rows if x.sub is not None else None)
-        deferred = Grading._deferred(cfg, g, x.ambient, rows, x.labels,
-                                     sub=rows if x.sub is not None else None)
+            Grading(cfg, g, x.ambient, rows, x.labels)
         with pytest.raises(DimensionError, match="linearly dependent"):
-            verify_grading(deferred)
-        same = Grading._deferred(cfg, g, x.ambient, x.basis, x.labels, sub=x.sub)
+            verify_grading(Grading._deferred(cfg, g, x.ambient, rows, x.labels))
+        same = Grading._deferred(cfg, g, x.ambient, x.basis, x.labels)
         assert np.array_equal(same.basis, x.basis) and same.labels == x.labels
         assert verify_grading(same).ok
 
