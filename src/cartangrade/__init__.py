@@ -10,7 +10,7 @@ from .abgroup import (AbGroup, GElem, PSubgroup, basis_with_product, coset_eq,
                       coset_rep, p_independent, subgroup_key)
 from .autos import (AutO, basis_change_auto, normalize_omega_S,
                     permutation_auto, push_grading, random_auto,
-                    random_graded_auto, scale_auto, shift_auto, volume_factor)
+                    random_graded_auto, shift_auto, volume_factor)
 from .classify import (FLAVORS, OPEN_IN_PAPER, GradingInvariants,
                        canonical_key, enumerate_fine, iso_decide,
                        o_grading_from_w, orbit_probe, recognize_O, recognize_S)
@@ -19,16 +19,14 @@ from .errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                      GroupMismatchError, InternalError, NoSuchBasisError,
                      ObstructionError, ParseError, ValidityError,
                      ZeroElementError)
-from .forms import (KForm, algebra_basis, algebra_rows, d_form, differential,
-                    lie_derivative, omega_symplectic, omega_volume,
-                    pair_one_form)
+from .forms import (KForm, algebra_rows, differential, lie_derivative,
+                    omega_symplectic, omega_volume)
 from .gfp import Config
 from .gradings import (Grading, GradingReport, fine_grading,
                        grade_O_construct, grade_S_construct, induce_W,
                        induce_subalgebra, verify_grading)
-from .oalg import OElem, dp_monomial, z_monomial
+from .oalg import OElem, z_monomial
 from .witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
-                   closed_form_h_bracket, closed_form_h_partial, d_h, d_h_z,
                    d_ij, d_ij_z, w_basis)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .errors import (
 from .gfp import Config, alpha_table, radix_weights, weight_table
 from .gradings import Grading, _degree_of_exponents, induce_W
 from .oalg import OElem, mult_operator, partial_table, z_basis_matrix
-from .forms import KForm, _merge_sign, differential
+from .forms import KForm, differential
 from .witt import WElem
 
 
@@ -139,15 +139,13 @@ class AutO:
         return out.reshape(n, m, m * n).transpose(1, 0, 2).reshape(m * n, m * n)
 
     def jacobian(self) -> OElem:
-        """Determinant of the matrix of partials of the variable images."""
-        cfg = self.cfg
-        rows = [[u.partial(j) for j in range(1, cfg.m + 1)] for u in self.images]
-        total = OElem.zero(cfg)
-        for perm in itertools.permutations(range(cfg.m)):
-            term = OElem.one(cfg)
-            for i in range(cfg.m):
-                term = term * rows[i][perm[i]]
-            total = total + (term if _merge_sign(perm) == 1 else -term)
+        """Determinant of the matrix of partials of the variable images: its
+        Laplace expansion along the first row, sum_i d_i(u_1) * C_i over the
+        cofactors of _first_row_cofactors."""
+        u1 = self.images[0]
+        total = OElem.zero(self.cfg)
+        for i, c in enumerate(_first_row_cofactors(self), start=1):
+            total = total + u1.partial(i) * c
         return total
 
     def act_on_form(self, omega: KForm) -> KForm:
@@ -212,13 +210,8 @@ def shift_auto(cfg: Config, s: int, exps) -> AutO:
     if len(exps) != t or any(len(row) != s for row in exps):
         raise DimensionError(f"shift exponents must form a {t} x {s} matrix")
     images = [OElem.variable(cfg, i) for i in range(1, s + 1)]
-    one = OElem.one(cfg)
-    for i in range(t):
-        u = OElem.variable(cfg, s + i + 1)
-        for j in range(s):
-            u = u * (one + OElem.variable(cfg, j + 1)) ** (exps[i][j] % cfg.p)
-        images.append(u)
-    return AutO(images)
+    return AutO(images + [OElem.variable(cfg, s + i + 1) * _unit_product(cfg, images, exps[i])
+                          for i in range(t)])
 
 
 def basis_change_auto(cfg: Config, s: int, alpha) -> AutO:
@@ -232,25 +225,19 @@ def basis_change_auto(cfg: Config, s: int, alpha) -> AutO:
         raise DimensionError(f"basis change matrix must be {s} x {s}")
     if s and linalg.rank(alpha, cfg.p) != s:
         raise ValidityError("basis change matrix is singular mod p")
+    toral = [OElem.variable(cfg, i) for i in range(1, s + 1)]
+    images = [_unit_product(cfg, toral, alpha[:, j]) - OElem.one(cfg) for j in range(s)]
+    return AutO(images + [OElem.variable(cfg, i) for i in range(s + 1, cfg.m + 1)])
+
+
+def _unit_product(cfg: Config, ys, exps) -> OElem:
+    """prod_i (1+y_i)^{exps[i]} over elements y_i of the maximal ideal, with
+    exponents taken mod p: (1+y)^p = 1 + y^p = 1 there."""
     one = OElem.one(cfg)
-    images = []
-    for j in range(s):
-        u = one
-        for i in range(s):
-            u = u * (one + OElem.variable(cfg, i + 1)) ** int(alpha[i, j])
-        images.append(u - one)
-    images += [OElem.variable(cfg, i) for i in range(s + 1, cfg.m + 1)]
-    return AutO(images)
-
-
-def scale_auto(cfg: Config, i: int, c: int) -> AutO:
-    """Scale one variable by a unit: x_i -> c * x_i."""
-    cfg.check_axis(i)
-    if c % cfg.p == 0:
-        raise ValidityError("scaling factor must be a unit")
-    images = [OElem.variable(cfg, j) for j in range(1, cfg.m + 1)]
-    images[i - 1] = (c % cfg.p) * images[i - 1]
-    return AutO(images)
+    out = one
+    for y, e in zip(ys, exps):
+        out = out * (one + y) ** (int(e) % cfg.p)
+    return out
 
 
 def random_auto(cfg: Config, rng, extra_terms: int = 3) -> AutO:
@@ -342,26 +329,39 @@ def push_grading(mu: AutO, grading: Grading) -> Grading:
 def volume_vector_field(mu: AutO) -> WElem:
     """Derivation whose divergence is the jacobian of the map.
 
-    Expand image(x_1) * d image(x_2) ^ ... ^ d image(x_m) over the standard
-    top-minor basis; the signed coefficients are the component functions.
+    Its coefficients u_1 * C_i are those of u_1 du_2 ^ ... ^ du_m over the
+    top-minor basis, signed: the divergence is sum_i d_i(u_1) C_i, the
+    jacobian, plus u_1 sum_i d_i(C_i), which vanishes.
     """
-    cfg = mu.cfg
-    m = cfg.m
-    wedge = None
-    for u in mu.images[1:]:
-        du = differential(u)
-        wedge = du if wedge is None else wedge.wedge(du)
-    if wedge is None:
-        xi = KForm(cfg, 0, mu.images[0].table.reshape(1, -1))
-    else:
-        xi = mu.images[0] * wedge
-    full = tuple(range(1, m + 1))
-    coeffs = []
-    for i in range(1, m + 1):
-        subset = tuple(a for a in full if a != i)
-        h = xi.coeff(subset)
-        coeffs.append(h if i % 2 == 1 else -h)
-    return WElem.from_coeffs(coeffs)
+    u1 = mu.images[0]
+    return WElem.from_coeffs([u1 * c for c in _first_row_cofactors(mu)])
+
+
+def _first_row_cofactors(mu: AutO):
+    """Signed cofactors C_1..C_m of the first row of the matrix of partials
+    d_j(u_k) of the variable images: C_i = (-1)^(i+1) times the minor of
+    rows 2..m without column i.
+
+    The minors of rows k..m are built from the last row up, one per column
+    set, each expanded along its first row; the minor of no rows is 1.
+    """
+    cfg, m = mu.cfg, mu.cfg.m
+    minors = {(): OElem.one(cfg)}
+    for k in range(m - 1, 0, -1):
+        row = [mu.images[k].partial(j) for j in range(1, m + 1)]
+        nxt = {}
+        for cols in itertools.combinations(range(m), m - k):
+            total = OElem.zero(cfg)
+            for t, j in enumerate(cols):
+                term = row[j] * minors[cols[:t] + cols[t + 1:]]
+                total = total - term if t % 2 else total + term
+            nxt[cols] = total
+        minors = nxt
+    out = []
+    for i in range(m):
+        c = minors[tuple(j for j in range(m) if j != i)]
+        out.append(-c if i % 2 else c)
+    return out
 
 
 def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:

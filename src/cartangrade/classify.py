@@ -35,6 +35,7 @@ from .autos import (
     push_grading,
     shift_auto,
     volume_factor,
+    _unit_product,
 )
 from .errors import (
     AdmissibilityError,
@@ -240,7 +241,6 @@ def _recognize_S_frame(grading: Grading):
     group = grading.group
     frame, degrees, inv = _recognize_frame(grading)
     s, m = inv.s, cfg.m
-    one = OElem.one(cfg)
     free_degs = degrees[s:]
     total = group.identity()
     for b in inv.P.basis:
@@ -256,11 +256,8 @@ def _recognize_S_frame(grading: Grading):
         if exps is None:
             raise AdmissibilityError("volume degree is incompatible with the unit-support subgroup")
         if any(exps):
-            unit = one
-            for yi, l in zip(frame[:s], exps):
-                unit = unit * (one + yi) ** ((cfg.p - int(l)) % cfg.p)
             frame = list(frame)
-            frame[m - 1] = frame[m - 1] * unit
+            frame[m - 1] = frame[m - 1] * _unit_product(cfg, frame[:s], [-int(l) for l in exps])
             free_degs[-1] = free_degs[-1] * delta.inverse()
         out = GradingInvariants(inv.P, free_degs, g0)
         return frame, out, list(inv.P.basis) + free_degs
@@ -273,13 +270,8 @@ def _recognize_S_frame(grading: Grading):
         new_frame = list(frame)
     else:
         basis = list(basis_with_product(inv.P, g0))
-        new_frame = []
-        for b in basis:
-            exps = inv.P.exponents_of(b)
-            u = one
-            for yi, l in zip(frame, exps):
-                u = u * (one + yi) ** int(l)
-            new_frame.append(u - one)
+        new_frame = [_unit_product(cfg, frame, inv.P.exponents_of(b)) - OElem.one(cfg)
+                     for b in basis]
     psub = PSubgroup(group, tuple(basis))
     return new_frame, GradingInvariants(psub, [], g0), basis
 

@@ -1,65 +1,57 @@
-"""Error hierarchy with stable codes for CLI reporting."""
+"""Error hierarchy of the package.
+
+The CLI maps the classes to exit codes: ParseError to 2, InternalError to
+4, every other CartanGradeError to 3.
+"""
 
 
 class CartanGradeError(Exception):
-    """Base class; `code` is stable across releases and surfaces in CLI output."""
-
-    code = "error"
+    """Base class of every error the package raises on purpose."""
 
 
 class ConfigError(CartanGradeError):
-    code = "bad-config"
+    """Parameters outside what the package supports."""
 
 
 class ConfigMismatchError(CartanGradeError):
-    code = "config-mismatch"
+    """Operands built over different configurations."""
 
 
 class DimensionError(CartanGradeError):
-    code = "dimension-mismatch"
+    """Shapes or counts that do not fit together."""
 
 
 class AxisRangeError(CartanGradeError):
-    code = "axis-range"
+    """An axis, exponent or form degree out of range."""
 
 
 class ZeroElementError(CartanGradeError):
-    code = "zero-element"
+    """An operation undefined on the zero element."""
 
 
 class ValidityError(CartanGradeError):
     """Images do not define an algebra automorphism."""
 
-    code = "invalid-automorphism"
-
 
 class AdmissibilityError(CartanGradeError):
     """Volume form is not homogeneous, or a subspace is not graded."""
-
-    code = "not-admissible"
 
 
 class ObstructionError(CartanGradeError):
     """Degree assignment ruled out (identity volume degree at full toral rank)."""
 
-    code = "degree-obstruction"
-
 
 class GroupMismatchError(CartanGradeError):
-    code = "group-mismatch"
+    """Group elements or gradings over different groups."""
 
 
 class NoSuchBasisError(CartanGradeError):
-    code = "no-such-basis"
+    """A subgroup basis that is not one, or that cannot be found."""
 
 
 class ParseError(CartanGradeError):
     """Serialized payload is structurally malformed."""
 
-    code = "parse-error"
-
 
 class InternalError(CartanGradeError):
     """A kernel result broke an invariant the theory guarantees."""
-
-    code = "internal"

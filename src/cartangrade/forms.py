@@ -1,11 +1,10 @@
 """Differential forms over the truncated polynomial algebra.
 
 A k-form is stored as coefficient tables indexed by the k-subsets of axes
-(lexicographic order of the subset tuples).  One-forms pair with
-derivations by (f dx_i)(D) = f * D(x_i); the Lie derivative acts
+(lexicographic order of the subset tuples).  The Lie derivative acts
 coefficientwise via D(f dx_I) = D(f) dx_I + f * sum_slots dx..d(D(x))..dx.
 The volume-type forms pick out the special and hamiltonian subalgebras as
-(projective) stabilizer kernels.
+stabilizer kernels.
 """
 
 from __future__ import annotations
@@ -53,18 +52,6 @@ class KForm:
     @classmethod
     def zero(cls, cfg: Config, k: int) -> "KForm":
         return cls(cfg, k, np.zeros((len(subset_list(cfg.m, k)), cfg.n), dtype=np.int64))
-
-    @classmethod
-    def from_terms(cls, cfg: Config, k: int, terms) -> "KForm":
-        """terms: iterable of (subset tuple, OElem)."""
-        t = np.zeros((len(subset_list(cfg.m, k)), cfg.n), dtype=np.int64)
-        pos = subset_pos(cfg.m, k)
-        for subset, f in terms:
-            key = tuple(sorted(subset))
-            if key not in pos or len(set(key)) != len(subset):
-                raise AxisRangeError(f"bad axis subset {subset}")
-            t[pos[key]] = (t[pos[key]] + f.table) % cfg.p
-        return cls(cfg, k, t)
 
     def coeff(self, subset) -> OElem:
         pos = subset_pos(self.cfg.m, self.k)
@@ -165,28 +152,6 @@ def differential(f: OElem) -> KForm:
     return KForm(cfg, 1, rows)
 
 
-def d_form(omega: KForm) -> KForm:
-    """Exterior derivative: d(f dx_I) = df ^ dx_I."""
-    cfg = omega.cfg
-    if omega.k == cfg.m:
-        return KForm.zero(cfg, cfg.m)
-    out = np.zeros((len(subset_list(cfg.m, omega.k + 1)), cfg.n), dtype=np.int64)
-    pos = subset_pos(cfg.m, omega.k + 1)
-    for subset, f in zip(subset_list(cfg.m, omega.k), omega.tables):
-        if not f.any():
-            continue
-        for ell in range(1, cfg.m + 1):
-            if ell in subset:
-                continue
-            df = partial_table(cfg, f, ell)
-            if not df.any():
-                continue
-            sign = (-1) ** sum(1 for i in subset if i < ell)
-            merged = tuple(sorted(subset + (ell,)))
-            out[pos[merged]] = (out[pos[merged]] + sign * df) % cfg.p
-    return KForm(cfg, omega.k + 1, out)
-
-
 def lie_derivative(d: WElem, omega: KForm) -> KForm:
     """Action of a derivation on a form, coefficientwise:
     D(f dx_I) = D(f) dx_I + f * sum_j dx_{i_1}..d(D(x_{i_j}))..dx_{i_k}."""
@@ -219,18 +184,6 @@ def lie_derivative(d: WElem, omega: KForm) -> KForm:
     return KForm(cfg, omega.k, out)
 
 
-def pair_one_form(omega: KForm, d: WElem) -> OElem:
-    """Module pairing of a 1-form with a derivation."""
-    if omega.k != 1:
-        raise DimensionError("pairing is defined for 1-forms")
-    if omega.cfg != d.cfg:
-        raise ConfigMismatchError("operands built over different configurations")
-    acc = np.zeros(omega.cfg.n, dtype=np.int64)
-    for i in range(omega.cfg.m):
-        acc = acc + mul_tables(omega.cfg, omega.tables[i], d.tables[i])
-    return OElem(omega.cfg, acc)
-
-
 def omega_volume(cfg: Config) -> KForm:
     """dx_1 ^ ... ^ dx_m."""
     t = np.zeros((1, cfg.n), dtype=np.int64)
@@ -260,38 +213,22 @@ def _lie_matrix(cfg: Config, omega: KForm):
 
 @lru_cache(maxsize=None)
 def _algebra_rows_cached(cfg: Config, kind: str):
-    p = cfg.p
-    mn = cfg.m * cfg.n
     if kind == "W":
-        return np.eye(mn, dtype=np.int64)
-    if kind in ("S", "CS"):
+        return np.eye(cfg.m * cfg.n, dtype=np.int64)
+    if kind == "S":
         omega = omega_volume(cfg)
-    elif kind in ("H", "CH"):
+    elif kind == "H":
         omega = omega_symplectic(cfg)
     else:
         raise ConfigError(f"unknown algebra kind {kind!r}")
-    mat = _lie_matrix(cfg, omega)
-    if kind in ("S", "H"):
-        return linalg.nullspace(mat, p)
-    # projective: allow D(omega) = c * omega
-    target = omega.tables.reshape(-1, 1) % p
-    aug = np.hstack([mat, (-target) % p])
-    ker = linalg.nullspace(aug, p)
-    if ker.shape[0] == 0:
-        return np.zeros((0, mn), dtype=np.int64)
-    return linalg.row_space(ker[:, :mn], p)
+    return linalg.nullspace(_lie_matrix(cfg, omega), cfg.p)
 
 
 def algebra_rows(cfg: Config, kind: str):
-    """Flat coordinate rows of W, S, CS, H, CH inside the derivation algebra."""
-    if kind in ("H", "CH") and cfg.m % 2 != 0:
+    """Flat coordinate rows of W, S or H inside the derivation algebra."""
+    if kind == "H" and cfg.m % 2 != 0:
         raise ConfigError(f"kind {kind} needs even m, got {cfg.m}")
     return _algebra_rows_cached(cfg, kind).copy()
-
-
-def algebra_basis(cfg: Config, kind: str):
-    """Same as algebra_rows, wrapped as derivations."""
-    return [WElem.from_flat(cfg, row) for row in algebra_rows(cfg, kind)]
 
 
 def derived_rows(cfg: Config, rows, iterations: int = 1):

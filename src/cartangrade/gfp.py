@@ -152,8 +152,3 @@ def mul_index_table(p: int, m: int):
         out[lo:hi] = np.where(ok, idx, n).astype(np.int32)
     out.setflags(write=False)
     return out
-
-
-def mi_enumerate(cfg: Config) -> list:
-    """All multi-indices for cfg, lexicographically."""
-    return [tuple(int(a) for a in row) for row in alpha_table(cfg.p, cfg.m)]

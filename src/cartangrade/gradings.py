@@ -274,9 +274,13 @@ def induce_subalgebra(w_grading: Grading, sub_rows) -> Grading:
 
 def _s_rows(cfg: Config):
     """Basis rows of the simple derived algebra of the volume-form stabilizer:
-    the second derived algebra at m = 2, the first beyond."""
+    the second derived algebra at m = 2, the first beyond.  At m = 1 the
+    stabilizer is spanned by d/dx_1 and its derived algebra is 0, so the
+    volume flavor is refused there."""
     from .forms import algebra_rows, derived_rows
 
+    if cfg.m < 2:
+        raise ConfigError(f"the volume flavor needs m >= 2, got m = {cfg.m}")
     return derived_rows(cfg, algebra_rows(cfg, "S"), iterations=2 if cfg.m == 2 else 1)
 
 

@@ -3,9 +3,8 @@
 Elements carry a dense coefficient table over the monomial basis x^alpha
 (flat index = mixed-radix value of alpha).  The product is the truncated
 convolution: x^alpha * x^beta = x^(alpha+beta), dropped whenever a
-coordinate reaches p.  Divided powers and the grouplike generators
-z_i = 1 + x_i are provided as constructors; z-exponents live mod p since
-z_i^p = 1.
+coordinate reaches p.  The grouplike generators z_i = 1 + x_i are
+provided as constructors; z-exponents live mod p since z_i^p = 1.
 """
 
 from __future__ import annotations
@@ -283,16 +282,6 @@ class OElem:
         return " + ".join(parts)
 
 
-def dp_monomial(cfg: Config, alpha) -> OElem:
-    """Divided power x^(alpha) = x^alpha / prod(alpha_i!)."""
-    c = 1
-    for a in alpha:
-        if not 0 <= a < cfg.p:
-            raise AxisRangeError(f"divided-power exponent {a} out of range 0..{cfg.p - 1}")
-        c = c * pow(math.factorial(a) % cfg.p, -1, cfg.p) % cfg.p
-    return OElem.monomial(cfg, alpha, c)
-
-
 @lru_cache(maxsize=None)
 def _binomials(p: int):
     """p x p table of C(e, a) mod p, row e, column a."""
@@ -332,7 +321,7 @@ def z_basis_matrix(cfg: Config, s: int):
     if not 0 <= s <= cfg.m:
         raise AxisRangeError(f"s={s} out of range 0..{cfg.m}")
     p = cfg.p
-    zp = np.array([[math.comb(e, a) % p for e in range(p)] for a in range(p)], dtype=np.int64)
+    zp = _binomials(p).T                    # row a, column e: C(e, a)
     out = np.ones((1, 1), dtype=np.int64)
     for axis in range(cfg.m):
         out = np.kron(out, zp if axis < s else np.eye(p, dtype=np.int64))

@@ -70,9 +70,6 @@ class WElem:
         self.cfg.check_axis(i)
         return OElem(self.cfg, self.tables[i - 1].copy())
 
-    def coeffs(self):
-        return [OElem(self.cfg, row.copy()) for row in self.tables]
-
     def flat(self):
         """The (m*n,) coordinate vector used by the linear-algebra layers."""
         return self.tables.reshape(-1).copy()
@@ -259,16 +256,9 @@ def _require_even(cfg: Config) -> None:
         raise ConfigError(f"hamiltonian fields need even m, got {cfg.m}")
 
 
-def d_h(cfg: Config, f: OElem) -> WElem:
-    """Hamiltonian field of f: sum sigma(i) d_i(f) d/dx_{i'}, even m only."""
-    _require_even(cfg)
-    if f.cfg != cfg:
-        raise ConfigMismatchError("argument built over a different configuration")
-    return WElem.from_flat(cfg, d_h_rows(cfg, f.table[None])[0])
-
-
 def d_h_rows(cfg: Config, tables):
-    """Flat rows of d_h(f), one per row f of a (k, n) stack of coefficient tables."""
+    """Flat rows of the Hamiltonian fields d_h(f) = sum sigma(i) d_i(f) d/dx_{i'},
+    one per row f of a (k, n) stack of coefficient tables; even m only."""
     _require_even(cfg)
     t = np.zeros((len(tables), cfg.m, cfg.n), dtype=np.int64)
     for i in range(1, cfg.m + 1):
@@ -279,10 +269,6 @@ def d_h_rows(cfg: Config, tables):
 def d_ij_z(cfg: Config, i: int, j: int, alpha) -> WElem:
     """d_ij applied to the z-monomial with exponents alpha (taken mod p)."""
     return d_ij(cfg, i, j, z_monomial(cfg, alpha))
-
-
-def d_h_z(cfg: Config, alpha) -> WElem:
-    return d_h(cfg, z_monomial(cfg, alpha))
 
 
 def _exponents(cfg: Config, *stacks):
@@ -426,11 +412,6 @@ def closed_form_h_bracket_rows(cfg: Config, alphas, betas):
     return _field_rows(cfg, terms)
 
 
-def closed_form_h_bracket(cfg: Config, alpha, beta) -> WElem:
-    """[d_h(z^alpha), d_h(z^beta)] for one pair: see closed_form_h_bracket_rows."""
-    return WElem.from_flat(cfg, closed_form_h_bracket_rows(cfg, [alpha], [beta])[0])
-
-
 def closed_form_h_partial_rows(cfg: Config, ell: int, betas):
     """Flat rows of [d/dx_ell, d_h(z^beta)]: d_h of the differentiated
     potential, beta_ell d_h(z^(beta - e_ell)).  Never calls the generic
@@ -439,8 +420,3 @@ def closed_form_h_partial_rows(cfg: Config, ell: int, betas):
     _require_even(cfg)
     beta, = _exponents(cfg, betas)
     return _field_rows(cfg, _d_h_z_terms(cfg, beta[:, ell - 1], beta - _unit(cfg, ell)))
-
-
-def closed_form_h_partial(cfg: Config, ell: int, beta) -> WElem:
-    """[d/dx_ell, d_h(z^beta)] for one beta: see closed_form_h_partial_rows."""
-    return WElem.from_flat(cfg, closed_form_h_partial_rows(cfg, ell, [beta])[0])

@@ -1,25 +1,31 @@
 """Element operations that only the tests use.
 
 Substitution of the variables, the filtration degree, the maximal-ideal
-test, the divided-power binomial, the conjugation of one derivation by
-an automorphism, the stabilizer test of a derivation on a form, the
-derived series on a list of derivations and a grading given by element
-objects.  The package computes none of them on its own paths; the tests
-use them as independent routes to what it does compute.
+test, divided powers and their binomial, the conjugation of one derivation
+by an automorphism, the scaling automorphism, the jacobian by permutations
+and the volume field by wedges of differentials, the stabilizer test of a
+derivation on a form, the derived series on a list of derivations, the
+algebra bases and Hamiltonian fields as element objects, one-pair
+Hamiltonian closed forms and a grading given by element objects.  The
+package computes none of them on its own paths; the tests use them as
+independent routes to what it does compute, or as shorthands for it.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from cartangrade import linalg
+from cartangrade import linalg, witt
+from cartangrade.autos import AutO
 from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionError,
                                 ValidityError, ZeroElementError)
-from cartangrade.forms import KForm, derived_rows, lie_derivative
-from cartangrade.gfp import weight_table
+from cartangrade.forms import (KForm, _merge_sign, algebra_rows, derived_rows, differential,
+                               lie_derivative)
+from cartangrade.gfp import Config, weight_table
 from cartangrade.gradings import Grading
-from cartangrade.oalg import OElem
-from cartangrade.witt import WElem
+from cartangrade.oalg import OElem, z_monomial
+from cartangrade.witt import WElem, d_h_rows
 
 
 def in_max_ideal(f: OElem) -> bool:
@@ -80,6 +86,16 @@ def binom_mod_p(alpha, beta, p: int) -> int:
     return out
 
 
+def dp_monomial(cfg: Config, alpha) -> OElem:
+    """Divided power x^(alpha) = x^alpha / prod(alpha_i!)."""
+    c = 1
+    for a in alpha:
+        if not 0 <= a < cfg.p:
+            raise AxisRangeError(f"divided-power exponent {a} out of range 0..{cfg.p - 1}")
+        c = c * pow(math.factorial(a) % cfg.p, -1, cfg.p) % cfg.p
+    return OElem.monomial(cfg, alpha, c)
+
+
 def push_derivation(mu, d: WElem) -> WElem:
     """Conjugated derivation mu o d o mu^-1: one product with the
     conjugation matrix."""
@@ -89,22 +105,54 @@ def push_derivation(mu, d: WElem) -> WElem:
     return WElem.from_flat(mu.cfg, flat)
 
 
-def stabilizer_test(d: WElem, omega: KForm, projective: bool):
-    """Whether D(omega) = 0 (strict) or D(omega) = c*omega (projective).
-    Returns (flag, c or None); c = 0 when the action is strictly zero."""
-    res = lie_derivative(d, omega)
-    if res.is_zero():
-        return True, 0
-    if not projective:
-        return False, None
-    nz = np.argwhere(omega.tables)
-    if nz.size == 0:
-        return False, None
-    r, c = nz[0]
-    scale = int(res.tables[r, c]) * pow(int(omega.tables[r, c]), -1, d.cfg.p) % d.cfg.p
-    if np.array_equal(res.tables, omega.tables * scale % d.cfg.p):
-        return True, scale
-    return False, None
+def stabilizer_test(d: WElem, omega: KForm) -> bool:
+    """Whether D(omega) = 0."""
+    return lie_derivative(d, omega).is_zero()
+
+
+def scale_auto(cfg: Config, i: int, c: int) -> AutO:
+    """Scale one variable by a unit: x_i -> c * x_i."""
+    cfg.check_axis(i)
+    if c % cfg.p == 0:
+        raise ValidityError("scaling factor must be a unit")
+    images = [OElem.variable(cfg, j) for j in range(1, cfg.m + 1)]
+    images[i - 1] = (c % cfg.p) * images[i - 1]
+    return AutO(images)
+
+
+def jacobian_by_permutations(mu: AutO) -> OElem:
+    """det(d_j u_i) of the variable images u_i, summed over permutations."""
+    cfg = mu.cfg
+    rows = [[u.partial(j) for j in range(1, cfg.m + 1)] for u in mu.images]
+    total = OElem.zero(cfg)
+    for perm in itertools.permutations(range(cfg.m)):
+        term = OElem.one(cfg)
+        for i in range(cfg.m):
+            term = term * rows[i][perm[i]]
+        total = total + (term if _merge_sign(perm) == 1 else -term)
+    return total
+
+
+def volume_field_by_wedges(mu: AutO) -> WElem:
+    """Derivation whose divergence is the jacobian of mu: expand
+    u_1 * du_2 ^ ... ^ du_m over the top-minor basis; the signed
+    coefficients are the component functions."""
+    cfg = mu.cfg
+    m = cfg.m
+    wedge = None
+    for u in mu.images[1:]:
+        du = differential(u)
+        wedge = du if wedge is None else wedge.wedge(du)
+    if wedge is None:
+        xi = KForm(cfg, 0, mu.images[0].table.reshape(1, -1))
+    else:
+        xi = mu.images[0] * wedge
+    full = tuple(range(1, m + 1))
+    coeffs = []
+    for i in range(1, m + 1):
+        h = xi.coeff(tuple(a for a in full if a != i))
+        coeffs.append(h if i % 2 == 1 else -h)
+    return WElem.from_coeffs(coeffs)
 
 
 def derived_subalgebra(basis, iterations: int = 1):
@@ -124,3 +172,33 @@ def grading_from_components(cfg, group, ambient: str, components) -> Grading:
     pairs = [(g, v.table if ambient == "O" else v.flat())
              for g, vecs in components.items() for v in vecs]
     return Grading(cfg, group, ambient, [row for _, row in pairs], [g for g, _ in pairs])
+
+
+def algebra_basis(cfg: Config, kind: str):
+    """The rows of forms.algebra_rows as derivations."""
+    return [WElem.from_flat(cfg, row) for row in algebra_rows(cfg, kind)]
+
+
+def d_h(cfg: Config, f: OElem) -> WElem:
+    """Hamiltonian field of f: sum sigma(i) d_i(f) d/dx_{i'}, even m only."""
+    if f.cfg != cfg:
+        raise ConfigMismatchError("argument built over a different configuration")
+    return WElem.from_flat(cfg, d_h_rows(cfg, f.table[None])[0])
+
+
+def d_h_z(cfg: Config, alpha) -> WElem:
+    """d_h of the z-monomial with exponents alpha (taken mod p)."""
+    return d_h(cfg, z_monomial(cfg, alpha))
+
+
+# The one-pair closed forms look the stacked ones up on the witt module, so a
+# test that replaces a stacked form there replaces these as well.
+
+def closed_form_h_bracket(cfg: Config, alpha, beta) -> WElem:
+    """[d_h(z^alpha), d_h(z^beta)] for one pair: see witt.closed_form_h_bracket_rows."""
+    return WElem.from_flat(cfg, witt.closed_form_h_bracket_rows(cfg, [alpha], [beta])[0])
+
+
+def closed_form_h_partial(cfg: Config, ell: int, beta) -> WElem:
+    """[d/dx_ell, d_h(z^beta)] for one beta: see witt.closed_form_h_partial_rows."""
+    return WElem.from_flat(cfg, witt.closed_form_h_partial_rows(cfg, ell, [beta])[0])

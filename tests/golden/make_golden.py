@@ -20,7 +20,7 @@ from pathlib import Path
 
 from cartangrade import cli, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
-from cartangrade.autos import AutO, push_grading, random_auto, scale_auto
+from cartangrade.autos import AutO, push_grading, random_auto
 from cartangrade.gfp import Config
 from cartangrade.gradings import grade_O_construct, grade_S_construct, induce_W
 from cartangrade.oalg import OElem
@@ -78,6 +78,11 @@ def unipotent(cfg, k):
     return AutO([x1 + k * (x2 * x2), x2])
 
 
+def scale_x1(cfg, c):
+    """Substitution x1 -> c*x1: jacobian c."""
+    return AutO([c * OElem.variable(cfg, 1), OElem.variable(cfg, 2)])
+
+
 def inputs():
     rng = random.Random(8)
     x = grade_O_construct(CFG, G2, [A], [B])
@@ -88,7 +93,7 @@ def inputs():
     raw_y = push_grading(random_auto(CFG, rng), y)
     raw_wy = push_grading(random_auto(CFG, rng), wx)
     vol_x = push_grading(unipotent(CFG, 1), x)
-    vol_y = push_grading(scale_auto(CFG, 1, 2).compose(unipotent(CFG, 3)),
+    vol_y = push_grading(scale_x1(CFG, 2).compose(unipotent(CFG, 3)),
                          grade_O_construct(CFG, G2, [A ** 4], [B * A ** 2]))
     return {
         "req_O": request("O", [[1, 0]], [[0, 1]]),
@@ -96,6 +101,7 @@ def inputs():
         "req_S": request("S", [[1, 0]], [[0, 1]], g0=[1, 1]),
         "req_S_m3": request("S", [[1]], [[1], [2]], m=3, group=(0, [5]), g0=[4]),
         "req_dependent": request("S", [[1, 2], [2, 4]], [], g0=[3, 1]),
+        "req_S_m1": request("S", [[1]], [], m=1, group=(0, [5]), g0=[1]),
         "O_std": grading(x),
         "O_raw_x": grading(raw_x),
         "O_raw_y": grading(raw_y),
@@ -157,6 +163,8 @@ def cases():
         "dims_m2_r2": ["dims", "--p", "5", "--m", "2", "--r", "2"],
         "dims_p7_m4": ["dims", "--p", "7", "--m", "4"],
         "refusal_dims_r_small_p": ["dims", "--p", "2", "--m", "2", "--r", "3"],
+        "refusal_construct_S_m1": g("construct", "--request", inp("req_S_m1")),
+        "refusal_fine_S_m1": ["grade", "fine", "--p", "5", "--m", "1", "--ambient", "S"],
     }
 
 

@@ -14,9 +14,15 @@ import random
 from itertools import combinations
 
 from cartangrade import cli
-from cartangrade.gfp import Config, mi_enumerate
-from cartangrade.witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
-                              closed_form_h_bracket, closed_form_h_partial, d_h_z, d_ij_z)
+from cartangrade.gfp import Config, alpha_table
+from cartangrade.witt import WElem, closed_form_bracket, closed_form_bracket_reduced, d_ij_z
+
+from algebra_helpers import closed_form_h_bracket, closed_form_h_partial, d_h_z
+
+
+def mi_enumerate(cfg: Config) -> list:
+    """All multi-indices for cfg, lexicographically."""
+    return [tuple(int(a) for a in row) for row in alpha_table(cfg.p, cfg.m)]
 
 
 def sweep(left, right, rng):

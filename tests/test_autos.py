@@ -9,17 +9,18 @@ import pytest
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
                                permutation_auto, push_grading, random_auto,
-                               random_graded_auto, scale_auto, shift_auto,
-                               volume_factor)
+                               random_graded_auto, shift_auto, volume_factor,
+                               volume_vector_field)
 from cartangrade.errors import ObstructionError, ValidityError
-from cartangrade.forms import omega_volume
+from cartangrade.forms import KForm, omega_volume
 from cartangrade.gfp import Config
 from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
                                   induce_W, verify_grading)
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
 
-from algebra_helpers import push_derivation
+from algebra_helpers import (jacobian_by_permutations, push_derivation, scale_auto,
+                             volume_field_by_wedges)
 
 
 def random_elem(cfg, rng):
@@ -142,6 +143,29 @@ def test_jacobian_is_multiplicative():
         lhs = mu.compose(nu).jacobian()
         rhs = mu.jacobian() * mu.apply(nu.jacobian())
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 2), (5, 3), (7, 3), (5, 4)])
+def test_cofactor_expansion_matches_the_permutation_and_wedge_oracles(p, m, monkeypatch):
+    """AutO.jacobian and volume_vector_field share one cofactor expansion;
+    the permutation sum and the wedge of differentials are independent
+    routes to them.  The field's divergence is the jacobian, and building
+    it touches no differential form."""
+    cfg = Config(p, m)
+    rng = random.Random(100 * p + m)
+    mus = [random_auto(cfg, rng) for _ in range(8)]
+    wedged = [volume_field_by_wedges(mu) for mu in mus]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("volume_vector_field built a differential form")
+
+    monkeypatch.setattr(KForm, "__init__", refuse)
+    for mu, want in zip(mus, wedged):
+        jac = mu.jacobian()
+        assert jac == jacobian_by_permutations(mu)
+        field = volume_vector_field(mu)
+        assert field == want
+        assert field.divergence() == jac
 
 
 def test_volume_factor_of_standard_witnesses():

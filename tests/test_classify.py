@@ -10,7 +10,7 @@ from cartangrade import classify, cli, linalg, serialize
 from cartangrade.abgroup import (AbGroup, PSubgroup, coset_rep, p_independent,
                                  subgroup_key)
 from cartangrade.autos import (AutO, push_grading, random_auto,
-                               random_graded_auto, scale_auto, volume_factor)
+                               random_graded_auto, volume_factor)
 from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
                                   canonical_key, enumerate_fine, iso_decide,
                                   o_grading_from_w, orbit_probe, recognize_O,
@@ -20,7 +20,7 @@ from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct,
                                   grade_S_construct, induce_W)
 from cartangrade.oalg import OElem, mult_operator
-from algebra_helpers import grading_from_components
+from algebra_helpers import grading_from_components, scale_auto
 from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
 

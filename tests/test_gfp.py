@@ -8,8 +8,7 @@ import pytest
 
 from cartangrade import gfp
 from cartangrade.errors import AxisRangeError, ConfigError, DimensionError
-from cartangrade.gfp import (Config, alpha_table, mi_enumerate,
-                             mul_index_table, radix_weights, weight_table)
+from cartangrade.gfp import Config, alpha_table, mul_index_table, radix_weights, weight_table
 
 from algebra_helpers import binom_mod_p
 
@@ -108,14 +107,6 @@ def test_mul_index_table_matches_direct_addition():
             assert tbl[s, t] == cfg.index(total)
         else:
             assert tbl[s, t] == cfg.n
-
-
-def test_mi_enumerate_covers_every_index_once():
-    cfg = Config(7, 2)
-    mis = mi_enumerate(cfg)
-    assert len(mis) == 49
-    assert len(set(mis)) == 49
-    assert mis == sorted(mis)
 
 
 def test_binom_mod_p_agrees_with_integer_binomials():

@@ -8,10 +8,9 @@ import pytest
 from cartangrade import oalg
 from cartangrade.errors import ValidityError, ZeroElementError
 from cartangrade.gfp import Config
-from cartangrade.oalg import (OElem, dp_monomial, mul_rows, mul_tables, mult_operator, z_monomial,
-                              z_tables)
+from cartangrade.oalg import OElem, mul_rows, mul_tables, mult_operator, z_monomial, z_tables
 
-from algebra_helpers import binom_mod_p, in_max_ideal, substitute, weight_degree
+from algebra_helpers import binom_mod_p, dp_monomial, in_max_ideal, substitute, weight_degree
 
 
 def random_elem(cfg, rng):

@@ -16,8 +16,9 @@ from cartangrade import cli, witt
 from cartangrade.gfp import Config
 from cartangrade.witt import (WElem, closed_form_bracket, closed_form_bracket_reduced,
                               closed_form_bracket_reduced_rows, closed_form_bracket_rows,
-                              closed_form_h_bracket, closed_form_h_bracket_rows,
-                              closed_form_h_partial, closed_form_h_partial_rows)
+                              closed_form_h_bracket_rows, closed_form_h_partial_rows)
+
+from algebra_helpers import closed_form_h_bracket, closed_form_h_partial
 
 
 @pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (7, 3)])

@@ -267,6 +267,43 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["grade", "classify", "--grading", str(g3)]) == 3
 
 
+def _verify_outcome(tmp_path, capsys, argv, gradings):
+    """Exit code of a producing verb, and its outputs through grade verify:
+    each must verify with exit 0, or the verb must refuse with exit 3 and
+    one error line."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        return code
+    assert code == 0
+    for k, data in enumerate(gradings(json.loads(out))):
+        path = tmp_path / f"out{k}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["grade", "verify", "--grading", str(path)]) == 0
+        assert json.loads(capsys.readouterr()[0])["valid"] is True
+    return code
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["O", "W", "S"])
+def test_cli_producers_write_what_verify_reads(kind, m, tmp_path, capsys):
+    """Every construct kind and fine ambient at m = 1 and 2 writes payloads
+    that grade verify accepts, or refuses with exit 3.  The volume flavor
+    starts at m = 2 (S(1;1) has derived algebra 0), so S refuses at m = 1."""
+    want = 3 if kind == "S" and m == 1 else 0
+    toral = {"group": {"free_rank": 0, "torsion": [5] * m}, "g0": [1] * m,
+             "basis": [[1] + [0] * (m - 1)], "gamma": [[0, 1]] if m == 2 else []}
+    free = {"group": {"free_rank": m, "torsion": []}, "basis": [],
+            "gamma": [[int(i == j) for j in range(m)] for i in range(m)], "g0": [1] * m}
+    for fields in (toral, free):
+        req = write_request(tmp_path / "req.json", m=m, kind=kind, **fields)
+        argv = ["grade", "construct", "--request", str(req)]
+        assert _verify_outcome(tmp_path, capsys, argv, lambda data: [data]) == want
+    argv = ["grade", "fine", "--p", "5", "--m", str(m), "--ambient", kind]
+    assert _verify_outcome(tmp_path, capsys, argv, lambda data: data["gradings"]) == want
+
+
 DEPENDENT_S_REQUEST = {"p": 5, "m": 2, "kind": "S",
                        "group": {"free_rank": 0, "torsion": [5, 5]},
                        "basis": [[1, 2], [2, 4]], "gamma": [], "g0": [3, 1]}

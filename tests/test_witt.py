@@ -12,12 +12,11 @@ from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
 from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
                               closed_form_bracket_reduced, closed_form_bracket_rows,
-                              closed_form_h_bracket, closed_form_h_bracket_rows,
-                              closed_form_h_partial, closed_form_h_partial_rows,
-                              conjugate_axis, d_h, d_h_z, d_ij, d_ij_rows, d_ij_z, sigma,
-                              w_basis)
+                              closed_form_h_bracket_rows, closed_form_h_partial_rows,
+                              conjugate_axis, d_ij, d_ij_rows, d_ij_z, sigma, w_basis)
 
-from algebra_helpers import stabilizer_test
+from algebra_helpers import (closed_form_h_bracket, closed_form_h_partial, d_h, d_h_z,
+                             stabilizer_test)
 
 
 def random_derivation(cfg, rng):
@@ -106,7 +105,7 @@ def test_volume_generators_annihilate_the_volume_form():
         f = random_elem(cfg, rng)
         i = rng.randrange(1, 3)
         j = rng.randrange(i + 1, 4)
-        assert stabilizer_test(d_ij(cfg, i, j, f), omega, projective=False)
+        assert stabilizer_test(d_ij(cfg, i, j, f), omega)
 
 
 def test_hamiltonian_generators_annihilate_the_symplectic_form():
@@ -114,8 +113,7 @@ def test_hamiltonian_generators_annihilate_the_symplectic_form():
     omega = omega_symplectic(cfg)
     rng = random.Random(13)
     for _ in range(15):
-        assert stabilizer_test(d_h(cfg, random_elem(cfg, rng)), omega,
-                               projective=False)
+        assert stabilizer_test(d_h(cfg, random_elem(cfg, rng)), omega)
     assert sigma(cfg, 1) == 1 and sigma(cfg, 2) == -1
     assert conjugate_axis(cfg, 1) == 2 and conjugate_axis(cfg, 2) == 1
 
