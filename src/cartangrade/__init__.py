@@ -17,8 +17,7 @@ from .classify import (FLAVORS, OPEN_IN_PAPER, GradingInvariants,
 from .errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                      ConfigError, ConfigMismatchError, DimensionError,
                      GroupMismatchError, InternalError, NoSuchBasisError,
-                     ObstructionError, ParseError, ValidityError,
-                     ZeroElementError)
+                     ObstructionError, ParseError, ValidityError)
 from .forms import (KForm, algebra_rows, differential, lie_derivative,
                     omega_symplectic, omega_volume)
 from .gfp import Config

@@ -25,10 +25,6 @@ class AxisRangeError(CartanGradeError):
     """An axis, exponent or form degree out of range."""
 
 
-class ZeroElementError(CartanGradeError):
-    """An operation undefined on the zero element."""
-
-
 class ValidityError(CartanGradeError):
     """Images do not define an algebra automorphism."""
 

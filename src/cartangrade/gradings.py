@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gfp import Config, alpha_table, radix_weights
 from .oalg import OElem, mult_operator, z_basis_matrix
-from .witt import WElem
+from .witt import WElem, ad_matrices
 
 AMBIENTS = ("O", "W", "sub")
 
@@ -398,14 +398,11 @@ def _generator_rows(grading: Grading, coords_of):
 def _operators(grading: Grading, rows) -> np.ndarray:
     """The operators of the given basis rows, stacked into one (k, F, F)
     array over the flat size F: multiplication by the row for "O" (one
-    stacked mult_operator), ad of the row for "W" and "sub"."""
+    stacked mult_operator), ad of the row for "W" and "sub" (one
+    ad_matrices)."""
     if grading.ambient == "O":
         return mult_operator(grading.cfg, grading.basis[rows])
-    flat = grading.flat_size
-    out = np.empty((len(rows), flat, flat), dtype=np.int64)
-    for i, k in enumerate(rows):
-        out[i] = WElem.from_flat(grading.cfg, grading.basis[k]).ad_matrix()
-    return out
+    return ad_matrices(grading.cfg, grading.basis[rows])
 
 
 def verify_grading(grading: Grading) -> GradingReport:
@@ -419,12 +416,16 @@ def verify_grading(grading: Grading) -> GradingReport:
     when that degree is outside the support.
 
     The sweep takes the basis rows in chunks.  For a chunk of rows u it
-    stacks their operators (multiplication by u, or ad(u)), and one product
-    with the basis gives u times every row for every u of the chunk; one
-    more product with the inverse of basis[:, pivots], computed once per
-    call, gives the coordinates of all those products over the basis.  A
-    chunk holds as many rows as keep each of these temporaries within
-    _SWEEP_BYTES (at least one row).  A product lies in its target
+    builds their operators with one call, stacked into one array: one
+    mult_operator (multiplication by u) for "O", one ad_matrices (ad(u))
+    for "W" and "sub".  One product with the basis gives u times every row
+    for every u of the chunk; one more product with the inverse of
+    basis[:, pivots], computed once per call, gives the coordinates of all
+    those products over the basis.  The basis and that inverse are cast to
+    float64 once per call, not once per chunk.  A chunk holds as many rows
+    as keep each operator stack within _SWEEP_BYTES (at least one row): 13
+    operators of side 50 for W at p = 5, m = 2, and one row per chunk from
+    flat size 182 up.  A product lies in its target
     component when its coordinates vanish off that degree's block; on "sub"
     it must first lie in the subalgebra at all.  The degree products come
     from one table over the support (_degree_table).  The outcome of a pair
@@ -473,25 +474,27 @@ def verify_grading(grading: Grading) -> GradingReport:
         raise DimensionError(_DEPENDENT) from None
     status = np.zeros((dim, dim), dtype=np.int8)      # index into _FAILURES
     chunk = max(1, _SWEEP_BYTES // (8 * flat * flat))
+    # The fixed factors of every chunk's products, cast to float64 once.
+    basis_f, coords_f = basis.astype(np.float64), coords_of.astype(np.float64)
 
     def check_rows(rows, half):
         for lo in range(0, len(rows), chunk):
             ks = rows[lo:lo + chunk]
             c = len(ks)
             first = int(ks[0]) if half else 0
-            vs = basis[first:]
+            vs = basis_f[first:]
             w = len(vs)
             ops = _operators(grading, ks).reshape(c * flat, flat)
             # prods[i, :, j]: u * v or [u, v] for the i-th row u of the chunk
             # and the j-th row v of vs
             prods = linalg.matmul(ops, vs.T, p).reshape(c, flat, w)
             coords = linalg.matmul(prods[:, pivots].transpose(0, 2, 1).reshape(c * w, dim),
-                                   coords_of, p)
+                                   coords_f, p)
             tgt = target[block[ks]][:, block[first:]]
             stray = ((coords.reshape(c, w, dim) != 0) & (block != tgt[:, :, None])).any(axis=2)
             escaped = np.zeros((c, w), dtype=bool)
             if grading.ambient == "sub":
-                back = linalg.matmul(coords, basis, p).reshape(c, w, flat)
+                back = linalg.matmul(coords, basis_f, p).reshape(c, w, flat)
                 escaped = (back != prods.transpose(0, 2, 1)).any(axis=2)
             status[ks, first:] = np.select([~prods.any(axis=1), escaped, tgt < 0, stray],
                                            [0, 1, 2, 3])

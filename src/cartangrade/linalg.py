@@ -64,9 +64,12 @@ def float_exact(inner: int, p: int) -> bool:
 
 
 def matmul(a, b, p: int):
-    """a @ b mod p, exactly, for int64 entries in [0, p); a fresh int64 array.
+    """a @ b mod p, exactly, for entries in [0, p); a fresh int64 array.
 
-    A product of two matrices is one float64 BLAS product while float_exact
+    The operands are int64, or float64 holding exact integers in [0, p): a
+    caller that multiplies by the same matrix many times casts it once, and
+    a float64 operand of the BLAS product is used without a copy.  A
+    product of two matrices is one float64 BLAS product while float_exact
     holds for the inner dimension.  Wider products, and products with a
     vector operand (where the casts to float64 and back cost more than the
     product), sum the inner dimension in int64, k_max terms at a time, onto
@@ -75,9 +78,10 @@ def matmul(a, b, p: int):
     """
     inner = b.shape[0]
     if a.ndim == b.ndim == 2 and float_exact(inner, p):
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
         out %= p
         return out
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     step = _reduction_interval(p)
     if inner <= step:
         return (a @ b) % p

@@ -150,28 +150,9 @@ class WElem:
         return OElem(self.cfg, acc)
 
     def ad_matrix(self):
-        """(m*n, m*n) matrix of ad(D) on flat coordinates."""
-        cfg = self.cfg
-        m, n = cfg.m, cfg.n
-        mult_ops = [mult_operator(cfg, self.tables[k]) if self.tables[k].any() else None for k in range(m)]
-        partials = [partial_matrix(cfg.p, m, k + 1) for k in range(m)]
-        # action of D itself on a coefficient table
-        act = np.zeros((n, n), dtype=np.int64)
-        for k in range(m):
-            if mult_ops[k] is not None:
-                act = (act + matmul(mult_ops[k], partials[k], cfg.p)) % cfg.p
-        out = np.zeros((m * n, m * n), dtype=np.int64)
-        for j in range(m):
-            out[j * n: (j + 1) * n, j * n: (j + 1) * n] = act
-            # -(d_j f_k) * u contributions into block row k
-            for k in range(m):
-                dfk = partial_table(cfg, self.tables[k], j + 1)
-                if dfk.any():
-                    blk = mult_operator(cfg, dfk)
-                    out[k * n: (k + 1) * n, j * n: (j + 1) * n] = (
-                        out[k * n: (k + 1) * n, j * n: (j + 1) * n] - blk
-                    ) % cfg.p
-        return out
+        """(m*n, m*n) matrix of ad(D) on flat coordinates: the one-row case
+        of ad_matrices."""
+        return ad_matrices(self.cfg, self.tables[None])[0]
 
     def __repr__(self) -> str:
         parts = []
@@ -197,6 +178,40 @@ def bracket_rows(cfg: Config, d, e):
     out = np.zeros((len(d) * m, n), dtype=np.int64)
     np.add.at(out, k * m + j, mul_rows(cfg, f[s, k, i], b[s, k, i, j]))
     return (out % p).reshape(len(d), m * n)
+
+
+def ad_matrices(cfg: Config, rows):
+    """ad(D) on flat coordinates for each row of a stack of derivations
+    ((k, m*n) flat rows or (k, m, n) tables), as one (k, m*n, m*n) array.
+
+    Block (a, j) of ad(D) maps coefficient table j of E to table a of
+    [D, E]: it is sum_i f_i d_i on the diagonal (a = j), less
+    multiplication by d_j(f_a).  The diagonal blocks take one stacked
+    mult_operator per slot i, over the rows whose f_i is nonzero, and one
+    matmul with the matrix of d_i; the other term takes one stacked
+    mult_operator per block position (a, j), over the rows whose d_j(f_a)
+    is nonzero.  Zero tables are skipped, so one row makes the calls a
+    per-row loop would."""
+    p, m, n = cfg.p, cfg.m, cfg.n
+    t = np.asarray(rows, dtype=np.int64).reshape(-1, m, n) % p
+    k = len(t)
+    act = np.zeros((k, n, n), dtype=np.int64)          # sum_i f_i d_i on one table
+    for i in range(m):
+        own = np.flatnonzero(t[:, i].any(axis=1))
+        if own.size:
+            ops = mult_operator(cfg, t[own, i]).reshape(own.size * n, n)
+            act[own] += matmul(ops, partial_matrix(p, m, i + 1), p).reshape(own.size, n, n)
+    act %= p
+    out = np.zeros((k, m, n, m, n), dtype=np.int64)
+    for j in range(m):
+        out[:, j, :, j, :] = act
+        dj = partial_table(cfg, t, j + 1)                # d_j(f_a) for every row and slot a
+        for a in range(m):
+            own = np.flatnonzero(dj[:, a].any(axis=1))
+            if own.size:
+                blk = out[:, a, :, j, :]
+                blk[own] = (blk[own] - mult_operator(cfg, dj[own, a])) % p
+    return out.reshape(k, m * n, m * n)
 
 
 def w_basis(cfg: Config):

@@ -19,7 +19,7 @@ import numpy as np
 from cartangrade import linalg, witt
 from cartangrade.autos import AutO
 from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionError,
-                                ValidityError, ZeroElementError)
+                                ValidityError)
 from cartangrade.forms import (KForm, _merge_sign, algebra_rows, derived_rows, differential,
                                lie_derivative)
 from cartangrade.gfp import Config, weight_table
@@ -36,7 +36,7 @@ def weight_degree(f: OElem) -> int:
     """Minimal total degree among nonzero monomials (filtration level)."""
     nz = np.flatnonzero(f.table)
     if nz.size == 0:
-        raise ZeroElementError("weight degree of 0 is undefined")
+        raise ValueError("weight degree of 0 is undefined")
     return int(weight_table(f.cfg.p, f.cfg.m)[nz].min())
 
 

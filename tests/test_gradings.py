@@ -17,6 +17,7 @@ from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
                                   grade_S_construct, induce_W,
                                   induce_subalgebra, verify_grading)
 from cartangrade.oalg import mult_operator
+from cartangrade.witt import WElem
 from algebra_helpers import grading_from_components
 from test_linalg import _rref_oracle
 from volume_oracle import admissible_degree
@@ -348,6 +349,19 @@ def test_verify_matches_the_per_pair_oracle_in_small_chunks(monkeypatch):
         chunks.clear()
         assert_verify_matches_oracles(grading)
         assert len(chunks) > 2 and max(chunks) == (12 if grading.ambient == "O" else 3)
+
+
+def test_w_and_sub_verifies_build_each_chunk_in_one_ad_matrices_call(monkeypatch):
+    # W and "sub" at m = 2, valid and label-swapped: the sweep never builds
+    # an operator one row at a time.
+    def refuse(self):
+        raise AssertionError("verify_grading built an ad matrix row by row")
+
+    cases = [x for x in _oracle_cases() if x.ambient != "O"]
+    assert {x.ambient for x in cases} == {"W", "sub"} and len(cases) == 13
+    monkeypatch.setattr(WElem, "ad_matrix", refuse)
+    reports = [assert_verify_matches_oracles(x) for x in cases]
+    assert any(r.ok for r in reports) and not all(r.ok for r in reports)
 
 
 def test_verify_raises_the_constructor_error_on_dependent_rows():

@@ -208,6 +208,12 @@ def test_matmul_matches_exact_integer_products(p, data):
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal(linalg.matmul(a[0], b, p), want[0])
     assert np.array_equal(linalg.matmul(a, b[:, 0], p), want[:, 0])
+    # Operands cast to float64 once by the caller give the same products.
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    for x, y in ((af, b), (a, bf), (af, bf)):
+        got = linalg.matmul(x, y, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(linalg.matmul(af[0], bf, p), want[0])
 
 
 @pytest.mark.parametrize("p", PRIMES)

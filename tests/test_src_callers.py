@@ -28,7 +28,6 @@ PACKAGE = ROOT / "src" / "cartangrade"
 PUBLIC = {
     "cli.cmd_grade_classify": "run by cli.main through the verb name the parser stores",
     "cli.cmd_grade_iso": "run by cli.main through the verb name the parser stores",
-    "errors.ZeroElementError": "exported error for operations undefined at zero",
     "oalg.OElem.constant": "library constructor of a scalar element",
     "serialize.welem_from_data": "reader of the derivation schema welem_to_data writes",
     "serialize.auto_from_data": "reader of the witness file grade iso writes",

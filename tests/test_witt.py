@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cartangrade.errors import AxisRangeError
-from cartangrade.forms import omega_symplectic, omega_volume
+from cartangrade.forms import algebra_rows, omega_symplectic, omega_volume
 from cartangrade.gfp import Config
 from cartangrade.oalg import OElem
-from cartangrade.witt import (WElem, bracket_rows, closed_form_bracket,
+from cartangrade.witt import (WElem, ad_matrices, bracket_rows, closed_form_bracket,
                               closed_form_bracket_reduced, closed_form_bracket_rows,
                               closed_form_h_bracket_rows, closed_form_h_partial_rows,
                               conjugate_axis, d_ij, d_ij_rows, d_ij_z, sigma, w_basis)
@@ -48,7 +48,7 @@ def test_bracket_is_the_operator_commutator():
         assert d.bracket(e).apply(f) == d.apply(e.apply(f)) - e.apply(d.apply(f))
 
 
-@pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (3, 2)])
+@pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (3, 2), (5, 1), (7, 2)])
 def test_bracket_rows_match_ad_matrix_products(p, m):
     cfg = Config(p, m, allow_small_p=p <= 3)
     rng = random.Random(41)
@@ -61,6 +61,20 @@ def test_bracket_rows_match_ad_matrix_products(p, m):
     for d, e, row in zip(ds, es, got):
         assert np.array_equal(row, d.ad_matrix() @ e.flat() % p)
         assert np.array_equal(row, d.bracket(e).flat())
+    # The whole stack at once: dense, constant and zero rows, and sparse
+    # rows of the volume family, against every partner.
+    sparse = algebra_rows(cfg, "S")
+    stack = np.vstack([np.stack([d.flat() for d in ds]), sparse[::max(1, len(sparse) // 8)]])
+    partners = np.stack([e.flat() for e in es])
+    ads = ad_matrices(cfg, stack)
+    assert ads.shape == (len(stack), cfg.m * cfg.n, cfg.m * cfg.n)
+    want = bracket_rows(cfg, np.repeat(stack, len(partners), axis=0),
+                        np.tile(partners, (len(stack), 1)))
+    assert np.array_equal((ads @ partners.T % p).transpose(0, 2, 1).reshape(want.shape), want)
+    for row, ad in zip(stack, ads):
+        one = WElem.from_flat(cfg, row).ad_matrix()
+        assert np.array_equal(one, ad)
+        assert np.array_equal(one, ad_matrices(cfg, [row])[0])
 
 
 def test_d_ij_rows_take_one_pair_per_row():
