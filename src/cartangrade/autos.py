@@ -38,9 +38,11 @@ class AutO:
 
     Validity requires every image to lie in the maximal ideal (zero constant
     term) and the linear parts to be independent mod squares; both are
-    checked at construction.  The action on the whole algebra is cached as a
-    matrix on the monomial basis, built from products of the images.
+    checked at construction.  The images are all the map holds: its matrix
+    on the monomial basis is built from them on each use.
     """
+
+    __slots__ = ("cfg", "images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -61,8 +63,6 @@ class AutO:
             raise ValidityError("images are dependent modulo the square of the maximal ideal")
         self.cfg = cfg
         self.images = images
-        self._matrix = None
-        self._inverse = None
 
     @classmethod
     def identity(cls, cfg: Config) -> "AutO":
@@ -70,30 +70,27 @@ class AutO:
 
     @property
     def matrix(self):
-        """Matrix of the algebra map on the monomial basis.
+        """Matrix of the algebra map on the monomial basis, built on each access.
 
         Column at the index of x^alpha holds the table of the product of the
         variable images with exponents alpha: the image of its first variable
         x_j times the column of alpha - e_j.  Columns are filled one total
         degree at a time, with one product per first variable.
         """
-        if self._matrix is None:
-            cfg = self.cfg
-            p, n = cfg.p, cfg.n
-            first = np.argmax(alpha_table(p, cfg.m) > 0, axis=1)
-            prev = np.arange(n) - radix_weights(p, cfg.m)[first]
-            degree = weight_table(p, cfg.m)
-            ops = mult_operator(cfg, np.stack([u.table for u in self.images]))
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[0, 0] = 1
-            for d in range(1, int(degree.max()) + 1):
-                for j, op in enumerate(ops):
-                    cols = np.flatnonzero((degree == d) & (first == j))
-                    if cols.size:
-                        mat[:, cols] = linalg.matmul(op, mat[:, prev[cols]], p)
-            mat.setflags(write=False)
-            self._matrix = mat
-        return self._matrix
+        cfg = self.cfg
+        p, n = cfg.p, cfg.n
+        first = np.argmax(alpha_table(p, cfg.m) > 0, axis=1)
+        prev = np.arange(n) - radix_weights(p, cfg.m)[first]
+        degree = weight_table(p, cfg.m)
+        ops = mult_operator(cfg, np.stack([u.table for u in self.images]))
+        mat = np.zeros((n, n), dtype=np.int64)
+        mat[0, 0] = 1
+        for d in range(1, int(degree.max()) + 1):
+            for j, op in enumerate(ops):
+                cols = np.flatnonzero((degree == d) & (first == j))
+                if cols.size:
+                    mat[:, cols] = linalg.matmul(op, mat[:, prev[cols]], p)
+        return mat
 
     def apply(self, f: OElem) -> OElem:
         """Image of an algebra element under the substitution map."""
@@ -102,23 +99,17 @@ class AutO:
         return OElem(self.cfg, linalg.matmul(self.matrix, f.table, self.cfg.p))
 
     def compose(self, other: "AutO") -> "AutO":
-        """Map sending f to self(other(f))."""
+        """Map sending f to self(other(f)), in one product with self.matrix."""
         if other.cfg != self.cfg:
             raise ConfigMismatchError("composing automorphisms over different configurations")
-        return AutO([self.apply(u) for u in other.images])
+        cols = np.stack([u.table for u in other.images], axis=1)
+        return AutO(OElem(self.cfg, col) for col in linalg.matmul(self.matrix, cols, self.cfg.p).T)
 
     def inverse(self) -> "AutO":
-        """Inverse automorphism, via inversion of the cached matrix."""
-        if self._inverse is None:
-            cfg = self.cfg
-            minv = linalg.inverse(self.matrix, cfg.p)
-            radix = radix_weights(cfg.p, cfg.m)
-            images = [OElem(cfg, minv[:, radix[i]].copy()) for i in range(cfg.m)]
-            inv = AutO(images)
-            inv._matrix = minv
-            inv._inverse = self
-            self._inverse = inv
-        return self._inverse
+        """Inverse automorphism: the columns of the inverse matrix at the variables."""
+        cfg = self.cfg
+        minv = linalg.inverse(self.matrix, cfg.p)
+        return AutO(OElem(cfg, col) for col in minv[:, radix_weights(cfg.p, cfg.m)].T)
 
     def conjugation_matrix(self):
         """(m*n, m*n) matrix of D -> mu o D o mu^-1 on flat derivation coordinates.
@@ -127,15 +118,16 @@ class AutO:
         D = sum_i f_i d_i is mu(D(v_j)) = sum_i mu(d_i(v_j) * f_i), so block
         (j, i) is mu.matrix @ mult_operator(d_i v_j): one stacked
         mult_operator for the m^2 partials and one product of mu.matrix with
-        their operators side by side.  Built on each call, not cached: it is
-        (m*n)^2 entries, m^2 times the size of the matrix.
+        their operators side by side.  The v_j are read from one inverse of
+        the matrix, as in inverse().
         """
         cfg = self.cfg
         p, m, n = cfg.p, cfg.m, cfg.n
-        v = np.stack([u.table for u in self.inverse().images])
+        mat = self.matrix
+        v = linalg.inverse(mat, p)[:, radix_weights(p, m)].T
         dv = np.stack([partial_table(cfg, v, i + 1) for i in range(m)], axis=1)
         ops = mult_operator(cfg, dv.reshape(m * m, n)).transpose(1, 0, 2).reshape(n, m * m * n)
-        out = linalg.matmul(self.matrix, ops, p)
+        out = linalg.matmul(mat, ops, p)
         return out.reshape(n, m, m * n).transpose(1, 0, 2).reshape(m * n, m * n)
 
     def jacobian(self) -> OElem:
@@ -154,10 +146,11 @@ class AutO:
         if omega.cfg != self.cfg:
             raise ConfigMismatchError("form built over a different configuration")
         cfg = self.cfg
+        mat = self.matrix
         dimg = [differential(u) for u in self.images]
         out = KForm.zero(cfg, omega.k)
         for subset, f in omega.terms():
-            term = KForm(cfg, 0, self.apply(f).table.reshape(1, -1))
+            term = KForm(cfg, 0, linalg.matmul(mat, f.table, cfg.p).reshape(1, -1))
             for i in subset:
                 term = term.wedge(dimg[i - 1])
             out = out + term

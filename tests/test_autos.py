@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cartangrade import linalg
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
                                permutation_auto, push_grading, random_auto,
@@ -67,6 +68,24 @@ def test_compose_inverse_and_identity():
         assert mu.inverse().compose(mu) == ident
 
 
+def test_a_map_holds_only_its_images():
+    cfg = Config(5, 2)
+    rng = random.Random(19)
+    mu, nu = random_auto(cfg, rng), random_auto(cfg, rng)
+    g = AbGroup(0, (5, 5))
+    o = grade_O_construct(cfg, g, [], [g.element((1, 0)), g.element((0, 1))])
+    mu.matrix
+    mu.inverse()
+    mu.compose(nu)
+    nu.compose(mu)
+    mu.conjugation_matrix()
+    push_grading(mu, o)
+    push_grading(mu, induce_W(o))
+    assert AutO.__slots__ == ("cfg", "images")
+    assert not hasattr(mu, "__dict__")
+    assert mu.inverse().inverse() == mu
+
+
 def test_push_derivation_is_conjugation():
     cfg = Config(5, 2)
     rng = random.Random(13)
@@ -85,17 +104,24 @@ def test_push_derivation_is_conjugation():
 
 def push_derivation_by_apply(mu, d):
     """The per-row route: coefficient j of mu o d o mu^-1 is mu(d(mu^-1(x_j)))."""
-    return WElem.from_coeffs([mu.apply(d.apply(v)) for v in mu.inverse().images])
+    return _conjugate_by_apply(mu.matrix, mu.inverse().images, d)
+
+
+def _conjugate_by_apply(matrix, inverse_images, d):
+    """push_derivation_by_apply with mu.matrix and mu^-1(x_j) taken once by
+    the caller: an AutO builds its matrix on each access."""
+    p = d.cfg.p
+    return WElem.from_coeffs([OElem(d.cfg, linalg.matmul(matrix, d.apply(v).table, p))
+                              for v in inverse_images])
 
 
 def push_grading_by_rows(mu, grading):
     """Derivation-grading push, one derivation at a time."""
     cfg = grading.cfg
-
-    def push(rows):
-        return [push_derivation_by_apply(mu, WElem.from_flat(cfg, row)).flat() for row in rows]
-
-    return Grading(cfg, grading.group, grading.ambient, push(grading.basis), grading.labels)
+    matrix, inverse_images = mu.matrix, mu.inverse().images
+    rows = [_conjugate_by_apply(matrix, inverse_images, WElem.from_flat(cfg, row)).flat()
+            for row in grading.basis]
+    return Grading(cfg, grading.group, grading.ambient, rows, grading.labels)
 
 
 @functools.lru_cache(maxsize=None)
