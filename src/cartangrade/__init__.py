@@ -12,7 +12,7 @@ from .autos import (AutO, basis_change_auto, normalize_omega_S,
                     permutation_auto, push_grading, random_auto,
                     random_graded_auto, shift_auto, volume_factor)
 from .classify import (FLAVORS, OPEN_IN_PAPER, GradingInvariants,
-                       canonical_key, enumerate_fine, iso_decide,
+                       canonical_key, enumerate_fine, invariants_of, iso_decide,
                        o_grading_from_w, orbit_probe, recognize_O, recognize_S)
 from .errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                      ConfigError, ConfigMismatchError, DimensionError,

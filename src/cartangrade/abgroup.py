@@ -249,7 +249,7 @@ def coset_rep(g: GElem, sub: PSubgroup) -> GElem:
     gives ((u_i + t_i) mod p) * (d_i/p) + r_i, which rises with the digit
     (u_i + t_i) mod p.  So the lex-least member minimizes the digit vector
     u + t over t in the row space W of sub.socle.  Reducing u against the
-    RREF of W (EchelonSpace.residual) sets every pivot digit to 0; any other
+    RREF R of W, u - u[pivots] @ R, sets every pivot digit to 0; any other
     member adds a nonzero w in W, whose first nonzero entry sits at a pivot
     where it turns that 0 into a positive digit, with all earlier digits
     unchanged.  The reduced vector is therefore the lex-least one.
@@ -258,9 +258,9 @@ def coset_rep(g: GElem, sub: PSubgroup) -> GElem:
         return g
     p, r = sub.p, g.group.free_rank
     steps = [(i, d // p) for i, d in enumerate(g.group.torsion, r) if d % p == 0]
-    space = linalg.EchelonSpace(len(steps), p)
-    space.add_batch(sub.socle)
-    digits = space.residual([g.coords[i] // step for i, step in steps]) % p
+    rows, pivots = linalg.rref(sub.socle, p)
+    digits = np.array([g.coords[i] // step for i, step in steps], dtype=np.int64) % p
+    digits = (digits - linalg.matmul(digits[pivots], rows, p)) % p
     coords = list(g.coords)
     for (i, step), v in zip(steps, digits):
         coords[i] = int(v) * step + coords[i] % step

@@ -106,10 +106,8 @@ class AutO:
         return AutO(OElem(self.cfg, col) for col in linalg.matmul(self.matrix, cols, self.cfg.p).T)
 
     def inverse(self) -> "AutO":
-        """Inverse automorphism: the columns of the inverse matrix at the variables."""
-        cfg = self.cfg
-        minv = linalg.inverse(self.matrix, cfg.p)
-        return AutO(OElem(cfg, col) for col in minv[:, radix_weights(cfg.p, cfg.m)].T)
+        """Inverse automorphism: x_j -> mu^-1(x_j), from _preimages."""
+        return AutO(OElem(self.cfg, v) for v in _preimages(self.matrix, self.cfg))
 
     def conjugation_matrix(self):
         """(m*n, m*n) matrix of D -> mu o D o mu^-1 on flat derivation coordinates.
@@ -118,13 +116,13 @@ class AutO:
         D = sum_i f_i d_i is mu(D(v_j)) = sum_i mu(d_i(v_j) * f_i), so block
         (j, i) is mu.matrix @ mult_operator(d_i v_j): one stacked
         mult_operator for the m^2 partials and one product of mu.matrix with
-        their operators side by side.  The v_j are read from one inverse of
-        the matrix, as in inverse().
+        their operators side by side.  The v_j come from _preimages, as in
+        inverse().
         """
         cfg = self.cfg
         p, m, n = cfg.p, cfg.m, cfg.n
         mat = self.matrix
-        v = linalg.inverse(mat, p)[:, radix_weights(p, m)].T
+        v = _preimages(mat, cfg)
         dv = np.stack([partial_table(cfg, v, i + 1) for i in range(m)], axis=1)
         ops = mult_operator(cfg, dv.reshape(m * m, n)).transpose(1, 0, 2).reshape(n, m * m * n)
         out = linalg.matmul(mat, ops, p)
@@ -165,6 +163,15 @@ class AutO:
     def __repr__(self) -> str:
         body = ", ".join(f"x{i + 1} -> {u!r}" for i, u in enumerate(self.images))
         return f"AutO({body})"
+
+
+def _preimages(mat, cfg: Config):
+    """(m, n) tables of mu^-1(x_1..x_m) for the map with matrix mat: the
+    columns of mat^-1 at the variables, solved for alone, one elimination
+    of n x (n + m) instead of the n x 2n of the whole inverse."""
+    rhs = np.zeros((cfg.n, cfg.m), dtype=np.int64)
+    rhs[radix_weights(cfg.p, cfg.m), np.arange(cfg.m)] = 1
+    return linalg.solve(mat, rhs, cfg.p).T
 
 
 def volume_factor(mu: AutO):

@@ -215,7 +215,8 @@ def _recognize_frame(grading: Grading):
 
 
 def _recognize_S_frame(grading: Grading):
-    """Frame, invariants with volume degree, and exact axis degrees.
+    """Frame, exact axis degrees, and invariants with volume degree, in the
+    order of _recognize_frame.
 
     The volume degree g0 is read off the jacobian of the recognized frame.
     The frame y_1..y_m has zero constant terms and independent linear parts,
@@ -238,14 +239,10 @@ def _recognize_S_frame(grading: Grading):
     replaced by one whose product is the volume degree.
     """
     cfg = grading.cfg
-    group = grading.group
     frame, degrees, inv = _recognize_frame(grading)
     s, m = inv.s, cfg.m
-    free_degs = degrees[s:]
-    total = group.identity()
-    for b in inv.P.basis:
-        total = total * b
-    for g in free_degs:
+    total = grading.group.identity()
+    for g in degrees:
         total = total * g
     delta = grading.degree_of(AutO(frame).jacobian())
     if delta is None:
@@ -256,29 +253,23 @@ def _recognize_S_frame(grading: Grading):
         if exps is None:
             raise AdmissibilityError("volume degree is incompatible with the unit-support subgroup")
         if any(exps):
-            frame = list(frame)
             frame[m - 1] = frame[m - 1] * _unit_product(cfg, frame[:s], [-int(l) for l in exps])
-            free_degs[-1] = free_degs[-1] * delta.inverse()
-        out = GradingInvariants(inv.P, free_degs, g0)
-        return frame, out, list(inv.P.basis) + free_degs
+            degrees[m - 1] = degrees[m - 1] * delta.inverse()
+        return frame, degrees, GradingInvariants(inv.P, degrees[s:], g0)
     if g0.is_identity:
         raise ObstructionError("identity volume degree is impossible at toral rank s >= 1")
     if g0 not in inv.P:
         raise AdmissibilityError("volume degree lies outside the unit-support subgroup")
-    if delta.is_identity:
-        basis = list(inv.P.basis)
-        new_frame = list(frame)
-    else:
-        basis = list(basis_with_product(inv.P, g0))
-        new_frame = [_unit_product(cfg, frame, inv.P.exponents_of(b)) - OElem.one(cfg)
-                     for b in basis]
-    psub = PSubgroup(group, tuple(basis))
-    return new_frame, GradingInvariants(psub, [], g0), basis
+    if not delta.is_identity:
+        degrees = list(basis_with_product(inv.P, g0))
+        frame = [_unit_product(cfg, frame, inv.P.exponents_of(b)) - OElem.one(cfg)
+                 for b in degrees]
+    return frame, degrees, GradingInvariants(PSubgroup(grading.group, tuple(degrees)), [], g0)
 
 
 def recognize_S(grading: Grading) -> GradingInvariants:
     """Invariants of a volume-admissible algebra grading, volume degree included."""
-    return _recognize_S_frame(grading)[1]
+    return _recognize_S_frame(grading)[2]
 
 
 def o_grading_from_w(w_grading: Grading) -> Grading:
@@ -376,73 +367,93 @@ def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgrou
     return shift_auto(cfg, s, rows).compose(step)
 
 
+def _resolve(grading: Grading, flavor: str):
+    """(algebra grading, volume) a flavor decides on, or None when it is open.
+
+    W: the grading that induces the derivation grading (o_grading_from_w).
+    S on a "sub" grading: the inducing grading it carries in
+    origin["o_grading"].  O, and S on an "O" grading: the grading itself.
+    H is S at m = 2; beyond, its classification is open in the paper.
+    volume says whether the decision is the volume flavor's.
+    """
+    if flavor not in FLAVORS:
+        raise AdmissibilityError(f"unknown flavor {flavor!r}")
+    if flavor == "H" and grading.cfg.m != 2:
+        return None
+    if flavor == "W":
+        if grading.ambient != "W":
+            raise AdmissibilityError("flavor W classifies derivation-algebra gradings")
+        return o_grading_from_w(grading), False
+    volume = flavor in ("S", "H")
+    if volume and grading.ambient == "sub":
+        o_grading = (grading.origin or {}).get("o_grading")
+        if o_grading is None:
+            raise AdmissibilityError(
+                "subalgebra gradings carry no inducing algebra grading; decide on that instead")
+        return o_grading, True
+    if grading.ambient != "O":
+        raise AdmissibilityError(
+            f"flavor {flavor} classifies gradings of the truncated polynomial "
+            f"algebra; got ambient {grading.ambient!r}")
+    return grading, volume
+
+
+def invariants_of(grading: Grading, flavor: str = "O") -> GradingInvariants:
+    """Isomorphism invariants of a grading for a flavor: those of the algebra
+    grading it decides on (_resolve), with the volume degree for S and H.
+    The symplectic flavor beyond m = 2 is refused (ObstructionError)."""
+    resolved = _resolve(grading, flavor)
+    if resolved is None:
+        raise ObstructionError(f"hamiltonian classification beyond m = 2 is {OPEN_IN_PAPER}")
+    o_grading, volume = resolved
+    return (_recognize_S_frame if volume else _recognize_frame)(o_grading)[2]
+
+
 def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     """Decide isomorphism of two gradings, producing an automorphism witness.
 
     Returns None when the invariants differ; otherwise an automorphism whose
-    push carries the first grading onto the second componentwise.  Volume
-    flavor: the witness fixes the volume form exactly below full toral rank
-    and scales it by a unit at full rank.  The symplectic flavor at rank 2
-    coincides with the volume flavor; at higher half-rank the classification
-    is open and the module-level OPEN_IN_PAPER status is returned.
+    push carries the first grading onto the second componentwise.  Every
+    flavor takes one path: the algebra gradings it decides on (_resolve) are
+    recognized, their invariant keys compared, and the standard bridge nu
+    between the recognized frames f1, f2 gives the witness
+    AutO(f2) o nu o AutO(f1)^-1.  Volume flavor: at full toral rank that
+    witness scales the volume form by a unit; below it, both legs are
+    normalized to fix the volume form exactly and the witness is their
+    composite.  The witness is checked once, on the gradings passed in.  The
+    symplectic flavor at rank 2 coincides with the volume flavor; at higher
+    half-rank the classification is open and the module-level OPEN_IN_PAPER
+    status is returned.
     """
     if g1.cfg != g2.cfg:
         raise ConfigMismatchError("gradings built over different configurations")
     if g1.group != g2.group:
         raise GroupMismatchError("gradings live over different groups")
-    if flavor not in FLAVORS:
-        raise AdmissibilityError(f"unknown flavor {flavor!r}")
-    cfg = g1.cfg
-    if flavor == "H":
-        if cfg.m != 2:
-            return OPEN_IN_PAPER
-        flavor = "S"
-    if flavor == "W":
-        if g1.ambient != "W" or g2.ambient != "W":
-            raise AdmissibilityError("derivation flavor expects derivation gradings")
-        wit = iso_decide(o_grading_from_w(g1), o_grading_from_w(g2), "O")
-        if wit is not None:
-            _check_witness(wit, g1, g2)
-        return wit
-    if flavor == "S" and g1.ambient == "sub" and g2.ambient == "sub":
-        o1 = (g1.origin or {}).get("o_grading")
-        o2 = (g2.origin or {}).get("o_grading")
-        if o1 is None or o2 is None:
-            raise AdmissibilityError(
-                "subalgebra gradings carry no inducing algebra grading; decide on that instead")
-        wit = iso_decide(o1, o2, "S")
-        if isinstance(wit, AutO):
-            _check_witness(wit, g1, g2)
-        return wit
-    if g1.ambient != "O" or g2.ambient != "O":
-        raise AdmissibilityError("this flavor expects gradings of the algebra")
-    if flavor == "O":
-        f1, d1, i1 = _recognize_frame(g1)
-        f2, d2, i2 = _recognize_frame(g2)
-        if canonical_key(i1) != canonical_key(i2):
-            return None
-        nu = _standard_bridge(cfg, d1[:i1.s], d1[i1.s:], d2[:i2.s], d2[i2.s:], i1.P)
-        psi = AutO(f2).compose(nu).compose(AutO(f1).inverse())
-        _check_witness(psi, g1, g2)
-        return psi
-    fr1, i1, axes1 = _recognize_S_frame(g1)
-    fr2, i2, axes2 = _recognize_S_frame(g2)
+    resolved = _resolve(g1, flavor)
+    if resolved is None:
+        return OPEN_IN_PAPER
+    if g1.ambient != g2.ambient:
+        raise AdmissibilityError(
+            f"the two gradings have different ambients, {g1.ambient!r} and {g2.ambient!r}")
+    (o1, volume), (o2, _) = resolved, _resolve(g2, flavor)
+    recognize = _recognize_S_frame if volume else _recognize_frame
+    f1, d1, i1 = recognize(o1)
+    f2, d2, i2 = recognize(o2)
     if canonical_key(i1) != canonical_key(i2):
         return None
-    s, m = i1.s, cfg.m
-    nu = _standard_bridge(cfg, axes1[:s], axes1[s:], axes2[:s], axes2[s:], i1.P)
-    mu1 = nu.compose(AutO(fr1).inverse())
-    mu2 = AutO(fr2).inverse()
-    if s < m:
-        std2 = grade_O_construct(cfg, g1.group, axes2[:s], axes2[s:])
-        mu1 = normalize_omega_S(mu1, std2)
-        mu2 = normalize_omega_S(mu2, std2)
-    psi = mu2.inverse().compose(mu1)
-    if s == m:
-        if volume_factor(psi) is None:
+    cfg, s = g1.cfg, i1.s
+    nu = _standard_bridge(cfg, d1[:s], d1[s:], d2[:s], d2[s:], i1.P)
+    if volume and s < cfg.m:
+        std2 = grade_O_construct(cfg, g1.group, d2[:s], d2[s:])
+        mu1 = normalize_omega_S(nu.compose(AutO(f1).inverse()), std2)
+        mu2 = normalize_omega_S(AutO(f2).inverse(), std2)
+        psi = mu2.inverse().compose(mu1)
+        if psi.jacobian() != OElem.one(cfg):
+            raise InternalError("witness must fix the volume form exactly")
+    else:
+        psi = AutO(f2).compose(nu).compose(AutO(f1).inverse())
+        if volume and volume_factor(psi) is None:
             raise InternalError("full-rank witness must scale the volume form")
-    elif psi.jacobian() != OElem.one(cfg):
-        raise InternalError("witness must fix the volume form exactly")
     _check_witness(psi, g1, g2)
     return psi
 

@@ -62,10 +62,9 @@ import numpy as np
 
 from . import serialize
 from .abgroup import PSubgroup
-from .classify import (OPEN_IN_PAPER, enumerate_fine, iso_decide,
-                       o_grading_from_w, recognize_O, recognize_S)
+from .classify import OPEN_IN_PAPER, enumerate_fine, invariants_of, iso_decide
 from .errors import (AdmissibilityError, CartanGradeError, ConfigError, DimensionError,
-                     InternalError, ObstructionError, ParseError)
+                     InternalError, ParseError)
 from .forms import algebra_rows, derived_rows
 from .gfp import Config, alpha_table, max_dim_limit
 from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_construct,
@@ -638,24 +637,7 @@ def _render_verify(payload) -> str:
 def cmd_grade_classify(args) -> int:
     grading = serialize.grading_from_data(_load_json(args.grading))
     _require_classical(grading.cfg, "classification")
-    flavor = args.flavor
-    if flavor in ("O", "S", "H") and grading.ambient != "O":
-        raise ConfigError(
-            f"flavor {flavor} classifies gradings of the truncated polynomial "
-            f"algebra; got ambient {grading.ambient!r}")
-    if flavor == "O":
-        _, inv = recognize_O(grading)
-    elif flavor == "W":
-        if grading.ambient != "W":
-            raise ConfigError("flavor W classifies derivation-algebra gradings")
-        _, inv = recognize_O(o_grading_from_w(grading))
-    elif flavor == "S":
-        inv = recognize_S(grading)
-    else:
-        if grading.cfg.m != 2:
-            raise ObstructionError(
-                f"hamiltonian classification beyond m = 2 is {OPEN_IN_PAPER}")
-        inv = recognize_S(grading)
+    inv = invariants_of(grading, args.flavor)
     _require_grading(grading)
     _emit(args, serialize.invariants_to_data(inv))
     return 0

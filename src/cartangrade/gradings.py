@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .abgroup import AbGroup, GElem, PSubgroup, p_independent
+from .abgroup import AbGroup, GElem, PSubgroup, basis_with_product, p_independent
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -28,6 +28,7 @@ from .errors import (
     NoSuchBasisError,
     ObstructionError,
 )
+from .forms import algebra_rows, derived_rows
 from .gfp import Config, alpha_table, radix_weights
 from .oalg import OElem, mult_operator, z_basis_matrix
 from .witt import WElem, ad_matrices
@@ -61,9 +62,10 @@ class Grading:
     never cached.  origin is None except in two shapes: a standard "O"
     grading from grade_O_construct carries {"s": toral rank, "degrees": the
     m axis degrees}, which the fast induction and normalization paths read,
-    and a "sub" grading from grade_S_construct carries {"o_grading": the
-    inducing "O" grading}, which the volume-flavor decision reads.  Raw
-    gradings carry origin=None and are handled through recognition.
+    and a "sub" grading from grade_S_construct or fine_grading carries
+    {"o_grading": the inducing "O" grading}, which the volume-flavor
+    decision reads.  Raw gradings carry origin=None and are handled through
+    recognition.
     """
 
     def __init__(self, cfg: Config, group: AbGroup, ambient: str, basis, labels, origin=None):
@@ -239,6 +241,7 @@ def induce_W(grading: Grading) -> Grading:
         for i in range(m):
             rows[:, i, i, :] = zt
         return Grading(cfg, grading.group, "W", rows.reshape(n * m, m * n), labels)
+    # autos and classify import this module, so the raw path imports them here.
     from .autos import AutO, push_grading
     from .classify import _recognize_frame
 
@@ -277,8 +280,6 @@ def _s_rows(cfg: Config):
     the second derived algebra at m = 2, the first beyond.  At m = 1 the
     stabilizer is spanned by d/dx_1 and its derived algebra is 0, so the
     volume flavor is refused there."""
-    from .forms import algebra_rows, derived_rows
-
     if cfg.m < 2:
         raise ConfigError(f"the volume flavor needs m >= 2, got m = {cfg.m}")
     return derived_rows(cfg, algebra_rows(cfg, "S"), iterations=2 if cfg.m == 2 else 1)
@@ -292,8 +293,6 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
     and otherwise forces a subgroup basis with product matching it (toral
     rank obstruction: at full rank the identity volume degree is impossible).
     """
-    from .abgroup import basis_with_product
-
     gamma = tuple(gamma)
     if psub.s + len(gamma) != cfg.m:
         raise DimensionError(f"rank {psub.s} plus {len(gamma)} degrees must cover m={cfg.m}")
@@ -312,8 +311,13 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
             raise ObstructionError(
                 "identity volume degree is impossible at toral rank s >= 1")
         b_list = basis_with_product(psub, target)
-    o_grading = grade_O_construct(cfg, group, b_list, gamma)
-    out = induce_subalgebra(induce_W(o_grading), _s_rows(cfg))
+    return _induce_S(grade_O_construct(cfg, group, b_list, gamma))
+
+
+def _induce_S(o_grading: Grading) -> Grading:
+    """The grading an algebra grading induces on the volume flavor's simple
+    algebra, carrying o_grading as origin["o_grading"] for the decisions."""
+    out = induce_subalgebra(induce_W(o_grading), _s_rows(o_grading.cfg))
     out.origin = {"o_grading": o_grading}
     return out
 
@@ -535,5 +539,5 @@ def fine_grading(cfg: Config, s: int, ambient: str = "O") -> Grading:
     if ambient == "W":
         return induce_W(o_grading)
     if ambient == "S":
-        return induce_subalgebra(induce_W(o_grading), _s_rows(cfg))
+        return _induce_S(o_grading)
     raise ConfigError(f"unknown ambient {ambient!r}")

@@ -20,9 +20,9 @@ pivot row from the rows with a nonzero entry in the pivot column, from the
 pivot column rightward, and so leaves an entry in [-k(p-1)^2, p) after k
 updates; it reduces the trailing columns every k_max pivots and the whole
 matrix once, at the end.  rref is the one GF(p) elimination of the
-package: rank, nullspace, solve, inverse, row_space, intersect_row_spaces
-and EchelonSpace.add_batch all read its output, and no other code pivots
-over GF(p).
+package: rank, nullspace, solve (and inverse, a solve against the
+identity), row_space, intersect_row_spaces and EchelonSpace.add_batch all
+read its output, and no other code pivots over GF(p).
 """
 
 from __future__ import annotations
@@ -154,27 +154,32 @@ def nullspace(mat, p: int):
 
 
 def solve(mat, rhs, p: int):
-    """A particular solution x of mat @ x = rhs (free variables 0), or None."""
-    a = np.asarray(mat, dtype=np.int64) % p
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref(np.hstack([a, b]), p)
+    """A particular solution x of mat @ x = rhs (free variables 0), or None
+    when there is none.  rhs is a vector, or a matrix whose columns are
+    right-hand sides, all solved by one elimination of [mat | rhs]; x has
+    the shape of rhs with mat's column count in front, and None means some
+    column has no solution."""
+    a = np.asarray(mat, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64)
     cols = a.shape[1]
-    if cols in pivots:
+    # rref reduces its own copy mod p.
+    aug, pivots = rref(np.hstack([a, b[:, None] if b.ndim == 1 else b]), p)
+    if pivots and pivots[-1] >= cols:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = aug[:, cols]
-    return x
+    x = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    x[pivots] = aug[:, cols:]
+    return x.reshape((cols,) + b.shape[1:])
 
 
 def inverse(mat, p: int):
-    a = np.asarray(mat, dtype=np.int64) % p
-    n = a.shape[0]
+    """The inverse mod p: the solution of mat @ x = I."""
+    a = np.asarray(mat)
     if a.shape[0] != a.shape[1]:
         raise NoSuchBasisError("matrix is not square")
-    aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    x = solve(a, np.eye(a.shape[0], dtype=np.int64), p)
+    if x is None:
         raise NoSuchBasisError("matrix is singular mod p")
-    return aug[:n, n:].copy()    # callers cache it: do not keep the left half alive
+    return x
 
 
 class EchelonSpace:

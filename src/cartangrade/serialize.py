@@ -26,8 +26,11 @@ import json
 import numpy as np
 
 from .abgroup import AbGroup, GElem, PSubgroup
+from .autos import AutO
+from .classify import GradingInvariants
 from .errors import CartanGradeError, ParseError, ValidityError
 from .gfp import Config, radix_weights
+from .gradings import Grading
 from .oalg import OElem
 from .witt import WElem
 
@@ -35,20 +38,27 @@ from .witt import WElem
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
+def _is_int(val) -> bool:
+    """Whether val is a JSON integer: an int that is not a bool (json reads
+    true and false as the bool subclass of int)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _need(data, key, kind, typ):
     """data[key], checked to be a typ (int, str, list or dict); a ParseError
-    when data is not an object, lacks the field or holds another type."""
+    when data is not an object, lacks the field or holds another type.  A
+    boolean is not an integer."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"missing field {key!r} in {kind} payload")
     val = data[key]
-    if not isinstance(val, typ):
+    if not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise ParseError(f"field {key!r} in {kind} payload must be {_JSON_TYPES[typ]}, "
                          f"got {val!r:.60}")
     return val
 
 
 def _int_list(val, kind):
-    if not isinstance(val, (list, tuple)) or not all(isinstance(x, int) for x in val):
+    if not isinstance(val, (list, tuple)) or not all(_is_int(x) for x in val):
         raise ParseError(f"{kind} must be a list of integers, got {val!r}")
     return [int(x) for x in val]
 
@@ -219,8 +229,6 @@ def _inconsistent(exc: CartanGradeError) -> ValidityError:
 
 
 def grading_from_data(data, cfg: Config | None = None):
-    from .gradings import Grading
-
     fields = _grading_fields(data, cfg)
     try:
         return Grading(*fields)
@@ -233,8 +241,6 @@ def auto_to_data(mu) -> dict:
 
 
 def auto_from_data(data, cfg: Config | None = None):
-    from .autos import AutO
-
     images = _need(data, "images", "automorphism", list)
     if not images:
         raise ParseError("automorphism payload needs a nonempty image list")
@@ -265,8 +271,6 @@ def invariants_to_data(inv) -> dict:
 
 
 def invariants_from_data(data, group: AbGroup):
-    from .classify import GradingInvariants
-
     basis = tuple(gelem_from_data(row, group) for row in _need(data, "P", "invariants", list))
     s = _need(data, "s", "invariants", int)
     if s != len(basis):

@@ -102,6 +102,7 @@ def inputs():
         "req_S_m3": request("S", [[1]], [[1], [2]], m=3, group=(0, [5]), g0=[4]),
         "req_dependent": request("S", [[1, 2], [2, 4]], [], g0=[3, 1]),
         "req_S_m1": request("S", [[1]], [], m=1, group=(0, [5]), g0=[1]),
+        "req_bool_m": dict(request("O", [[1]], [], m=1, group=(0, [5])), m=True),
         "O_std": grading(x),
         "O_raw_x": grading(raw_x),
         "O_raw_y": grading(raw_y),
@@ -165,6 +166,7 @@ def cases():
         "refusal_dims_r_small_p": ["dims", "--p", "2", "--m", "2", "--r", "3"],
         "refusal_construct_S_m1": g("construct", "--request", inp("req_S_m1")),
         "refusal_fine_S_m1": ["grade", "fine", "--p", "5", "--m", "1", "--ambient", "S"],
+        "malformed_bool_m": g("construct", "--request", inp("req_bool_m")),
     }
 
 

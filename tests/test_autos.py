@@ -14,7 +14,7 @@ from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
                                volume_vector_field)
 from cartangrade.errors import ObstructionError, ValidityError
 from cartangrade.forms import KForm, omega_volume
-from cartangrade.gfp import Config
+from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
                                   induce_W, verify_grading)
 from cartangrade.oalg import OElem
@@ -66,6 +66,34 @@ def test_compose_inverse_and_identity():
         assert mu.compose(nu).apply(f) == mu.apply(nu.apply(f))
         assert mu.compose(mu.inverse()) == ident
         assert mu.inverse().compose(mu) == ident
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
+def test_inverse_and_conjugation_solve_for_the_variable_columns_only(p, m, monkeypatch):
+    """Each eliminates [matrix | m unit columns] once; the inverse's images
+    are the columns of the whole inverse at the variables."""
+    cfg = Config(p, m)
+    rng = random.Random(p * m)
+    rref = linalg.rref
+    shapes = []
+
+    def recorded(mat, q):
+        shapes.append(np.shape(mat))
+        return rref(mat, q)
+
+    for _ in range(3):
+        mu = random_auto(cfg, rng)
+        full = linalg.inverse(mu.matrix, p)
+        monkeypatch.setattr(linalg, "rref", recorded)
+        inv = mu.inverse()
+        mu.conjugation_matrix()
+        monkeypatch.setattr(linalg, "rref", rref)
+        # besides the two solves, only AutO's m x m independence check
+        assert sorted(set(shapes)) == [(m, m), (cfg.n, cfg.n + m)]
+        assert shapes.count((cfg.n, cfg.n + m)) == 2
+        shapes.clear()
+        assert np.array_equal(np.stack([u.table for u in inv.images], axis=1),
+                              full[:, radix_weights(p, m)])
 
 
 def test_a_map_holds_only_its_images():

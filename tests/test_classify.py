@@ -12,12 +12,12 @@ from cartangrade.abgroup import (AbGroup, PSubgroup, coset_rep, p_independent,
 from cartangrade.autos import (AutO, push_grading, random_auto,
                                random_graded_auto, volume_factor)
 from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
-                                  canonical_key, enumerate_fine, iso_decide,
-                                  o_grading_from_w, orbit_probe, recognize_O,
-                                  recognize_S)
+                                  canonical_key, enumerate_fine, invariants_of,
+                                  iso_decide, o_grading_from_w, orbit_probe,
+                                  recognize_O, recognize_S)
 from cartangrade.errors import AdmissibilityError, ObstructionError
 from cartangrade.gfp import Config, radix_weights
-from cartangrade.gradings import (Grading, grade_O_construct,
+from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
                                   grade_S_construct, induce_W)
 from cartangrade.oalg import OElem, mult_operator
 from algebra_helpers import grading_from_components, scale_auto
@@ -519,6 +519,98 @@ def test_iso_on_attached_subalgebra_gradings():
     bare = Grading(CFG, G2, "sub", sg.basis, sg.labels)
     with pytest.raises(AdmissibilityError):
         iso_decide(bare, bare, "S")
+
+
+def test_iso_on_identical_fine_volume_gradings():
+    for s in range(CFG.m + 1):
+        fine = fine_grading(CFG, s, "S")
+        assert fine.origin["o_grading"].same_components(fine_grading(CFG, s, "O"))
+        wit = iso_decide(fine, fine, "S")
+        assert isinstance(wit, AutO)
+        assert push_grading(wit, fine).same_components(fine)
+
+
+def _decision_pairs():
+    """(flavor, g1, g2) positive pairs of every ambient a flavor decides on."""
+    x = grade_O_construct(CFG, G2, [A], [B])
+    wx = induce_W(x)
+    sx = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B], A * B)
+    sy = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B * A ** 3], A * B)
+    rng = random.Random(31)
+    return [
+        ("O", x, push_grading(random_auto(CFG, rng), x)),
+        ("W", wx, push_grading(random_auto(CFG, rng), wx)),
+        ("S", x, push_grading(unipotent_2d(CFG, 2), x)),
+        ("S", sx, sy),
+        ("H", sx, sy),
+    ]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_a_positive_decision_checks_its_witness_once_on_the_given_gradings(k, monkeypatch):
+    flavor, g1, g2 = _decision_pairs()[k]
+    calls = []
+    check = classify._check_witness
+
+    def counted(psi, h1, h2):
+        calls.append((h1, h2))
+        check(psi, h1, h2)
+
+    decide = classify.iso_decide
+    depth = []
+
+    def nested(*args):
+        depth.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(classify, "_check_witness", counted)
+    monkeypatch.setattr(classify, "iso_decide", nested)
+    wit = classify.iso_decide(g1, g2, flavor)
+    assert isinstance(wit, AutO)
+    assert len(depth) == 1
+    assert len(calls) == 1 and calls[0][0] is g1 and calls[0][1] is g2
+
+
+def test_full_rank_volume_witness_is_the_frame_composite():
+    """At full toral rank the volume witness is AutO(f2) o nu o AutO(f1)^-1,
+    the map the normalized composite mu2^-1 o mu1 reduces to there, with
+    mu1 = nu o AutO(f1)^-1 and mu2 = AutO(f2)^-1."""
+    rng = random.Random(5)
+    x = grade_O_construct(CFG, G2, [A, B], [])
+    y = grade_O_construct(CFG, G2, [A ** 2 * B ** 3, A ** 4 * B ** 3], [])
+    for g1, g2 in [(x, y), (x, push_grading(scale_auto(CFG, 1, 3), y)),
+                   (push_grading(random_graded_auto(x, rng), x), y)]:
+        f1, d1, i1 = classify._recognize_S_frame(g1)
+        f2, d2, i2 = classify._recognize_S_frame(g2)
+        assert i1.s == CFG.m
+        nu = classify._standard_bridge(CFG, d1, [], d2, [], i1.P)
+        mu1, mu2 = nu.compose(AutO(f1).inverse()), AutO(f2).inverse()
+        assert iso_decide(g1, g2, "S") == mu2.inverse().compose(mu1)
+
+
+def test_invariants_of_every_flavor_reads_the_resolved_grading():
+    x = push_grading(random_auto(CFG, random.Random(3)), grade_O_construct(CFG, G2, [A], [B]))
+    wx = push_grading(random_auto(CFG, random.Random(4)), induce_W(grade_O_construct(CFG, G2, [A], [B])))
+    sx = grade_S_construct(CFG, G2, PSubgroup(G2, (A,)), [B], A * B)
+    assert canonical_key(invariants_of(x, "O")) == canonical_key(recognize_O(x)[1])
+    assert canonical_key(invariants_of(wx, "W")) == canonical_key(recognize_O(o_grading_from_w(wx))[1])
+    for flavor in ("S", "H"):
+        assert canonical_key(invariants_of(x, flavor)) == canonical_key(recognize_S(x))
+        assert invariants_of(sx, flavor).g0 == A * B
+    cfg3 = Config(5, 3)
+    x3 = grade_O_construct(cfg3, G1, [C], [C, C])
+    with pytest.raises(ObstructionError, match="open-in-paper"):
+        invariants_of(x3, "H")
+    assert iso_decide(x3, x3, "H") == OPEN_IN_PAPER
+    bare = Grading(CFG, G2, "sub", sx.basis, sx.labels)
+    refusals = [(wx, "O"), (wx, "S"), (x, "W"), (bare, "S"), (bare, "H"), (x, "Q")]
+    for grading, flavor in refusals:
+        with pytest.raises(AdmissibilityError):
+            invariants_of(grading, flavor)
+        with pytest.raises(AdmissibilityError):
+            iso_decide(grading, grading, flavor)
+    with pytest.raises(AdmissibilityError, match="different ambients"):
+        iso_decide(sx, x, "S")
 
 
 def test_fine_enumeration_signatures():

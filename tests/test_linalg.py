@@ -131,6 +131,42 @@ def test_solve_sets_free_variables_to_zero(p, data, solvable):
 
 @pytest.mark.parametrize("p", PRIMES)
 @EXAMPLES
+@given(data=st.data(), k=st.integers(0, 4))
+def test_solve_takes_a_block_of_right_hand_sides(p, data, k):
+    """A block is solved as its columns one by one: the same columns, or
+    None when any column has no solution."""
+    a, rng = data.draw(matrices(p))
+    rows, cols = a.shape
+    block = _mul(a, rng.integers(0, p, size=(cols, k)), p)
+    if k and data.draw(st.booleans()):
+        block[:, rng.integers(k)] = rng.integers(0, p, size=rows)
+    columns = [linalg.solve(a, block[:, j], p) for j in range(k)]
+    x = linalg.solve(a, block, p)
+    if any(c is None for c in columns):
+        assert x is None
+        return
+    assert x.shape == (cols, k)
+    for j, c in enumerate(columns):
+        assert np.array_equal(x[:, j], c)
+
+
+def test_inverse_is_one_solve_against_the_identity(monkeypatch):
+    a = np.array([[1, 2], [3, 4]])
+    calls = []
+    solve = linalg.solve
+
+    def recorded(mat, rhs, p):
+        calls.append(np.asarray(rhs).copy())
+        return solve(mat, rhs, p)
+
+    monkeypatch.setattr(linalg, "solve", recorded)
+    inv = linalg.inverse(a, 5)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.eye(2))
+    assert np.array_equal(_mul(a, inv, 5), np.eye(2))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@EXAMPLES
 @given(data=st.data())
 def test_inverse_or_singular_refusal(p, data):
     a, _ = data.draw(matrices(p, shapes=("square",)))

@@ -112,6 +112,17 @@ def test_invariants_round_trip_with_multiplicity():
         serialize.invariants_from_data(bad, G2)
 
 
+@pytest.mark.parametrize("field, value", [("mult", True), ("s", True)])
+def test_invariants_reader_refuses_booleans(field, value):
+    data = serialize.invariants_to_data(GradingInvariants(PSubgroup(G2, (A,)), [B], None))
+    if field == "mult":
+        data["gamma"][0]["mult"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ParseError, match="must be an integer, got True"):
+        serialize.invariants_from_data(data, G2)
+
+
 def test_parse_error_paths():
     with pytest.raises(ParseError):
         serialize.loads("{not json")
@@ -229,6 +240,40 @@ def test_cli_fine_and_flavor_errors(tmp_path):
     assert cli.main(["grade", "construct", "--request", str(req), "--out", str(f1)]) == 0
     assert cli.main(["grade", "classify", "--grading", str(f1),
                      "--flavor", "W"]) == 3
+
+
+@pytest.mark.parametrize("name, flavor, error", [
+    ("W_raw", "O", "error: flavor O classifies gradings of the truncated polynomial algebra; "
+                   "got ambient 'W'"),
+    ("O_raw_x", "W", "error: flavor W classifies derivation-algebra gradings"),
+    ("sub_std", "S", "error: subalgebra gradings carry no inducing algebra grading; "
+                     "decide on that instead"),
+    ("sub_std", "H", "error: subalgebra gradings carry no inducing algebra grading; "
+                     "decide on that instead"),
+])
+def test_cli_classify_refuses_a_flavor_of_another_ambient(name, flavor, error, capsys):
+    argv = ["grade", "classify", "--grading", str(GOLDEN_INPUTS / f"{name}.json"),
+            "--flavor", flavor]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == error
+
+
+def test_cli_classify_symplectic_flavor(tmp_path, capsys):
+    """H reads as S at m = 2 and is refused as open beyond."""
+    raw = str(GOLDEN_INPUTS / "S_vol_x.json")
+    outs = []
+    for flavor in ("S", "H"):
+        assert cli.main(["grade", "classify", "--grading", raw, "--flavor", flavor]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["g0"] is not None
+    req = write_request(tmp_path / "r3.json", m=3, group={"free_rank": 0, "torsion": [5]},
+                        basis=[[1]], gamma=[[1], [2]])
+    f3 = tmp_path / "g3.json"
+    assert cli.main(["grade", "construct", "--request", str(req), "--out", str(f3)]) == 0
+    assert cli.main(["grade", "classify", "--grading", str(f3), "--flavor", "H"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: hamiltonian classification beyond m = 2 is open-in-paper")
 
 
 def test_cli_derivation_pipeline(tmp_path):
@@ -497,7 +542,18 @@ MISTYPED = [
 ]
 
 
-@pytest.mark.parametrize("verb, path, value", MISTYPED)
+# JSON true and false are not integers, although Python reads them as bool,
+# a subclass of int.
+BOOLEANS = [
+    ("verify", TERMS + (0, "c"), True), ("verify", TERMS + (0, "alpha"), [True, 0]),
+    ("verify", ("components", 0, "degree"), [False, False]),
+    ("verify", ("group", "free_rank"), False),
+    ("construct", ("p",), True), ("construct", ("m",), True),
+    ("construct", ("basis",), [[True, 0]]),
+]
+
+
+@pytest.mark.parametrize("verb, path, value", MISTYPED + BOOLEANS)
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, verb, path, value):
     data = standard_request() if verb == "construct" else _standard_grading_payload()
     _set(data, path, value)
@@ -750,8 +806,7 @@ def test_array_reader_matches_the_element_reader(case):
 def test_array_reader_keeps_the_last_of_repeated_terms():
     data = _standard_grading_payload()
     terms = data["components"][3]["basis"][0]["terms"]
-    terms += [{"alpha": terms[0]["alpha"], "c": 3}, {"alpha": [True, 0], "c": True},
-              {"alpha": [1, 0], "c": 2**70 + 2}]
+    terms += [{"alpha": terms[0]["alpha"], "c": 3}, {"alpha": [1, 0], "c": 2**70 + 2}]
     got = serialize.grading_from_data(data)
     want = element_grading_from_data(data)
     assert np.array_equal(got.basis, want.basis) and got.labels == want.labels
