@@ -314,14 +314,16 @@ def push_grading(mu: AutO, grading: Grading) -> Grading:
     mu.matrix^T in one product.  Derivation components (ambients "W" and
     "sub") map through conjugation: all rows times the transposed
     conjugation matrix in one product.  The result is a raw grading (no
-    standard origin).
+    standard origin).  Both actions are invertible, so the image of a basis
+    is a basis and the result skips the constructor's elimination
+    (Grading._deferred).
     """
     cfg = grading.cfg
     if cfg != mu.cfg:
         raise ConfigMismatchError("grading built over a different configuration")
     action = mu.matrix if grading.ambient == "O" else mu.conjugation_matrix()
-    return Grading(cfg, grading.group, grading.ambient,
-                   linalg.matmul(grading.basis, action.T, cfg.p), grading.labels)
+    return Grading._deferred(cfg, grading.group, grading.ambient,
+                             linalg.matmul(grading.basis, action.T, cfg.p), grading.labels)
 
 
 # -- volume form normalization ----------------------------------------------

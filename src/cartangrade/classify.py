@@ -46,8 +46,17 @@ from .errors import (
     ObstructionError,
 )
 from .gfp import Config
-from .gradings import Grading, fine_grading, frame_rows, grade_O_construct, induce_W
-from .oalg import OElem, mult_operator
+from .gradings import (
+    Grading,
+    fine_grading,
+    frame_rows,
+    grade_O_construct,
+    induce_W,
+    _degree_table,
+    _generator_rows,
+    _row_blocks,
+)
+from .oalg import OElem, mult_operator, partial_table
 
 # Status returned for the symplectic flavor at half-rank > 1, whose
 # classification is an open problem; distinct from a negative decision.
@@ -280,7 +289,11 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     multiplying such an anchor by functions is injective.  For each degree g
     in the support, the functions carrying the anchor into the component at
     g are then exactly the component of the inducing algebra grading at
-    g / (anchor degree).  The result is validated by inducing forward again.
+    g / (anchor degree).  So when the derivation grading is induced, this
+    construction returns the grading that induces it; _induces certifies
+    that it does.  When the certificate fails, the constructor's validation
+    and the forward check induce_W(out).same_components(w_grading) run, so
+    every refusal keeps its message.
 
     Those functions are the first n coordinates of the null space of
     [stack | -W_g^T], where stack (mn x n) is multiplication by the anchor
@@ -319,10 +332,68 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
         labels += [g * g_star.inverse()] * null.shape[0]
     if len(labels) != n:
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")
-    out = Grading(cfg, w_grading.group, "O", np.vstack(rows), labels)
-    if not induce_W(out).same_components(w_grading):
-        raise AdmissibilityError("derivation grading is not induced by an algebra grading")
+    out = Grading._deferred(cfg, w_grading.group, "O", np.vstack(rows), labels)
+    if not _induces(out, w_grading):
+        checked = Grading(cfg, w_grading.group, "O", out.basis, out.labels)
+        if not induce_W(checked).same_components(w_grading):
+            raise AdmissibilityError("derivation grading is not induced by an algebra grading")
     return out
+
+
+def _induces(out: Grading, w_grading: Grading) -> bool:
+    """Whether the "O" decomposition out is a grading that induces the
+    derivation grading: the certificate of o_grading_from_w.
+
+    (a) The O certificate of verify_grading: out's basis is invertible, 1
+    has coordinates only in the identity block, and the frame rows u_i
+    (gradings._generator_rows), of degrees a_i, times every row v of degree
+    h lie in out_{a_i h} (are 0 when a_i h is off the support).
+    (b) For every frame row u_i and every row D of w_grading, of degree g,
+    D(u_i) = sum_j D_j d_j(u_i) lies in out_{g a_i} (is 0 off the support).
+    Each check reads coordinates over out's basis through its one inverse:
+    the products of (a) from one stacked mult_operator of the u_i, the
+    images of (b) from one stacked mult_operator of the m*m partials d_j(u_i)
+    and one product with w_grading's basis.
+
+    Proof that the certificate passes exactly when out is a grading that
+    induces w_grading.  By (a) and verify_grading's certificate lemma, out
+    is a grading, the monomials in the u_i span O, and each out_h is
+    spanned by the monomials of degree h.  For D of degree g, Leibniz gives
+    D(prod u_i^c_i) = sum_i c_i u^(c - e_i) D(u_i), and by (b) each term
+    lies in out_{h a_i^-1} out_{g a_i}, inside out_{gh} for a monomial of
+    degree h.  So D(out_h) lies in out_{gh} for every h: the component of
+    w_grading at g lies in the component at g of the grading out induces.
+    Both are direct-sum decompositions of W(m;1) = Der O(m;1), of total
+    dimension mn, so the components are equal.  Conversely, a grading that
+    induces w_grading is out (o_grading_from_w), and then (a) holds because
+    out is a grading and (b) because every D of degree g maps out_h into
+    out_{gh}.
+    """
+    cfg = out.cfg
+    p, m, n = cfg.p, cfg.m, cfg.n
+    try:
+        coords_of = linalg.inverse(out.basis, p)
+    except NoSuchBasisError:
+        return False
+    gens = _generator_rows(out, coords_of)
+    if gens is None:
+        return False
+    supp = out.support()
+    block = _row_blocks(out)
+    # Columns of target: out's support, then w_grading's.
+    target = _degree_table(out.group, supp, supp + w_grading.support())
+    frame = out.basis[gens]
+    # (a): products[i, :, k] is u_i times row k of out.
+    products = linalg.matmul(mult_operator(cfg, frame).reshape(m * n, n), out.basis.T, p)
+    # (b): images[i, :, k] is D(u_i) for row k of w_grading; the operator of
+    # u_i takes D to sum_j D_j d_j(u_i), its block j multiplication by d_j(u_i).
+    partials = np.stack([partial_table(cfg, frame, j + 1) for j in range(m)], axis=1)
+    ops = mult_operator(cfg, partials.reshape(m * m, n)).reshape(m, m, n, n)
+    images = linalg.matmul(ops.transpose(0, 2, 1, 3).reshape(m * n, m * n), w_grading.basis.T, p)
+    vecs = np.concatenate([products.reshape(m, n, n), images.reshape(m, n, m * n)], axis=2)
+    coords = linalg.matmul(vecs.transpose(0, 2, 1).reshape(-1, n), coords_of, p)
+    tgt = target[block[gens]][:, np.concatenate([block, _row_blocks(w_grading) + len(supp)])]
+    return not ((coords.reshape(tgt.shape + (n,)) != 0) & (block != tgt[:, :, None])).any()
 
 
 def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgroup) -> AutO:

@@ -102,9 +102,13 @@ class Grading:
 
     @classmethod
     def _deferred(cls, cfg: Config, group: AbGroup, ambient: str, basis, labels) -> "Grading":
-        """The grading without the constructor's elimination, for
-        verify_grading alone: its own elimination of the basis raises the
-        constructor's DimensionError when the rows are dependent."""
+        """The grading without the constructor's elimination.  Three callers
+        build through it, each with its own reason the rows are independent:
+        verify_grading (for grade verify) eliminates the basis itself and
+        raises the constructor's DimensionError when they are not;
+        autos.push_grading maps a grading's basis through an automorphism,
+        which is invertible; classify.o_grading_from_w inverts the basis in
+        its certificate and runs this constructor when that fails."""
         grading = cls.__new__(cls)
         grading._store(cfg, group, ambient, basis, labels, None)
         return grading
@@ -158,16 +162,24 @@ class Grading:
         return next(iter(parts))
 
     def same_components(self, other: "Grading") -> bool:
-        """Equality of the decompositions as spans, degree by degree."""
+        """Equality of the decompositions as spans, degree by degree.
+
+        One RREF per degree, of the other grading's block: this grading's
+        block lies in its span when every row equals its pivot coordinates
+        times the RREF.  Both blocks have independent rows (a grading's rows
+        are), so when they have equal sizes containment is equality."""
         if (self.cfg, self.group, self.ambient) != (other.cfg, other.group, other.ambient):
             return False
         mine, theirs = self.blocks(), other.blocks()
-        if tuple(mine) != tuple(theirs):
+        if list(mine.items()) != list(theirs.items()):
             return False
         p = self.cfg.p
-        return all(np.array_equal(linalg.row_space(self.basis[sl], p),
-                                  linalg.row_space(other.basis[theirs[g]], p))
-                   for g, sl in mine.items())
+        for sl in mine.values():
+            rows = self.basis[sl]
+            ech, pivots = linalg.rref(other.basis[sl], p)
+            if not np.array_equal(rows, linalg.matmul(rows[:, pivots], ech, p)):
+                return False
+        return True
 
     def __repr__(self) -> str:
         dims = {g.coords: sl.stop - sl.start for g, sl in self.blocks().items()}
@@ -344,10 +356,10 @@ def _rank_in(values, x):
     return np.where(hit, pos, -1)
 
 
-def _degree_table(group: AbGroup, supp) -> np.ndarray:
-    """target[i, j]: the index in supp of supp[i] * supp[j], or -1 when the
-    product lies outside the support.  supp is sorted by coordinates, as
-    Grading.support() is.
+def _degree_table(group: AbGroup, supp, right=None) -> np.ndarray:
+    """target[i, j]: the index in supp of supp[i] * right[j], or -1 when the
+    product lies outside the support; right defaults to supp.  supp is
+    sorted by coordinates, as Grading.support() is.
 
     Works on the label coordinates as arrays, one slot at a time: free slots
     add, torsion slots add mod their order.  key holds, for every support
@@ -358,20 +370,30 @@ def _degree_table(group: AbGroup, supp) -> np.ndarray:
     int64 while every sum fits, and Python ints (object arrays) otherwise,
     so the table is exact for any coordinates.
     """
-    k = len(supp)
-    coords = [g.coords for g in supp]
-    small = max((abs(c) for c in itertools.chain(*coords, group.torsion)), default=0) < 2**62
-    lab = np.array(coords, dtype=np.int64 if small else object).reshape(k, group.rank)
-    key = np.zeros(k + k * k, dtype=np.int64)
+    right = supp if right is None else right
+    k, r = len(supp), len(right)
+    coords, rcoords = [g.coords for g in supp], [g.coords for g in right]
+    small = max((abs(c) for c in itertools.chain(*coords, *rcoords, group.torsion)),
+                default=0) < 2**62
+    dtype = np.int64 if small else object
+    lab = np.array(coords, dtype=dtype).reshape(k, group.rank)
+    rlab = np.array(rcoords, dtype=dtype).reshape(r, group.rank)
+    key = np.zeros(k + k * r, dtype=np.int64)
     for j in range(group.rank):
         col = lab[:, j]
-        prod = (col[:, None] + col[None, :]).ravel()
+        prod = (col[:, None] + rlab[None, :, j]).ravel()
         if j >= group.free_rank:
             prod %= group.torsion[j - group.free_rank]
         pos = _rank_in(np.sort(col), np.concatenate([col, prod]))
         key = np.where((key < 0) | (pos < 0), -1, key * k + pos)
         key = _rank_in(np.sort(key[:k]), key)
-    return key[k:].reshape(k, k)
+    return key[k:].reshape(k, r)
+
+
+def _row_blocks(grading: Grading) -> np.ndarray:
+    """The index in grading.support() of each basis row's degree."""
+    sizes = [sl.stop - sl.start for sl in grading.blocks().values()]
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def frame_rows(grading: Grading) -> list:
@@ -467,7 +489,7 @@ def verify_grading(grading: Grading) -> GradingReport:
     basis, labels = grading.basis, grading.labels
     dim, flat = grading.dim(), grading.flat_size
     blocks = grading.blocks()
-    block = np.repeat(np.arange(len(blocks)), [sl.stop - sl.start for sl in blocks.values()])
+    block = _row_blocks(grading)
     target = _degree_table(grading.group, tuple(blocks))
     # "O" and "W" bases are square, so every column is a pivot once the rows
     # are independent; a "sub" basis has more columns.

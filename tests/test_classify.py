@@ -15,11 +15,12 @@ from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
                                   canonical_key, enumerate_fine, invariants_of,
                                   iso_decide, o_grading_from_w, orbit_probe,
                                   recognize_O, recognize_S)
-from cartangrade.errors import AdmissibilityError, ObstructionError
-from cartangrade.gfp import Config, radix_weights
-from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
-                                  grade_S_construct, induce_W)
-from cartangrade.oalg import OElem, mult_operator
+from cartangrade.errors import AdmissibilityError, CartanGradeError, ObstructionError
+from cartangrade.gfp import Config, alpha_table, radix_weights
+from cartangrade.gradings import (Grading, _degree_of_exponents, _s_rows, fine_grading,
+                                  grade_O_construct, grade_S_construct, induce_subalgebra,
+                                  induce_W)
+from cartangrade.oalg import OElem, mult_operator, z_basis_matrix
 from algebra_helpers import grading_from_components, scale_auto
 from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
@@ -285,8 +286,35 @@ def reconstruction(w_grading, route):
     return out.basis.tobytes(), out.labels
 
 
+def forward_verdict(out, w_grading):
+    """The check the certificate replaces: validate out, induce it forward
+    and compare components with w_grading."""
+    try:
+        checked = Grading(out.cfg, out.group, "O", out.basis, out.labels)
+        return induce_W(checked).same_components(w_grading)
+    except CartanGradeError:
+        return False
+
+
+@pytest.fixture
+def certificate_verdicts(monkeypatch):
+    """Every verdict of classify._induces, each asserted equal to
+    forward_verdict; False means o_grading_from_w ran its fallback."""
+    verdicts = []
+    certify = classify._induces
+
+    def checked(out, w_grading):
+        verdict = certify(out, w_grading)
+        assert verdict == forward_verdict(out, w_grading)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(classify, "_induces", checked)
+    return verdicts
+
+
 @pytest.mark.parametrize("m", [2, 3])
-def test_reconstruction_matches_the_per_degree_oracle(m):
+def test_reconstruction_matches_the_per_degree_oracle(m, certificate_verdicts):
     rng = random.Random(60 + m)
     cfg = Config(5, m)
     cases = strata_gradings(m, rng)
@@ -298,9 +326,10 @@ def test_reconstruction_matches_the_per_degree_oracle(m):
             want = reconstruction(case, o_grading_from_w_per_degree)
             assert not isinstance(want, str)
             assert reconstruction(case, o_grading_from_w) == want
+    assert certificate_verdicts == [True] * (2 * len(cases))
 
 
-def test_reconstruction_refuses_like_the_oracle_on_swapped_labels():
+def test_reconstruction_refuses_like_the_oracle_on_swapped_labels(certificate_verdicts):
     rng = random.Random(71)
     refused = 0
     for g in strata_gradings(2, rng):
@@ -315,6 +344,139 @@ def test_reconstruction_refuses_like_the_oracle_on_swapped_labels():
         assert reconstruction(swapped, o_grading_from_w) == want
         refused += isinstance(want, str)
     assert refused >= 5
+    assert certificate_verdicts.count(False) >= 5
+
+
+def formula_w_decomposition(g, o_labels):
+    """The decomposition of W that induce_W's degree formula gives a
+    relabelled standard grading g: row u(alpha) d_i, for the standard basis
+    row u(alpha) of label o_labels[alpha] (alpha in alpha_table order), has
+    degree o_labels[alpha] * a_i^-1 for the axis degrees a_i of g."""
+    cfg = g.cfg
+    m, n = cfg.m, cfg.n
+    inv = [a.inverse() for a in g.origin["degrees"]]
+    rows = np.zeros((n, m, m, n), dtype=np.int64)
+    zt = z_basis_matrix(cfg, g.origin["s"]).T
+    for i in range(m):
+        rows[:, i, i, :] = zt
+    labels = [h * a for h in o_labels for a in inv]
+    return Grading(cfg, g.group, "W", rows.reshape(n * m, m * n), labels)
+
+
+def test_certificate_refuses_pushes_of_a_non_multiplicative_decomposition(certificate_verdicts):
+    rng = random.Random(75)
+    cases = 0
+    for g in strata_gradings(2, rng):
+        degrees = g.origin["degrees"]
+        o_labels = [_degree_of_exponents(g.group, degrees, alpha) for alpha in alpha_table(5, 2)]
+        assert formula_w_decomposition(g, o_labels).same_components(induce_W(g))
+        i, j = rng.sample([k for k in range(1, CFG.n) if o_labels[k] != o_labels[0]], 2)
+        if o_labels[i] == o_labels[j]:
+            continue
+        o_labels[i], o_labels[j] = o_labels[j], o_labels[i]
+        w = push_grading(random_auto(CFG, rng), formula_w_decomposition(g, o_labels))
+        want = reconstruction(w, o_grading_from_w_per_degree)
+        assert isinstance(want, str)
+        assert reconstruction(w, o_grading_from_w) == want
+        cases += 1
+    assert cases >= 5
+    assert certificate_verdicts.count(False) >= 5 and not any(certificate_verdicts)
+
+
+def test_certificate_refuses_relabelled_blocks_away_from_the_anchor(certificate_verdicts):
+    """Two blocks after the anchor's that hold no multiple of its axis swap
+    labels: the candidate is still the inducing grading, which passes the O
+    part of the certificate, and only the images of the frame refuse it."""
+    rng = random.Random(77)
+    n = CFG.n
+    cases = 0
+    for g in [g for _ in range(4) for g in strata_gradings(2, rng)]:
+        w = induce_W(g)
+        k = next(k for k, row in enumerate(w.basis) if row[::n].any())
+        axis = int(np.flatnonzero(w.basis[k].reshape(CFG.m, n).any(axis=1))[0])
+        away = [h for h, sl in w.blocks().items() if h.coords > w.labels[k].coords
+                and not w.basis[sl, axis * n:(axis + 1) * n].any()]
+        if len(away) < 2:
+            continue
+        a, b = rng.sample(away, 2)
+        swap = {a: b, b: a}
+        swapped = Grading(CFG, w.group, "W", w.basis, [swap.get(x, x) for x in w.labels])
+        want = reconstruction(swapped, o_grading_from_w_per_degree)
+        assert isinstance(want, str)
+        assert reconstruction(swapped, o_grading_from_w) == want
+        cases += 1
+    assert cases >= 5 and certificate_verdicts == [False] * cases
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_trusted_producers_pass_the_validating_constructor(m):
+    rng = random.Random(80 + m)
+    cfg = Config(5, m)
+    s_rows = _s_rows(cfg)
+    cases = strata_gradings(m, rng)
+    if m == 3:
+        cases = cases[::4]
+    for g in cases:
+        w = induce_W(g)
+        pushed = [push_grading(random_auto(cfg, rng), x)
+                  for x in (g, w, induce_subalgebra(w, s_rows))]
+        for out in pushed + [o_grading_from_w(pushed[1])]:
+            again = Grading(cfg, out.group, out.ambient, out.basis, out.labels)
+            assert again.basis.tobytes() == out.basis.tobytes() and again.labels == out.labels
+
+
+def same_components_by_row_spaces(x, y):
+    """The two-RREF comparison: equal supports and, per degree, equal RREFs."""
+    if (x.cfg, x.group, x.ambient) != (y.cfg, y.group, y.ambient):
+        return False
+    mine, theirs = x.blocks(), y.blocks()
+    if tuple(mine) != tuple(theirs):
+        return False
+    p = x.cfg.p
+    return all(np.array_equal(linalg.row_space(x.basis[sl], p),
+                              linalg.row_space(y.basis[theirs[g]], p))
+               for g, sl in mine.items())
+
+
+def component_variants(grading, rng):
+    """(same, differ) for two random blocks g, h of grading.  same: a
+    grading whose blocks span the same spaces.  differ: one where block g's
+    span changed while the support and block sizes stay, one with block g
+    relabelled h (the supports differ) and one with labels g and h swapped."""
+    p = grading.cfg.p
+    blocks = grading.blocks()
+    g, h = rng.sample(list(blocks), 2)
+    sl = blocks[g]
+    scaled = grading.basis.copy()
+    scaled[sl] = scaled[sl] * 2 % p
+    scaled[sl.start] = (scaled[sl.start] + scaled[sl.stop - 1]) % p
+    moved = grading.basis.copy()
+    moved[sl.start] = (moved[sl.start] + moved[blocks[h].start]) % p
+
+    def relabelled(basis, swap):
+        return Grading(grading.cfg, grading.group, grading.ambient, basis,
+                       [swap.get(x, x) for x in grading.labels])
+
+    return ([relabelled(scaled, {})],
+            [relabelled(moved, {}), relabelled(grading.basis, {g: h}),
+             relabelled(grading.basis, {g: h, h: g})])
+
+
+def test_same_components_matches_the_row_space_comparison():
+    rng = random.Random(90)
+    positives, negatives = [], []
+    for flavor, g1, g2 in _decision_pairs():
+        positives.append((push_grading(iso_decide(g1, g2, flavor), g1), g2))
+        mu = random_auto(CFG, rng)
+        positives.append((push_grading(mu.inverse(), push_grading(mu, g2)), g2))
+        same, differ = component_variants(g2, rng)
+        positives += [(x, g2) for x in same]
+        negatives += [(x, g2) for x in differ] + [(g2, x) for x in differ]
+    assert {x.ambient for x, _ in positives} == {"O", "W", "sub"}
+    for x, y in positives:
+        assert x.same_components(y) and same_components_by_row_spaces(x, y)
+    for x, y in negatives:
+        assert not x.same_components(y) and not same_components_by_row_spaces(x, y)
 
 
 def test_iso_positive_algebra_flavor():
