@@ -27,7 +27,7 @@ from .errors import (
     ValidityError,
 )
 from .gfp import Config, alpha_table, radix_weights, weight_table
-from .gradings import Grading, _degree_of_exponents, induce_W
+from .gradings import Grading, _degree_of_exponents
 from .oalg import OElem, mult_operator, partial_table, z_basis_matrix
 from .forms import KForm, differential
 from .witt import WElem
@@ -380,6 +380,13 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     toral rank the jacobian is forced scalar and no graded correction can
     change it, so the map is returned unchanged when that scalar is 1 and
     an obstruction is reported otherwise.
+
+    Degrees are read in the coordinates of the grading's basis B, through
+    one inverse of B per call.  The derivation z^alpha d_i, for a basis row
+    z^alpha, has degree deg(z^alpha) * a_i^-1, so the trivial-degree part
+    of D = sum_i f_i d_i keeps, in the coordinates f_i B^-1 of coefficient
+    i, the rows labelled a_i, multiplied back by B.  The same coordinates of
+    the jacobian give its degree.
     """
     cfg = mu.cfg
     if grading.cfg != cfg:
@@ -389,11 +396,16 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     p, m = cfg.p, cfg.m
     s = grading.origin["s"]
     e = grading.group.identity()
+    blocks = grading.blocks()
+    coords_of = linalg.inverse(grading.basis, p)
     jac = mu.jacobian()
     if not jac.is_unit():
         raise ValidityError("jacobian of an automorphism must be a unit")
-    if jac != OElem.one(cfg) and grading.degree_of(jac) != e:
-        raise AdmissibilityError("jacobian is not homogeneous of trivial degree for this grading")
+    if jac != OElem.one(cfg):
+        ident = blocks.get(e, slice(0, 0))
+        coords = linalg.matmul(jac.table, coords_of, p)
+        if coords[:ident.start].any() or coords[ident.stop:].any():
+            raise AdmissibilityError("jacobian is not homogeneous of trivial degree for this grading")
     if s == m:
         c = int(jac.table[0])
         if jac.table[1:].any():
@@ -405,7 +417,10 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     at = alpha_table(p, m)
     free_weight = at[:, s:].sum(axis=1)
     w_masks = _free_weight_masks(cfg, s, free_weight)
-    gw = induce_W(grading)
+    # keep[i, k]: whether row k of the basis, times d_i, has the trivial degree.
+    keep = np.zeros((m, cfg.n), dtype=np.int64)
+    for i, a in enumerate(grading.origin["degrees"]):
+        keep[i, blocks.get(a, slice(0, 0))] = 1
     limit = (p - 1) * (m - s) + 1
     cur = mu
     steps = 0
@@ -428,12 +443,10 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         tail[free_weight == 0] = 0
         ell = int(free_weight[np.flatnonzero(tail)].min())
         field = volume_vector_field(cur)
-        parts = gw.decompose(field)
-        coeffs = parts.get(e)
-        if coeffs is None:
+        coords = linalg.matmul(field.tables, coords_of, p) * keep
+        if not coords.any():
             raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
-        flat = linalg.matmul(np.array(coeffs, dtype=np.int64), gw.basis[gw.blocks()[e]], p)
-        flat = flat * w_masks[ell] % p
+        flat = linalg.matmul(coords, grading.basis, p).reshape(-1) * w_masks[ell] % p
         piece = WElem.from_flat(cfg, flat)
         slice_tbl = jac.table.copy()
         slice_tbl[free_weight != ell] = 0

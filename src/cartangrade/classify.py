@@ -297,16 +297,22 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
 
     Those functions are the first n coordinates of the null space of
     [stack | -W_g^T], where stack (mn x n) is multiplication by the anchor
-    and W_g holds the rows of degree g.  The stack is factored once: the
-    RREF of [stack | I_mn] is [E | T] with T invertible and T @ stack =
-    E = [I_n; 0], since the n stack columns are all pivots (multiplication
-    by the anchor is injective).  One product gives T @ (-basis^T) = [top;
-    bottom].  T is invertible, so [stack | -W_g^T] and T @ [stack | -W_g^T]
-    = [[I_n, top_g], [0, bottom_g]] have the same RREF.  Its pivots are the
-    n stack columns and the pivots of bottom_g, so the canonical null space
-    basis is (-top_g c, c) for c running over the canonical null space basis
-    of bottom_g: the same rows, in the same order, as a per-degree
-    elimination of [stack | -W_g^T].
+    and W_g holds the rows of degree g.  The stack is factored once, through
+    the inverse of the unit coefficient u = anchor_i0: block j of stack is
+    multiplication A_j by anchor_j, and A_i0 is invertible, so the matrix T
+    whose first block row is A_i0^-1 on block i0 and whose other block rows
+    are I on block j minus A_j A_i0^-1 on block i0 (j != i0) is invertible
+    (block triangular after moving block i0 first) with T @ stack = [I_n; 0].
+    With B = -basis^T, T @ B = [top; bottom] is top = u^-1 B_i0 and
+    bottom_j = B_j - A_j top.  T is invertible, so [stack | -W_g^T] and
+    T @ [stack | -W_g^T] = [[I_n, top_g], [0, bottom_g]] have the same RREF.
+    Its pivots are the n stack columns and the pivots of bottom_g, so the
+    canonical null space basis is (-top_g c, c) for c running over the
+    canonical null space basis of bottom_g: the same rows, in the same
+    order, as a per-degree elimination of [stack | -W_g^T].  Any other T'
+    with T' @ stack = [I_n; 0] is S @ T with S = [[I, X], [0, Y]], Y
+    invertible: it changes bottom_g only by the row operation Y, which keeps
+    its null space, and top_g c only by X bottom_g c = 0.
     """
     if w_grading.ambient != "W":
         raise AdmissibilityError("reconstruction expects a grading of the derivations")
@@ -316,15 +322,18 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     anchor = g_star = None
     for row, g in zip(w_grading.basis, w_grading.labels):
         if row[::n].any():
-            anchor, g_star = row, g
+            anchor, g_star = row.reshape(m, n), g
             break
     if anchor is None:
         raise AdmissibilityError(
             "no homogeneous derivation has a unit coefficient; grading is not induced")
-    stack = mult_operator(cfg, anchor.reshape(m, n)).reshape(m * n, n)
-    t = linalg.rref(np.hstack([stack, np.eye(m * n, dtype=np.int64)]), p)[0][:, n:]
-    reduced = linalg.matmul(t, (-w_grading.basis.T) % p, p)
-    top, bottom = reduced[:n], reduced[n:]
+    i0 = int(np.flatnonzero(anchor[:, 0])[0])
+    stack = mult_operator(cfg, anchor).reshape(m * n, n)
+    neg = (-w_grading.basis.T) % p
+    u_inv = OElem(cfg, anchor[i0]).inverse()
+    top = linalg.matmul(mult_operator(cfg, u_inv.table), neg[i0 * n:(i0 + 1) * n], p)
+    rest = np.delete(np.arange(m * n), np.s_[i0 * n:(i0 + 1) * n])
+    bottom = (neg[rest] - linalg.matmul(stack[rest], top, p)) % p
     rows, labels = [], []
     for g, sl in w_grading.blocks().items():
         null = linalg.nullspace(bottom[:, sl], p)
@@ -396,15 +405,27 @@ def _induces(out: Grading, w_grading: Grading) -> bool:
     return not ((coords.reshape(tgt.shape + (n,)) != 0) & (block != tgt[:, :, None])).any()
 
 
-def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgroup) -> AutO:
-    """Composition of standard maps carrying one standard grading to another.
+def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgroup, at=None):
+    """Images of the standard map nu carrying one standard grading to
+    another, evaluated at the elements at (default: the variables, which
+    gives nu's own images).
 
-    Both data describe the same subgroup with matching free-degree cosets:
-    first permute the free axes to align cosets, then change the toral basis,
-    then shift the free degrees onto their exact targets.
+    Both data describe the same subgroup with matching free-degree cosets.
+    nu = shift o basis change o permutation: permute the free axes to align
+    cosets, change the toral basis, then shift the free degrees onto their
+    exact targets (the maps of permutation_auto, basis_change_auto and
+    shift_auto).  The shift fixes the toral variables and the basis change
+    the free ones, so the composite has the closed form
+      nu(x_j) = prod_i (1+x_i)^{c_i} - 1 for j <= s, with c the exponents
+        of basis1[j] over basis2;
+      nu(x_{s+i}) = x_{s+k} prod_i (1+x_i)^{c_i} when gamma1[i] is matched
+        with gamma2[k], with c the exponents of gamma1[i] * gamma2[k]^-1.
+    The same expressions in the elements y of at are the images of
+    AutO(y) o nu, found by substitution instead of a product of matrices.
     """
     s, t = len(basis1), len(gamma1)
     sub2 = PSubgroup(psub.group, tuple(basis2))
+    y = list(at) if at is not None else [OElem.variable(cfg, i) for i in range(1, cfg.m + 1)]
     used = [False] * t
     rho = []
     for k in range(t):
@@ -415,27 +436,19 @@ def _standard_bridge(cfg: Config, basis1, gamma1, basis2, gamma2, psub: PSubgrou
                 break
         else:
             raise NoSuchBasisError("free degrees do not match modulo the subgroup")
-    perm = [0] * t
-    for k in range(t):
-        perm[rho[k]] = k
-    step = permutation_auto(cfg, s, perm)
-    if s:
-        alpha = [[0] * s for _ in range(s)]
-        for j in range(s):
-            exps = sub2.exponents_of(basis1[j])
-            if exps is None:
-                raise InternalError("both bases span the same subgroup")
-            for i in range(s):
-                alpha[i][j] = int(exps[i])
-        step = basis_change_auto(cfg, s, alpha).compose(step)
-    rows = []
-    for k in range(t):
-        d = gamma1[rho[k]] * gamma2[k].inverse()
-        exps = sub2.exponents_of(d)
+    toral = []
+    for b in basis1:
+        exps = sub2.exponents_of(b)
+        if exps is None:
+            raise InternalError("both bases span the same subgroup")
+        toral.append(_unit_product(cfg, y[:s], exps) - OElem.one(cfg))
+    free = [None] * t
+    for k, i in enumerate(rho):
+        exps = sub2.exponents_of(gamma1[i] * gamma2[k].inverse())
         if exps is None:
             raise InternalError("matched cosets differ by a subgroup element")
-        rows.append([int(x) for x in exps])
-    return shift_auto(cfg, s, rows).compose(step)
+        free[i] = y[s + k] * _unit_product(cfg, y[:s], exps)
+    return toral + free
 
 
 def _resolve(grading: Grading, flavor: str):
@@ -488,9 +501,10 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     flavor takes one path: the algebra gradings it decides on (_resolve) are
     recognized, their invariant keys compared, and the standard bridge nu
     between the recognized frames f1, f2 gives the witness
-    AutO(f2) o nu o AutO(f1)^-1.  Volume flavor: at full toral rank that
-    witness scales the volume form by a unit; below it, both legs are
-    normalized to fix the volume form exactly and the witness is their
+    AutO(f2) o nu o AutO(f1)^-1, its first factor AutO(f2) o nu found by
+    substitution (_standard_bridge at f2).  Volume flavor: at full toral
+    rank that witness scales the volume form by a unit; below it, both legs
+    are normalized to fix the volume form exactly and the witness is their
     composite.  The witness is checked once, on the gradings passed in.  The
     symplectic flavor at rank 2 coincides with the volume flavor; at higher
     half-rank the classification is open and the module-level OPEN_IN_PAPER
@@ -513,16 +527,16 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     if canonical_key(i1) != canonical_key(i2):
         return None
     cfg, s = g1.cfg, i1.s
-    nu = _standard_bridge(cfg, d1[:s], d1[s:], d2[:s], d2[s:], i1.P)
+    data = (cfg, d1[:s], d1[s:], d2[:s], d2[s:], i1.P)
     if volume and s < cfg.m:
         std2 = grade_O_construct(cfg, g1.group, d2[:s], d2[s:])
-        mu1 = normalize_omega_S(nu.compose(AutO(f1).inverse()), std2)
+        mu1 = normalize_omega_S(AutO(_standard_bridge(*data)).compose(AutO(f1).inverse()), std2)
         mu2 = normalize_omega_S(AutO(f2).inverse(), std2)
         psi = mu2.inverse().compose(mu1)
         if psi.jacobian() != OElem.one(cfg):
             raise InternalError("witness must fix the volume form exactly")
     else:
-        psi = AutO(f2).compose(nu).compose(AutO(f1).inverse())
+        psi = AutO(_standard_bridge(*data, at=f2)).compose(AutO(f1).inverse())
         if volume and volume_factor(psi) is None:
             raise InternalError("full-rank witness must scale the volume form")
     _check_witness(psi, g1, g2)

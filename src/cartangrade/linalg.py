@@ -19,10 +19,15 @@ reduces only the pivot column and the pivot row, subtracts multiples of the
 pivot row from the rows with a nonzero entry in the pivot column, from the
 pivot column rightward, and so leaves an entry in [-k(p-1)^2, p) after k
 updates; it reduces the trailing columns every k_max pivots and the whole
-matrix once, at the end.  rref is the one GF(p) elimination of the
-package: rank, nullspace, solve (and inverse, a solve against the
-identity), row_space, intersect_row_spaces and EchelonSpace.add_batch all
-read its output, and no other code pivots over GF(p).
+matrix once, at the end.  A small matrix skips that loop: below one fixed
+work cutoff (_SMALL_WORK, on an estimate from its nonzero entries and its
+size) rref runs the same Gauss-Jordan pivoting on lists of Python ints
+(_rref_small), whose cost per pivot is the entries it touches rather than a
+dozen numpy calls; the RREF is unique, so both give the same output.  rref
+is the one GF(p) elimination of the package: rank, nullspace, solve (and
+inverse, a solve against the identity), row_space, intersect_row_spaces
+and EchelonSpace.add_batch all read its output, and no other code pivots
+over GF(p).
 """
 
 from __future__ import annotations
@@ -92,12 +97,24 @@ def matmul(a, b, p: int):
     return out
 
 
+# rref eliminates on Python ints (_rref_small) while its work estimate, the
+# nonzero entries plus one per 32 entries, is at most this.  The numpy loop
+# pays a dozen calls per pivot whatever the matrix holds; the Python pass
+# pays for the entries it updates, which grow with the nonzero entries and
+# their fill-in.  The estimate and the cutoff were fitted on the rref calls
+# of the benchmark's three workloads.
+_SMALL_WORK = 150
+
+
 def rref(mat, p: int):
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
     a = np.array(mat, dtype=np.int64, order="C")
     a %= p
     rows, cols = a.shape
-    k_max = _reduction_interval(p)
+    k_max = _reduction_interval(p)      # refuses p past the int64 bound on either path
+    work = rows * cols // 32
+    if work <= _SMALL_WORK and work + np.count_nonzero(a) <= _SMALL_WORK:
+        return _rref_small(a, p)
     pending = 0           # pivot updates since the matrix was last reduced
     pivots = []
     r = 0
@@ -133,6 +150,40 @@ def rref(mat, p: int):
     a = a[:r]
     a %= p
     return a, pivots
+
+
+def _rref_small(a, p: int):
+    """rref of a small matrix already reduced mod p, on lists of Python
+    ints: the pivots and updates of the numpy loop, without its numpy calls
+    per pivot.  The pivot row is zero left of its pivot column (the rows
+    from r down are zero on the open columns before c, and the earlier
+    pivot columns are cleared), so each update starts at that column."""
+    rows, cols = a.shape
+    m = a.tolist()
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        row = m[i]
+        m[i] = m[r]
+        m[r] = row
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        tail = row[c:]
+        for other in m:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return np.array(m[:r], dtype=np.int64).reshape(r, cols), pivots
 
 
 def rank(mat, p: int) -> int:

@@ -9,21 +9,32 @@ algebra bases and Hamiltonian fields as element objects, one-pair
 Hamiltonian closed forms and a grading given by element objects.  The
 package computes none of them on its own paths; the tests use them as
 independent routes to what it does compute, or as shorthands for it.
+
+Three of them are routes the package replaced by closed forms and keep
+its output pinned: the volume normalization through the induced
+derivation grading and a decomposition per step, the standard bridge as
+a composite of the three standard maps, and rref through its numpy loop
+at every size.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
 from cartangrade import linalg, witt
-from cartangrade.autos import AutO
-from cartangrade.errors import (AxisRangeError, ConfigMismatchError, DimensionError,
-                                ValidityError)
+from cartangrade.abgroup import PSubgroup, coset_eq
+from cartangrade.autos import (AutO, _free_weight_masks, _unit_scale_correction,
+                               basis_change_auto, permutation_auto, shift_auto,
+                               volume_vector_field)
+from cartangrade.errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
+                                ConfigMismatchError, DimensionError, InternalError,
+                                NoSuchBasisError, ObstructionError, ValidityError)
 from cartangrade.forms import (KForm, _merge_sign, algebra_rows, derived_rows, differential,
                                lie_derivative)
-from cartangrade.gfp import Config, weight_table
-from cartangrade.gradings import Grading
+from cartangrade.gfp import Config, alpha_table, weight_table
+from cartangrade.gradings import Grading, induce_W
 from cartangrade.oalg import OElem, z_monomial
 from cartangrade.witt import WElem, d_h_rows
 
@@ -202,3 +213,98 @@ def closed_form_h_bracket(cfg: Config, alpha, beta) -> WElem:
 def closed_form_h_partial(cfg: Config, ell: int, beta) -> WElem:
     """[d/dx_ell, d_h(z^beta)] for one beta: see witt.closed_form_h_partial_rows."""
     return WElem.from_flat(cfg, witt.closed_form_h_partial_rows(cfg, ell, [beta])[0])
+
+
+# -- replaced routes --------------------------------------------------------
+
+def normalize_omega_S_by_decompose(mu: AutO, grading: Grading, trace=None) -> AutO:
+    """autos.normalize_omega_S reading degrees off the induced derivation
+    grading: the jacobian's degree by Grading.degree_of, and the
+    trivial-degree part of each volume field by one decompose over
+    induce_W(grading) per step."""
+    cfg = mu.cfg
+    if grading.cfg != cfg:
+        raise ConfigMismatchError("grading built over a different configuration")
+    if grading.ambient != "O" or grading.origin is None:
+        raise AdmissibilityError("normalization needs a standard grading of the algebra")
+    p, m = cfg.p, cfg.m
+    s = grading.origin["s"]
+    e = grading.group.identity()
+    one = OElem.one(cfg)
+    jac = mu.jacobian()
+    if not jac.is_unit():
+        raise ValidityError("jacobian of an automorphism must be a unit")
+    if jac != one and grading.degree_of(jac) != e:
+        raise AdmissibilityError("jacobian is not homogeneous of trivial degree for this grading")
+    if s == m:
+        if jac.table[1:].any():
+            raise AdmissibilityError("full toral rank forces a scalar jacobian; got a non-scalar")
+        if int(jac.table[0]) != 1:
+            raise ObstructionError("full toral rank: the volume factor is a fixed scalar")
+        return mu
+    free_weight = alpha_table(p, m)[:, s:].sum(axis=1)
+    w_masks = _free_weight_masks(cfg, s, free_weight)
+    gw = induce_W(grading)
+    cur = mu
+    for steps in itertools.count(1):
+        jac = cur.jacobian()
+        if jac == one:
+            return cur
+        if trace is not None:
+            trace.append(steps)
+        if steps > (p - 1) * (m - s) + 1:
+            raise CartanGradeError("normalization failed to terminate within the weight bound")
+        head = jac.table.copy()
+        head[free_weight > 0] = 0
+        if OElem(cfg, head) != one:
+            cur = _unit_scale_correction(cfg, OElem(cfg, head)).compose(cur)
+            continue
+        tail = jac.table.copy()
+        tail[free_weight == 0] = 0
+        ell = int(free_weight[np.flatnonzero(tail)].min())
+        coeffs = gw.decompose(volume_vector_field(cur)).get(e)
+        if coeffs is None:
+            raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
+        flat = linalg.matmul(np.array(coeffs, dtype=np.int64), gw.basis[gw.blocks()[e]], p)
+        piece = WElem.from_flat(cfg, flat * w_masks[ell] % p)
+        cur = AutO([OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]).compose(cur)
+
+
+def standard_bridge_by_composition(cfg, basis1, gamma1, basis2, gamma2, psub) -> AutO:
+    """The standard bridge nu of classify._standard_bridge as the composite
+    shift o basis change o permutation of the three standard maps."""
+    s, t = len(basis1), len(gamma1)
+    sub2 = PSubgroup(psub.group, tuple(basis2))
+    used = [False] * t
+    rho = []
+    for k in range(t):
+        j = next((j for j in range(t) if not used[j] and coset_eq(gamma2[k], gamma1[j], psub)),
+                 None)
+        if j is None:
+            raise NoSuchBasisError("free degrees do not match modulo the subgroup")
+        used[j] = True
+        rho.append(j)
+    perm = [0] * t
+    for k in range(t):
+        perm[rho[k]] = k
+    step = permutation_auto(cfg, s, perm)
+    if s:
+        alpha = [[0] * s for _ in range(s)]
+        for j in range(s):
+            for i, x in enumerate(sub2.exponents_of(basis1[j])):
+                alpha[i][j] = int(x)
+        step = basis_change_auto(cfg, s, alpha).compose(step)
+    rows = []
+    for k in range(t):
+        exps = sub2.exponents_of(gamma1[rho[k]] * gamma2[k].inverse())
+        if exps is None:
+            raise InternalError("matched cosets differ by a subgroup element")
+        rows.append([int(x) for x in exps])
+    return shift_auto(cfg, s, rows).compose(step)
+
+
+def rref_by_numpy_loop(mat, p: int):
+    """linalg.rref with its small-matrix pass switched off, so every size
+    takes the numpy loop."""
+    with mock.patch.object(linalg, "_SMALL_WORK", -1):
+        return linalg.rref(mat, p)

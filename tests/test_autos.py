@@ -12,7 +12,7 @@ from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
                                permutation_auto, push_grading, random_auto,
                                random_graded_auto, shift_auto, volume_factor,
                                volume_vector_field)
-from cartangrade.errors import ObstructionError, ValidityError
+from cartangrade.errors import CartanGradeError, ObstructionError, ValidityError
 from cartangrade.forms import KForm, omega_volume
 from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
@@ -20,8 +20,8 @@ from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
 from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
 
-from algebra_helpers import (jacobian_by_permutations, push_derivation, scale_auto,
-                             volume_field_by_wedges)
+from algebra_helpers import (jacobian_by_permutations, normalize_omega_S_by_decompose,
+                             push_derivation, scale_auto, volume_field_by_wedges)
 
 
 def random_elem(cfg, rng):
@@ -305,6 +305,48 @@ def test_normalization_fixes_the_volume_form_exactly():
         assert push_grading(nu, grading).same_components(grading)
         if len(trace) >= 2:
             multi_round += 1
+    assert multi_round > 0
+
+
+def normalization_gradings(p, m):
+    """Standard gradings below full toral rank over Z_p^m: every rank s < m
+    with seeded free degrees, and the colliding degrees of
+    test_normalization_fixes_the_volume_form_exactly (every axis of one
+    degree b, the first one toral), which leave the graded maps room for
+    multi-round corrections."""
+    cfg = Config(p, m)
+    group = AbGroup(0, (p,) * m)
+    e = [group.element(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    rng = random.Random(p * m)
+    out = []
+    for s in range(m):
+        gamma = [e[k] * e[rng.randrange(m)] ** rng.randrange(p) for k in range(s, m)]
+        out.append(grade_O_construct(cfg, group, e[:s], gamma))
+    g = AbGroup(0, (p,))
+    b = g.element((1,))
+    out.append(grade_O_construct(cfg, g, [b], [b] * (m - 1)))
+    return out
+
+
+def _normalized(route, mu, grading):
+    """(map, rounds) of a normalization route, or the class of its refusal."""
+    trace = []
+    try:
+        return route(mu, grading, trace), trace
+    except CartanGradeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p, m, draws", [(5, 2, 8), (7, 2, 6), (5, 3, 3)])
+def test_normalization_in_standard_coordinates_matches_the_decompose_route(p, m, draws):
+    rng = random.Random(7 * p + m)
+    multi_round = 0
+    for grading in normalization_gradings(p, m):
+        for _ in range(draws):
+            mu = random_graded_auto(grading, rng)
+            got = _normalized(lambda f, g, t: normalize_omega_S(f, g, _trace=t), mu, grading)
+            assert got == _normalized(normalize_omega_S_by_decompose, mu, grading)
+            multi_round += len(got[1]) >= 2
     assert multi_round > 0
 
 

@@ -21,9 +21,11 @@ from cartangrade.gradings import (Grading, _degree_of_exponents, _s_rows, fine_g
                                   grade_O_construct, grade_S_construct, induce_subalgebra,
                                   induce_W)
 from cartangrade.oalg import OElem, mult_operator, z_basis_matrix
-from algebra_helpers import grading_from_components, scale_auto
+from algebra_helpers import (grading_from_components, scale_auto,
+                             standard_bridge_by_composition)
 from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
+from witness_digest import pairs as digest_pairs
 
 
 CFG = Config(5, 2)
@@ -745,9 +747,33 @@ def test_full_rank_volume_witness_is_the_frame_composite():
         f1, d1, i1 = classify._recognize_S_frame(g1)
         f2, d2, i2 = classify._recognize_S_frame(g2)
         assert i1.s == CFG.m
-        nu = classify._standard_bridge(CFG, d1, [], d2, [], i1.P)
+        nu = AutO(classify._standard_bridge(CFG, d1, [], d2, [], i1.P))
         mu1, mu2 = nu.compose(AutO(f1).inverse()), AutO(f2).inverse()
         assert iso_decide(g1, g2, "S") == mu2.inverse().compose(mu1)
+
+
+def test_bridge_by_substitution_matches_the_composed_standard_maps():
+    """On every recognized positive pair of the witness-digest corpus, the
+    closed-form bridge gives the images of shift o basis change o
+    permutation, and at the frame f2 those of AutO(f2) o nu."""
+    checked = set()
+    for flavor, g1, g2 in digest_pairs():
+        (o1, volume), (o2, _) = classify._resolve(g1, flavor), classify._resolve(g2, flavor)
+        recognize = classify._recognize_S_frame if volume else classify._recognize_frame
+        try:
+            (f1, d1, i1), (f2, d2, i2) = recognize(o1), recognize(o2)
+        except CartanGradeError:
+            continue
+        if canonical_key(i1) != canonical_key(i2):
+            continue
+        s = i1.s
+        data = (g1.cfg, d1[:s], d1[s:], d2[:s], d2[s:], i1.P)
+        nu = standard_bridge_by_composition(*data)
+        assert AutO(classify._standard_bridge(*data)) == nu
+        assert AutO(classify._standard_bridge(*data, at=f2)) == AutO(f2).compose(nu)
+        checked.add((flavor, g1.cfg.m, s))
+    assert {(f, m) for f, m, _ in checked} == {(f, m) for f in "OWS" for m in (2, 3)}
+    assert len({s for _, _, s in checked}) == 4
 
 
 def test_invariants_of_every_flavor_reads_the_resolved_grading():

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from cartangrade import linalg
 from cartangrade.errors import ConfigError, NoSuchBasisError
 
+from algebra_helpers import rref_by_numpy_loop
+
 PRIMES = (5, 7, 2399, 2**31 - 1)
 FLOAT_EDGE = 67108859      # the largest prime below 2**26
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
@@ -285,3 +287,31 @@ def test_echelon_space_matches_the_row_space(p, data):
             off = combo.copy()
             off[c] += int(rng.integers(1, p))
             assert not space.contains(off)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 2**31 - 1))
+def test_small_pass_matches_the_numpy_loop(p, monkeypatch):
+    """Shapes on both sides of the cutoff, every kind of _matrix, and the
+    degenerate inputs: no rows, no columns, all zero."""
+    small = []
+    plain = linalg._rref_small
+
+    def counted(a, p):
+        small.append(a.shape)
+        return plain(a, p)
+
+    rng = np.random.default_rng(p % 1000)
+    cases = [np.zeros((0, 5), dtype=np.int64), np.zeros((5, 0), dtype=np.int64),
+             np.zeros((0, 0), dtype=np.int64), np.zeros((4, 6), dtype=np.int64),
+             p * np.ones((3, 3), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]
+    for _ in range(150):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        kind = ("dense", "deficient", "sparse")[int(rng.integers(0, 3))]
+        cases.append(_matrix(rng, p, rows, cols, kind))
+    wants = [rref_by_numpy_loop(a, p) for a in cases]
+    monkeypatch.setattr(linalg, "_rref_small", counted)
+    for a, (want, want_pivots) in zip(cases, wants):
+        got, pivots = linalg.rref(a, p)
+        assert pivots == want_pivots
+        assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+    assert 20 < len(small) < len(cases) - 20
