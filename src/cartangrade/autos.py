@@ -26,7 +26,7 @@ from .errors import (
     ObstructionError,
     ValidityError,
 )
-from .gfp import Config, alpha_table, radix_weights, weight_table
+from .gfp import Config, alpha_table, radix_weights
 from .gradings import Grading, _degree_of_exponents
 from .oalg import OElem, mult_operator, partial_table, z_basis_matrix
 from .forms import KForm, differential
@@ -70,27 +70,13 @@ class AutO:
 
     @property
     def matrix(self):
-        """Matrix of the algebra map on the monomial basis, built on each access.
+        """Matrix of the algebra map on the monomial basis, built on each
+        access by _substitution_matrix."""
+        return _substitution_matrix(self.cfg, self._tables())
 
-        Column at the index of x^alpha holds the table of the product of the
-        variable images with exponents alpha: the image of its first variable
-        x_j times the column of alpha - e_j.  Columns are filled one total
-        degree at a time, with one product per first variable.
-        """
-        cfg = self.cfg
-        p, n = cfg.p, cfg.n
-        first = np.argmax(alpha_table(p, cfg.m) > 0, axis=1)
-        prev = np.arange(n) - radix_weights(p, cfg.m)[first]
-        degree = weight_table(p, cfg.m)
-        ops = mult_operator(cfg, np.stack([u.table for u in self.images]))
-        mat = np.zeros((n, n), dtype=np.int64)
-        mat[0, 0] = 1
-        for d in range(1, int(degree.max()) + 1):
-            for j, op in enumerate(ops):
-                cols = np.flatnonzero((degree == d) & (first == j))
-                if cols.size:
-                    mat[:, cols] = linalg.matmul(op, mat[:, prev[cols]], p)
-        return mat
+    def _tables(self):
+        """(m, n) stack of the variable images' tables."""
+        return np.stack([u.table for u in self.images])
 
     def apply(self, f: OElem) -> OElem:
         """Image of an algebra element under the substitution map."""
@@ -102,12 +88,20 @@ class AutO:
         """Map sending f to self(other(f)), in one product with self.matrix."""
         if other.cfg != self.cfg:
             raise ConfigMismatchError("composing automorphisms over different configurations")
-        cols = np.stack([u.table for u in other.images], axis=1)
+        cols = other._tables().T
         return AutO(OElem(self.cfg, col) for col in linalg.matmul(self.matrix, cols, self.cfg.p).T)
 
+    def compose_inverse(self, other: "AutO") -> "AutO":
+        """Map sending f to self(other^-1(f)), by _composite_inverse_tables:
+        no elimination beyond the m x m linear part of other."""
+        if other.cfg != self.cfg:
+            raise ConfigMismatchError("composing automorphisms over different configurations")
+        tables = _composite_inverse_tables(self.cfg, self._tables(), other._tables())
+        return AutO(OElem(self.cfg, t) for t in tables)
+
     def inverse(self) -> "AutO":
-        """Inverse automorphism: x_j -> mu^-1(x_j), from _preimages."""
-        return AutO(OElem(self.cfg, v) for v in _preimages(self.matrix, self.cfg))
+        """Inverse automorphism: the identity's compose_inverse(self)."""
+        return AutO.identity(self.cfg).compose_inverse(self)
 
     def conjugation_matrix(self):
         """(m*n, m*n) matrix of D -> mu o D o mu^-1 on flat derivation coordinates.
@@ -116,13 +110,12 @@ class AutO:
         D = sum_i f_i d_i is mu(D(v_j)) = sum_i mu(d_i(v_j) * f_i), so block
         (j, i) is mu.matrix @ mult_operator(d_i v_j): one stacked
         mult_operator for the m^2 partials and one product of mu.matrix with
-        their operators side by side.  The v_j come from _preimages, as in
-        inverse().
+        their operators side by side.  The v_j are the images of inverse().
         """
         cfg = self.cfg
         p, m, n = cfg.p, cfg.m, cfg.n
+        v = self.inverse()._tables()
         mat = self.matrix
-        v = _preimages(mat, cfg)
         dv = np.stack([partial_table(cfg, v, i + 1) for i in range(m)], axis=1)
         ops = mult_operator(cfg, dv.reshape(m * m, n)).transpose(1, 0, 2).reshape(n, m * m * n)
         out = linalg.matmul(mat, ops, p)
@@ -165,13 +158,65 @@ class AutO:
         return f"AutO({body})"
 
 
-def _preimages(mat, cfg: Config):
-    """(m, n) tables of mu^-1(x_1..x_m) for the map with matrix mat: the
-    columns of mat^-1 at the variables, solved for alone, one elimination
-    of n x (n + m) instead of the n x 2n of the whole inverse."""
-    rhs = np.zeros((cfg.n, cfg.m), dtype=np.int64)
-    rhs[radix_weights(cfg.p, cfg.m), np.arange(cfg.m)] = 1
-    return linalg.solve(mat, rhs, cfg.p).T
+def _substitution_matrix(cfg: Config, tables):
+    """n x n matrix of the substitution x_i -> u_i, from the (m, n) tables
+    of the u_i, which need not define an automorphism.
+
+    Column x^alpha holds the table of u^alpha = u_1^alpha_1 ... u_m^alpha_m.
+    The flat index of alpha is its mixed-radix value with x_m the fastest
+    digit, so the columns of the monomials in x_{i+1}..x_m alone are the
+    first p^(m-i) columns.  Starting from the column of 1, each variable
+    from x_m to x_1 turns that leading block W into [W, U_i W, ..., U_i^(p-1) W],
+    with U_i the operator of multiplication by u_i, cast to float64 once:
+    m(p-1) products in all, each written into its block of one array.
+    """
+    p, m, n = cfg.p, cfg.m, cfg.n
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[0, 0] = 1
+    width = 1
+    for i in range(m - 1, -1, -1):
+        op = mult_operator(cfg, tables[i]).astype(np.float64)
+        for k in range(1, p):
+            mat[:, k * width:(k + 1) * width] = linalg.matmul(
+                op, mat[:, (k - 1) * width:k * width], p)
+        width *= p
+    return mat
+
+
+def _composite_inverse_tables(cfg: Config, a, u):
+    """(m, n) image tables of S_a o S_u^-1, where S_v is the substitution
+    x_i -> v_i, u defines an automorphism and a any images in the maximal
+    ideal; the only elimination inverts the m x m linear part of u.
+
+    Let L be that linear part (u_i = sum_j L_ij x_j + higher terms) and
+    u' = L^-1 u, so S_u = S_u' o S_Lx: both send x_i to
+    sum_j L_ij u'_j = u_i.  The linear part of u' is the identity, so
+    u'^alpha = x^alpha + terms of total degree above |alpha|, and the
+    matrix of S_u' is I + N with N strictly raising the total degree.  The
+    degree of a monomial is at most m(p-1), so N^k vanishes on the
+    variables (degree 1) for k >= m(p-1), and their preimages are
+    y = (I + N)^-1 e = sum_{k < m(p-1)} (-N)^k e, summed until a term is
+    zero (every later term is then zero too).  Finally
+    S_a o S_u^-1 = S_a o S_{L^-1 x} o S_u'^-1 = S_{L^-1 a} o S_u'^-1, since
+    S_a o S_{L^-1 x} sends x_i to sum_k (L^-1)_ik a_k; so the images are the
+    columns of matrix(L^-1 a) @ y.
+    """
+    p, m, n = cfg.p, cfg.m, cfg.n
+    radix = radix_weights(p, m)
+    linv = linalg.inverse(u[:, radix], p)
+    sub = _substitution_matrix(cfg, linalg.matmul(linv, u, p)).astype(np.float64)
+    term = np.zeros((n, m), dtype=np.int64)
+    term[radix, np.arange(m)] = 1
+    y = term.copy()
+    for _ in range(1, m * (p - 1)):
+        term = term - linalg.matmul(sub, term, p)
+        term %= p
+        if not term.any():
+            break
+        y += term
+    del sub             # before the second matrix is built
+    y %= p
+    return linalg.matmul(_substitution_matrix(cfg, linalg.matmul(linv, a, p)), y, p).T
 
 
 def volume_factor(mu: AutO):

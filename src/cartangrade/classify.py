@@ -502,13 +502,14 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     recognized, their invariant keys compared, and the standard bridge nu
     between the recognized frames f1, f2 gives the witness
     AutO(f2) o nu o AutO(f1)^-1, its first factor AutO(f2) o nu found by
-    substitution (_standard_bridge at f2).  Volume flavor: at full toral
-    rank that witness scales the volume form by a unit; below it, both legs
-    are normalized to fix the volume form exactly and the witness is their
-    composite.  The witness is checked once, on the gradings passed in.  The
-    symplectic flavor at rank 2 coincides with the volume flavor; at higher
-    half-rank the classification is open and the module-level OPEN_IN_PAPER
-    status is returned.
+    substitution (_standard_bridge at f2) and composed with AutO(f1)^-1 by
+    AutO.compose_inverse, which eliminates only an m x m matrix.  Volume
+    flavor: at full toral rank that witness scales the volume form by a
+    unit; below it, both legs are normalized to fix the volume form exactly
+    and the witness is their composite.  The witness is checked once, on
+    the gradings passed in.  The symplectic flavor at rank 2 coincides with
+    the volume flavor; at higher half-rank the classification is open and
+    the module-level OPEN_IN_PAPER status is returned.
     """
     if g1.cfg != g2.cfg:
         raise ConfigMismatchError("gradings built over different configurations")
@@ -530,13 +531,13 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
     data = (cfg, d1[:s], d1[s:], d2[:s], d2[s:], i1.P)
     if volume and s < cfg.m:
         std2 = grade_O_construct(cfg, g1.group, d2[:s], d2[s:])
-        mu1 = normalize_omega_S(AutO(_standard_bridge(*data)).compose(AutO(f1).inverse()), std2)
+        mu1 = normalize_omega_S(AutO(_standard_bridge(*data)).compose_inverse(AutO(f1)), std2)
         mu2 = normalize_omega_S(AutO(f2).inverse(), std2)
         psi = mu2.inverse().compose(mu1)
         if psi.jacobian() != OElem.one(cfg):
             raise InternalError("witness must fix the volume form exactly")
     else:
-        psi = AutO(_standard_bridge(*data, at=f2)).compose(AutO(f1).inverse())
+        psi = AutO(_standard_bridge(*data, at=f2)).compose_inverse(AutO(f1))
         if volume and volume_factor(psi) is None:
             raise InternalError("full-rank witness must scale the volume form")
     _check_witness(psi, g1, g2)

@@ -119,14 +119,6 @@ def alpha_table(p: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def weight_table(p: int, m: int):
-    """|alpha| per flat index."""
-    w = alpha_table(p, m).sum(axis=1)
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
 def radix_weights(p: int, m: int):
     w = np.array([p ** (m - 1 - i) for i in range(m)], dtype=np.int64)
     w.setflags(write=False)

@@ -1,8 +1,9 @@
 """Element operations that only the tests use.
 
-Substitution of the variables, the filtration degree, the maximal-ideal
-test, divided powers and their binomial, the conjugation of one derivation
-by an automorphism, the scaling automorphism, the jacobian by permutations
+Substitution of the variables, the total degree of each monomial, the
+filtration degree, the maximal-ideal test, divided powers and their
+binomial, the conjugation of one derivation by an automorphism, the
+scaling automorphism, the jacobian by permutations
 and the volume field by wedges of differentials, the stabilizer test of a
 derivation on a form, the derived series on a list of derivations, the
 algebra bases and Hamiltonian fields as element objects, one-pair
@@ -10,11 +11,12 @@ Hamiltonian closed forms and a grading given by element objects.  The
 package computes none of them on its own paths; the tests use them as
 independent routes to what it does compute, or as shorthands for it.
 
-Three of them are routes the package replaced by closed forms and keep
-its output pinned: the volume normalization through the induced
-derivation grading and a decomposition per step, the standard bridge as
-a composite of the three standard maps, and rref through its numpy loop
-at every size.
+Five of them are routes the package replaced and keep its output
+pinned: the volume normalization through the induced derivation grading
+and a decomposition per step, the standard bridge as a composite of the
+three standard maps, rref through its numpy loop at every size, the
+substitution matrix filled one total degree at a time, and the preimages
+of the variables by one elimination of [matrix | unit columns].
 """
 
 import itertools
@@ -33,10 +35,15 @@ from cartangrade.errors import (AdmissibilityError, AxisRangeError, CartanGradeE
                                 NoSuchBasisError, ObstructionError, ValidityError)
 from cartangrade.forms import (KForm, _merge_sign, algebra_rows, derived_rows, differential,
                                lie_derivative)
-from cartangrade.gfp import Config, alpha_table, weight_table
+from cartangrade.gfp import Config, alpha_table, radix_weights
 from cartangrade.gradings import Grading, induce_W
-from cartangrade.oalg import OElem, z_monomial
+from cartangrade.oalg import OElem, mult_operator, z_monomial
 from cartangrade.witt import WElem, d_h_rows
+
+
+def weight_table(p: int, m: int):
+    """|alpha| per flat index."""
+    return alpha_table(p, m).sum(axis=1)
 
 
 def in_max_ideal(f: OElem) -> bool:
@@ -308,3 +315,33 @@ def rref_by_numpy_loop(mat, p: int):
     takes the numpy loop."""
     with mock.patch.object(linalg, "_SMALL_WORK", -1):
         return linalg.rref(mat, p)
+
+
+def substitution_matrix_by_degree(mu: AutO):
+    """mu.matrix filled one total degree at a time: the column of x^alpha
+    is the image of its first variable x_j times the column of
+    alpha - e_j, one product per (degree, first variable)."""
+    cfg = mu.cfg
+    p, m, n = cfg.p, cfg.m, cfg.n
+    first = np.argmax(alpha_table(p, m) > 0, axis=1)
+    prev = np.arange(n) - radix_weights(p, m)[first]
+    degree = weight_table(p, m)
+    ops = mult_operator(cfg, np.stack([u.table for u in mu.images]))
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[0, 0] = 1
+    for d in range(1, int(degree.max()) + 1):
+        for j, op in enumerate(ops):
+            cols = np.flatnonzero((degree == d) & (first == j))
+            if cols.size:
+                mat[:, cols] = linalg.matmul(op, mat[:, prev[cols]], p)
+    return mat
+
+
+def preimages_by_solve(mu: AutO):
+    """(m, n) tables of mu^-1(x_1..x_m): the columns of the inverse of
+    mu.matrix at the variables, from one elimination of
+    [matrix | m unit columns]."""
+    cfg = mu.cfg
+    rhs = np.zeros((cfg.n, cfg.m), dtype=np.int64)
+    rhs[radix_weights(cfg.p, cfg.m), np.arange(cfg.m)] = 1
+    return linalg.solve(substitution_matrix_by_degree(mu), rhs, cfg.p).T

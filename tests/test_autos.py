@@ -21,7 +21,8 @@ from cartangrade.oalg import OElem
 from cartangrade.witt import WElem
 
 from algebra_helpers import (jacobian_by_permutations, normalize_omega_S_by_decompose,
-                             push_derivation, scale_auto, volume_field_by_wedges)
+                             preimages_by_solve, push_derivation, scale_auto,
+                             substitution_matrix_by_degree, volume_field_by_wedges)
 
 
 def random_elem(cfg, rng):
@@ -70,8 +71,10 @@ def test_compose_inverse_and_identity():
 
 @pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
 def test_inverse_and_conjugation_solve_for_the_variable_columns_only(p, m, monkeypatch):
-    """Each eliminates [matrix | m unit columns] once; the inverse's images
-    are the columns of the whole inverse at the variables."""
+    """Only the m variable columns of the inverse are found, by a series in
+    the degree-raising part, and no elimination is larger than the m x 2m
+    inverse of the linear part; the inverse's images are the columns of the
+    whole inverse at the variables."""
     cfg = Config(p, m)
     rng = random.Random(p * m)
     rref = linalg.rref
@@ -88,12 +91,47 @@ def test_inverse_and_conjugation_solve_for_the_variable_columns_only(p, m, monke
         inv = mu.inverse()
         mu.conjugation_matrix()
         monkeypatch.setattr(linalg, "rref", rref)
-        # besides the two solves, only AutO's m x m independence check
-        assert sorted(set(shapes)) == [(m, m), (cfg.n, cfg.n + m)]
-        assert shapes.count((cfg.n, cfg.n + m)) == 2
+        assert shapes and all(rows <= m and cols <= 2 * m for rows, cols in shapes)
+        assert (m, 2 * m) in shapes
         shapes.clear()
         assert np.array_equal(np.stack([u.table for u in inv.images], axis=1),
                               full[:, radix_weights(p, m)])
+
+
+def oracle_draws(p, m):
+    """Random and graded-random maps at (p, m), a purely linear map and a
+    map whose linear part is the identity."""
+    cfg = Config(p, m)
+    rng = random.Random(1000 * p + m)
+    group = AbGroup(0, (p,) * m)
+    e = [group.element(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    graded = grade_O_construct(cfg, group, e[:1], e[1:])
+    mus = [random_auto(cfg, rng) for _ in range(3)]
+    mus += [random_graded_auto(graded, rng) for _ in range(2)]
+    lin = random_auto(cfg, rng, extra_terms=0)
+    assert all(np.count_nonzero(u.table) == np.count_nonzero(u.linear_part())
+               for u in lin.images)
+    mus.append(lin)
+    x = [OElem.variable(cfg, i + 1) for i in range(m)]
+    tail = [x[(i + 1) % m] * x[(i + 1) % m] + x[i] * x[(i + m - 1) % m] for i in range(m)]
+    mus.append(AutO([x[i] + tail[i] for i in range(m)]))
+    return cfg, mus
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
+def test_substitution_and_inverse_match_the_degree_and_solve_oracles(p, m):
+    cfg, mus = oracle_draws(p, m)
+    ident = AutO.identity(cfg)
+    rng = random.Random(p + m)
+    for mu in mus:
+        assert mu.matrix.tobytes() == substitution_matrix_by_degree(mu).tobytes()
+        inv = mu.inverse()
+        want = preimages_by_solve(mu)
+        assert np.stack([u.table for u in inv.images]).tobytes() == want.tobytes()
+        assert mu.compose(inv) == ident
+        assert inv.compose(mu) == ident
+        a = random_auto(cfg, rng)
+        assert a.compose_inverse(mu) == a.compose(inv)
 
 
 def test_a_map_holds_only_its_images():

@@ -8,9 +8,9 @@ import pytest
 
 from cartangrade import gfp
 from cartangrade.errors import AxisRangeError, ConfigError, DimensionError
-from cartangrade.gfp import Config, alpha_table, mul_index_table, radix_weights, weight_table
+from cartangrade.gfp import Config, alpha_table, mul_index_table, radix_weights
 
-from algebra_helpers import binom_mod_p
+from algebra_helpers import binom_mod_p, weight_table
 
 
 def test_config_rejects_bad_parameters():
