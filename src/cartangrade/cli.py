@@ -138,11 +138,14 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(path, text: str):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}")
 
 
 def _emit(args, payload, table_fn=None):
@@ -605,7 +608,7 @@ def cmd_grade_construct(args) -> int:
         grading = grade_O_construct(cfg, group, b_list, gamma)
         if kind == "W":
             grading = induce_W(grading)
-    _emit(args, serialize.grading_to_data(grading))
+    _write_text(args.out, serialize.grading_text(grading) + "\n")
     return 0
 
 
@@ -674,12 +677,11 @@ def cmd_grade_fine(args) -> int:
     cfg = _make_config(args.p, args.m)
     _require_classical(cfg, "fine grading enumeration")
     gradings = enumerate_fine(cfg, args.ambient)
-    payload = {
-        "ambient": args.ambient,
-        "count": len(gradings),
-        "gradings": [serialize.grading_to_data(g) for g in gradings],
-    }
-    _emit(args, payload)
+    # The text of dumps({"ambient", "count", "gradings"}), each grading
+    # written at the depth of its list.
+    items = [serialize.grading_text(g, "    ") for g in gradings]
+    _write_text(args.out, f'{{\n  "ambient": "{args.ambient}",\n  "count": {len(gradings)},\n'
+                f'  "gradings": {serialize._list_text(items, "  ")}\n}}\n')
     return 0
 
 

@@ -24,6 +24,9 @@ DEFAULT_MAX_DIM = 2401
 # Bytes allowed for the (p**m x p**m) int32 table of mul_index_table, which
 # every product in the algebra reads.  The default cap needs 23 MB.
 TABLE_BYTES_LIMIT = 1 << 30
+# Entries of the largest int64 temporary of mul_index_table, the (rows, n,
+# m) sums of one chunk of rows: 16 MB.
+_CHUNK_ENTRIES = 1 << 21
 
 
 def _is_prime(n: int) -> bool:
@@ -129,13 +132,15 @@ def radix_weights(p: int, m: int):
 def mul_index_table(p: int, m: int):
     """(n, n) int32 table: flat index of alpha+beta, or n when truncated away.
 
-    Built in row chunks to bound the temporary footprint at large n.
+    Built in chunks of rows whose exponent sums, n * m entries per row, stay
+    within _CHUNK_ENTRIES, so the temporaries are bounded in bytes at
+    every m.
     """
     alphas = alpha_table(p, m)
     n = p ** m
     radix = radix_weights(p, m)
     out = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, (1 << 21) // n)
+    chunk = max(1, _CHUNK_ENTRIES // (n * m))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         s = alphas[lo:hi, None, :] + alphas[None, :, :]

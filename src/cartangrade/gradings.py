@@ -329,7 +329,11 @@ def grade_S_construct(cfg: Config, group: AbGroup, psub: PSubgroup, gamma, g0: G
 def _induce_S(o_grading: Grading) -> Grading:
     """The grading an algebra grading induces on the volume flavor's simple
     algebra, carrying o_grading as origin["o_grading"] for the decisions."""
-    out = induce_subalgebra(induce_W(o_grading), _s_rows(o_grading.cfg))
+    # The subalgebra rows first: their derived-algebra temporaries are the
+    # largest of the construct, and the W grading (an (mn x mn) basis) need
+    # not be alive under them.
+    rows = _s_rows(o_grading.cfg)
+    out = induce_subalgebra(induce_W(o_grading), rows)
     out.origin = {"o_grading": o_grading}
     return out
 

@@ -17,11 +17,19 @@ Schemas (field order fixed, integers decimal):
 Terms are listed in increasing flat-index order, grading components sorted
 by degree coordinates; zero terms are dropped.  With those conventions
 serialize(parse(text)) == text byte for byte.
+
+Grading text is written by grading_text, straight from the basis matrix
+and its labels: the text of a term up to its coefficient comes from a
+table per (p, m, indent), and the rest is joined strings, with no element
+object or dict per row.  Its text is what dumps writes for the dict, so
+grading_to_data is json.loads of it, and the grading schema has one writer.
+Every other payload is a dict, written by dumps.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from .abgroup import AbGroup, GElem, PSubgroup
 from .autos import AutO
 from .classify import GradingInvariants
 from .errors import CartanGradeError, ParseError, ValidityError
-from .gfp import Config, radix_weights
+from .gfp import Config, alpha_table, radix_weights
 from .gradings import Grading
 from .oalg import OElem
 from .witt import WElem
@@ -126,10 +134,6 @@ def oelem_from_data(data, cfg: Config | None = None) -> OElem:
     return OElem(cfg, _scatter(cfg, [[(alphas, coeffs)]])[0])
 
 
-def welem_to_data(d: WElem) -> dict:
-    return {"coeffs": [oelem_to_data(d.coeff(i)) for i in range(1, d.cfg.m + 1)]}
-
-
 def _derivation_terms(data, cfg: Config | None):
     """(cfg, the (exponent vectors, coefficients) of each of its m tables) of
     a derivation payload, its fields checked in document order."""
@@ -148,10 +152,6 @@ def _derivation_terms(data, cfg: Config | None):
 def welem_from_data(data, cfg: Config | None = None) -> WElem:
     cfg, tables = _derivation_terms(data, cfg)
     return WElem(cfg, _scatter(cfg, [tables]).reshape(cfg.m, cfg.n))
-
-
-def group_to_data(group: AbGroup) -> dict:
-    return {"free_rank": group.free_rank, "torsion": [int(d) for d in group.torsion]}
 
 
 def group_from_data(data) -> AbGroup:
@@ -176,13 +176,77 @@ def gelem_from_data(data, group: AbGroup) -> GElem:
     return group.element(coords)
 
 
+def _list_text(items, indent: str) -> str:
+    """The text json.dumps(indent=2) gives a list whose item texts are
+    items, for a list that opens on a line indented by indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+@lru_cache(maxsize=None)
+def _term_table(p: int, m: int, indent: str):
+    """(heads, tails) of the term objects of a function payload whose terms
+    list opens on a line indented by indent: heads[i] is the text of the
+    term of flat index i up to its coefficient, tails[c] the coefficient c
+    and the rest of the term."""
+    inner = indent + "    "
+    heads = tuple("{\n" + inner + '"alpha": ' + _list_text([str(a) for a in alpha], inner)
+                  + ",\n" + inner + '"c": ' for alpha in alpha_table(p, m).tolist())
+    tails = tuple(f"{c}\n{indent}  }}" for c in range(p))
+    return heads, tails
+
+
+def _function_texts(cfg: Config, tables, indent: str) -> list:
+    """The text of the function payload of each row of tables, an (r, n)
+    array of coefficient tables, for payloads that open on a line indented
+    by indent."""
+    heads, tails = _term_table(cfg.p, cfg.m, indent + "  ")
+    head = ("{\n" + indent + '  "basis": "x",\n' + indent + f'  "m": {cfg.m},\n'
+            + indent + f'  "p": {cfg.p},\n' + indent + '  "terms": ')
+    rows, cols = np.nonzero(tables)
+    terms = [heads[i] + tails[c] for i, c in zip(cols.tolist(), tables[rows, cols].tolist())]
+    ends = np.cumsum(np.bincount(rows, minlength=len(tables))).tolist()
+    close = "\n" + indent + "}"
+    return [head + _list_text(terms[lo:hi], indent + "  ") + close
+            for lo, hi in zip([0] + ends, ends)]
+
+
+def grading_text(grading, indent: str = "") -> str:
+    """The canonical text of a grading payload, without the trailing
+    newline: json.dumps(indent=2) of its dict, each line after the first
+    prefixed by indent.  Built from the basis matrix, its blocks and its
+    labels; the coefficient tables are read with one np.nonzero."""
+    cfg, m = grading.cfg, grading.cfg.m
+    row_indent = indent + "        "
+    if grading.ambient == "O":
+        rows = _function_texts(cfg, grading.basis, row_indent)
+    else:
+        coeffs = _function_texts(cfg, grading.basis.reshape(-1, cfg.n), row_indent + "    ")
+        rows = ["{\n" + row_indent + '  "coeffs": '
+                + _list_text(coeffs[k:k + m], row_indent + "  ") + "\n" + row_indent + "}"
+                for k in range(0, len(coeffs), m)]
+    comp = indent + "    "
+    comps = ["{\n" + comp + '  "degree": '
+             + _list_text([str(int(c)) for c in g.coords], comp + "  ")
+             + ",\n" + comp + '  "basis": ' + _list_text(rows[sl], comp + "  ")
+             + "\n" + comp + "}"
+             for g, sl in grading.blocks().items()]
+    group = grading.group
+    return ("{\n" + indent + '  "group": {\n'
+            + indent + f'    "free_rank": {group.free_rank},\n'
+            + indent + '    "torsion": '
+            + _list_text([str(int(d)) for d in group.torsion], indent + "    ")
+            + "\n" + indent + "  },\n"
+            + indent + f'  "ambient": {json.dumps(grading.ambient)},\n'
+            + indent + '  "components": ' + _list_text(comps, indent + "  ")
+            + "\n" + indent + "}")
+
+
 def grading_to_data(grading) -> dict:
-    vec_data = oelem_to_data if grading.ambient == "O" else welem_to_data
-    comps = [{"degree": gelem_to_data(g), "basis": [vec_data(v) for v in vecs]}
-             for g, vecs in grading.components.items()]
-    return {"group": group_to_data(grading.group),
-            "ambient": grading.ambient,
-            "components": comps}
+    """The dict of a grading payload: the parse of grading_text."""
+    return json.loads(grading_text(grading))
 
 
 def _grading_fields(data, cfg: Config | None = None):

@@ -26,6 +26,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from cartangrade import linalg
 from golden.make_golden import run
 
 RECORD = Path(__file__).resolve().parent / "construct_digest.json"
@@ -40,7 +43,7 @@ def request(p, m, kind, s, rng):
     torsion = (p,) * s + extra
     while True:
         mat = [[rng.randrange(p) for _ in range(s)] for _ in range(s)]
-        if _invertible(mat, p):
+        if linalg.rank(np.array(mat, dtype=np.int64).reshape(s, s), p) == s:
             break
 
     def toral(row):
@@ -66,21 +69,6 @@ def request(p, m, kind, s, rng):
               for k in range(free_rank + len(torsion))]
         data["g0"] = g0[:free_rank] + [c % d for c, d in zip(g0[free_rank:], torsion)]
     return data
-
-
-def _invertible(mat, p) -> bool:
-    """Whether the square matrix mat is invertible mod p (the empty one is)."""
-    rows = [list(r) for r in mat]
-    for col in range(len(rows)):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, len(rows)):
-            f = rows[r][col] * inv
-            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return True
 
 
 def cases():

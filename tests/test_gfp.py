@@ -109,6 +109,23 @@ def test_mul_index_table_matches_direct_addition():
             assert tbl[s, t] == cfg.n
 
 
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3), (3, 4)])
+def test_mul_index_table_matches_a_per_entry_sum_in_any_chunking(p, m, monkeypatch):
+    cfg = Config(p, m, allow_small_p=True)
+    want = np.full((cfg.n, cfg.n), cfg.n, dtype=np.int32)
+    for s in range(cfg.n):
+        for t in range(cfg.n):
+            total = tuple(x + y for x, y in zip(cfg.alpha(s), cfg.alpha(t)))
+            if all(x < p for x in total):
+                want[s, t] = cfg.index(total)
+    tbl = mul_index_table(p, m)
+    assert tbl.dtype == np.int32 and np.array_equal(tbl, want)
+    # One row per chunk, and chunks that do not divide n.
+    for entries in (1, 7 * cfg.n * m):
+        monkeypatch.setattr(gfp, "_CHUNK_ENTRIES", entries)
+        assert np.array_equal(mul_index_table.__wrapped__(p, m), want)
+
+
 def test_binom_mod_p_agrees_with_integer_binomials():
     rng = random.Random(23)
     for _ in range(200):

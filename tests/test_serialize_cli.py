@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from cartangrade import cli, gradings, linalg, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import AutO, push_grading, random_auto, shift_auto
-from cartangrade.classify import GradingInvariants, canonical_key, recognize_O
+from cartangrade.classify import GradingInvariants, canonical_key, enumerate_fine, recognize_O
 from cartangrade.errors import CartanGradeError, ParseError, ValidityError
 from cartangrade.gfp import Config
 from cartangrade.gradings import Grading, grade_O_construct, grade_S_construct, induce_W
@@ -59,15 +59,15 @@ def test_function_round_trip():
 
 def test_derivation_and_form_round_trip():
     d = d_ij_z(CFG, 1, 2, (1, 1))
-    text = serialize.dumps(serialize.welem_to_data(d))
-    d2 = round_trip(text, serialize.welem_from_data, serialize.welem_to_data)
+    text = serialize.dumps(element_welem_to_data(d))
+    d2 = round_trip(text, serialize.welem_from_data, element_welem_to_data)
     assert d2 == d
 
 
 def test_group_and_element_round_trip():
     for group in (G2, AbGroup(1, (5,)), AbGroup(0, (25,))):
-        text = serialize.dumps(serialize.group_to_data(group))
-        back = round_trip(text, serialize.group_from_data, serialize.group_to_data)
+        text = serialize.dumps(element_group_to_data(group))
+        back = round_trip(text, serialize.group_from_data, element_group_to_data)
         assert back == group
         g = group.element(tuple(1 for _ in range(group.rank)))
         assert serialize.gelem_from_data(serialize.gelem_to_data(g), group) == g
@@ -351,6 +351,25 @@ def test_cli_producers_write_what_verify_reads(kind, m, tmp_path, capsys):
 DEPENDENT_S_REQUEST = {"p": 5, "m": 2, "kind": "S",
                        "group": {"free_rank": 0, "torsion": [5, 5]},
                        "basis": [[1, 2], [2, 4]], "gamma": [], "g0": [3, 1]}
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("verb", ["construct", "fine", "iso"])
+def test_cli_unwritable_output_path_is_a_parse_error(verb, target, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json" if target == "missing" else tmp_path
+    if verb == "construct":
+        argv = ["grade", "construct", "--request", str(write_request(tmp_path / "req.json")),
+                "--out", str(path)]
+    elif verb == "fine":
+        argv = ["grade", "fine", "--p", "5", "--m", "2", "--out", str(path)]
+    else:
+        argv = ["grade", "iso", "--g1", str(GOLDEN_INPUTS / "O_raw_x.json"),
+                "--g2", str(GOLDEN_INPUTS / "O_raw_y.json"), "--witness-out", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    assert out == "" and err.startswith(f"error: cannot write {path}: ")
+    assert reason in err and err.count("\n") == 1
 
 
 def test_cli_dependent_toral_basis_is_refused(tmp_path, capsys):
@@ -893,3 +912,69 @@ def test_cli_calls_in_one_process_keep_their_own_options(tmp_path, capsys):
     assert captured.out == "" and "the following arguments are required: --grading" in captured.err
     assert cli.main(verify) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def element_group_to_data(group):
+    return {"free_rank": group.free_rank, "torsion": [int(d) for d in group.torsion]}
+
+
+def element_welem_to_data(d):
+    return {"coeffs": [serialize.oelem_to_data(d.coeff(i)) for i in range(1, d.cfg.m + 1)]}
+
+
+def element_grading_to_data(grading):
+    """The oracle of grading_text: one element object and one dict per row
+    and term, read through components (the builder grading_text replaced)."""
+    vec_data = serialize.oelem_to_data if grading.ambient == "O" else element_welem_to_data
+    comps = [{"degree": serialize.gelem_to_data(g), "basis": [vec_data(v) for v in vecs]}
+             for g, vecs in grading.components.items()]
+    return {"group": element_group_to_data(grading.group),
+            "ambient": grading.ambient,
+            "components": comps}
+
+
+def oracle_gradings(p, m, s, rng):
+    """The standard O, W and S gradings of toral rank s over Z x Z_p^s, free
+    degrees with negative and more-than-64-bit coordinates, and pushes of
+    the O and W ones by a random automorphism."""
+    cfg = Config(p, m)
+    group = AbGroup(1, (p,) * s)
+    toral = [group.element((0,) + tuple(int(i == j) for j in range(s))) for i in range(s)]
+    gamma = [group.element(((-1 if k == 0 else 1) * rng.randrange(2 ** 64, 2 ** 72),)
+                           + tuple(rng.randrange(p) for _ in range(s)))
+             for k in range(m - s)]
+    og = grade_O_construct(cfg, group, toral, gamma)
+    wg = induce_W(og)
+    out = [og, wg, push_grading(random_auto(cfg, rng), og), push_grading(random_auto(cfg, rng), wg)]
+    if m == 2 or s == 1:        # S at m = 3 costs seconds per toral rank
+        g0 = group.identity()
+        for g in gamma + toral[:1]:
+            g0 = g0 * g
+        out.append(grade_S_construct(cfg, group, PSubgroup(group, tuple(toral)), gamma, g0))
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
+def test_grading_text_matches_the_element_writer(p, m):
+    rng = random.Random(f"grading_text.p{p}.m{m}")
+    zero_tables, coords = 0, set()
+    for s in range(m + 1):
+        for g in oracle_gradings(p, m, s, rng):
+            want = element_grading_to_data(g)
+            assert serialize.grading_text(g) + "\n" == json.dumps(want, indent=2) + "\n"
+            assert serialize.grading_to_data(g) == want
+            coords.update(c for comp in want["components"] for c in comp["degree"])
+            if g.ambient != "O":
+                zero_tables += sum(not f["terms"] for comp in want["components"]
+                                   for row in comp["basis"] for f in row["coeffs"])
+    assert min(coords) < -2 ** 64 and max(coords) > 2 ** 64
+    assert zero_tables > 0      # W rows with an all-zero coefficient table
+
+
+@pytest.mark.parametrize("m, ambient", [(2, "O"), (2, "W"), (2, "S"), (3, "O"), (3, "W")])
+def test_cli_fine_matches_the_element_writer(m, ambient, capsys):
+    assert cli.main(["grade", "fine", "--p", "5", "--m", str(m), "--ambient", ambient]) == 0
+    gradings = enumerate_fine(Config(5, m), ambient)
+    want = {"ambient": ambient, "count": len(gradings),
+            "gradings": [element_grading_to_data(g) for g in gradings]}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"

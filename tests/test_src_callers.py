@@ -29,7 +29,7 @@ PUBLIC = {
     "cli.cmd_grade_classify": "run by cli.main through the verb name the parser stores",
     "cli.cmd_grade_iso": "run by cli.main through the verb name the parser stores",
     "oalg.OElem.constant": "library constructor of a scalar element",
-    "serialize.welem_from_data": "reader of the derivation schema welem_to_data writes",
+    "serialize.welem_from_data": "reader of one derivation payload, the row schema of W grading files",
     "serialize.auto_from_data": "reader of the witness file grade iso writes",
     "serialize.invariants_from_data": "reader of the invariants grade classify writes",
 }
