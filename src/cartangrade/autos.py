@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gfp import Config, alpha_table, radix_weights
 from .gradings import Grading, _degree_of_exponents
-from .oalg import OElem, mult_operator, partial_table, z_basis_matrix
+from .oalg import OElem, mult_operator, partial_table, z_basis_inverse, z_basis_matrix
 from .forms import KForm, differential
 from .witt import WElem
 
@@ -427,11 +427,12 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     an obstruction is reported otherwise.
 
     Degrees are read in the coordinates of the grading's basis B, through
-    one inverse of B per call.  The derivation z^alpha d_i, for a basis row
-    z^alpha, has degree deg(z^alpha) * a_i^-1, so the trivial-degree part
-    of D = sum_i f_i d_i keeps, in the coordinates f_i B^-1 of coefficient
-    i, the rows labelled a_i, multiplied back by B.  The same coordinates of
-    the jacobian give its degree.
+    its inverse in closed form (_standard_inverse).  The derivation
+    z^alpha d_i, for a basis row z^alpha, has degree deg(z^alpha) * a_i^-1,
+    so the trivial-degree part of D = sum_i f_i d_i keeps, in the
+    coordinates f_i B^-1 of coefficient i, the rows labelled a_i,
+    multiplied back by B.  The same coordinates of the jacobian give its
+    degree.
     """
     cfg = mu.cfg
     if grading.cfg != cfg:
@@ -442,7 +443,7 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     s = grading.origin["s"]
     e = grading.group.identity()
     blocks = grading.blocks()
-    coords_of = linalg.inverse(grading.basis, p)
+    coords_of = _standard_inverse(grading)
     jac = mu.jacobian()
     if not jac.is_unit():
         raise ValidityError("jacobian of an automorphism must be a unit")
@@ -499,6 +500,23 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
             raise InternalError("weight slice of the volume field must account for the jacobian slice")
         images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
         cur = AutO(images).compose(cur)
+
+
+def _standard_inverse(grading: Grading):
+    """Inverse of the basis matrix B of a standard grading of the algebra,
+    without elimination.
+
+    grade_O_construct's rows are those of z_basis_matrix(cfg, s).T sorted
+    by degree, so B = P z^T for a row permutation P, and B^-1 = (z^T)^-1 P^T
+    holds the columns of oalg.z_basis_inverse (cached per (p, m, s)) in the
+    row order of B.  Row k of B is the mixed monomial (1+x)^c x^d whose
+    flat index is that of the row's last nonzero entry: its table has
+    coefficient 1 at x^(c, d) and is nonzero only at exponents below (c, d)
+    in each coordinate, which have smaller flat indices."""
+    cfg = grading.cfg
+    basis = grading.basis
+    last = cfg.n - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+    return z_basis_inverse(cfg.p, cfg.m, grading.origin["s"])[:, last]
 
 
 def _free_weight_masks(cfg: Config, s: int, free_weight):

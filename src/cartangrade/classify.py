@@ -13,6 +13,7 @@ completeness heuristic in tests.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -498,18 +499,50 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
 
     Returns None when the invariants differ; otherwise an automorphism whose
     push carries the first grading onto the second componentwise.  Every
-    flavor takes one path: the algebra gradings it decides on (_resolve) are
-    recognized, their invariant keys compared, and the standard bridge nu
-    between the recognized frames f1, f2 gives the witness
-    AutO(f2) o nu o AutO(f1)^-1, its first factor AutO(f2) o nu found by
-    substitution (_standard_bridge at f2) and composed with AutO(f1)^-1 by
-    AutO.compose_inverse, which eliminates only an m x m matrix.  Volume
-    flavor: at full toral rank that witness scales the volume form by a
-    unit; below it, both legs are normalized to fix the volume form exactly
-    and the witness is their composite.  The witness is checked once, on
-    the gradings passed in.  The symplectic flavor at rank 2 coincides with
-    the volume flavor; at higher half-rank the classification is open and
-    the module-level OPEN_IN_PAPER status is returned.
+    flavor takes one path: the algebra gradings o1, o2 it decides on
+    (_resolve) are recognized, their invariant keys compared, and the
+    standard bridge nu between the recognized frames f1, f2 gives the
+    witness AutO(f2) o nu o AutO(f1)^-1, its first factor AutO(f2) o nu
+    found by substitution (_standard_bridge at f2) and composed with
+    AutO(f1)^-1 by AutO.compose_inverse, which eliminates only an m x m
+    matrix.  Volume flavor: at full toral rank that witness scales the
+    volume form by a unit; below it, both legs are normalized to fix the
+    volume form exactly and the witness is their composite.  The symplectic
+    flavor at rank 2 coincides with the volume flavor; at higher half-rank
+    the classification is open and the module-level OPEN_IN_PAPER status is
+    returned.
+
+    Precondition: for flavors O and S on "O" inputs, g1 and g2 are gradings
+    (multiplicative, not only direct sums); the CLI verifies every such
+    payload first (cli._require_grading).  For W, o_grading_from_w
+    certifies that o1 and o2 are gradings inducing g1 and g2; for S on
+    "sub" inputs, the trusted origin["o_grading"] supplies them.
+
+    The witness psi is checked once, by frame images on o1 and o2
+    (_check_witness): the two have the same block layout, and psi maps each
+    frame row h_i of o1 (gradings.frame_rows), of degree a_i, into the
+    block of o2 of degree a_i.
+
+    Lemma.  Let o1 and o2 be gradings of O, let h_1..h_m be o1-homogeneous
+    of degrees a_i and generate O as a unital algebra, and let psi be an
+    automorphism with psi(h_i) in o2_{a_i}.  Then psi(o1_g) = o2_g for
+    every g.
+    Proof.  The frame rows generate O: minus their constant terms they lie
+    in the maximal ideal with independent linear parts (Nakayama).  As in
+    the certificate of verify_grading, the monomials in the h_i of degree g
+    lie in o1_g, since o1 is a grading, and they span O, so they span each
+    o1_g.  psi maps such a monomial to the same monomial in the psi(h_i),
+    which lies in o2_g because o2 is a grading and 1 lies in o2_e.  So
+    psi(o1_g) lies in o2_g for every g.  The o1_g sum to O, as do the o2_g,
+    and psi is injective, so each inclusion is an equality.
+    So psi carries g1 onto g2 on every flavor.  For O and S on "O" inputs
+    that is the lemma.  For W, D in induce_W(o1)_g maps o1_h into o1_{gh},
+    so psi D psi^-1 maps o2_h into o2_{gh}: conjugation by psi carries each
+    component of induce_W(o1) = g1 into that of induce_W(o2) = g2, and onto
+    it, since both sides sum to W.  For S on "sub" inputs, g1 and g2 are
+    the restrictions of those derivation gradings to S(m;1)^(1), which
+    conjugation by a witness keeps, since the witness keeps the volume
+    line.
     """
     if g1.cfg != g2.cfg:
         raise ConfigMismatchError("gradings built over different configurations")
@@ -540,14 +573,34 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
         psi = AutO(_standard_bridge(*data, at=f2)).compose_inverse(AutO(f1))
         if volume and volume_factor(psi) is None:
             raise InternalError("full-rank witness must scale the volume form")
-    _check_witness(psi, g1, g2)
+    _check_witness(psi, o1, o2)
     return psi
 
 
-def _check_witness(psi: AutO, g1: Grading, g2: Grading) -> None:
-    """Self-check of a positive decision: the witness carries g1 onto g2."""
-    if not push_grading(psi, g1).same_components(g2):
-        raise InternalError(f"witness does not transport the {g1.ambient} grading")
+def _check_witness(psi: AutO, o1: Grading, o2: Grading) -> None:
+    """Self-check of a positive decision, on the algebra gradings o1 and o2
+    it was made on: equal block layouts, and psi maps every frame row of o1
+    into the block of o2 of the row's degree (the lemma of iso_decide).
+
+    Both label tuples are sorted by coordinates, so the layouts are equal
+    when the coordinate lists are, and the block of a degree is found by
+    bisection.  The images of the m frame rows take one product with
+    psi.matrix; each degree among them takes one RREF of its block of o2,
+    and a row lies in the block when it equals its pivot coordinates times
+    that RREF."""
+    keys = [g.coords for g in o2.labels]
+    if [g.coords for g in o1.labels] != keys:
+        raise InternalError("witness checked on gradings of different block layouts")
+    p = o1.cfg.p
+    picks = frame_rows(o1)
+    images = linalg.matmul(o1.basis[picks], psi.matrix.T, p)
+    degrees = [o1.labels[k].coords for k in picks]
+    for g in dict.fromkeys(degrees):
+        rows = images[[d == g for d in degrees]]
+        block = o2.basis[bisect.bisect_left(keys, g):bisect.bisect_right(keys, g)]
+        ech, pivots = linalg.rref(block, p)
+        if not np.array_equal(rows, linalg.matmul(rows[:, pivots], ech, p)):
+            raise InternalError(f"witness does not transport the frame row of degree {g}")
 
 
 def enumerate_fine(cfg: Config, ambient: str = "O"):

@@ -127,14 +127,24 @@ def _require_grading(*gradings):
 
 
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return serialize.loads(sys.stdin.read())
+    """The payload read from a file, or from stdin for "-".  Text that
+    cannot be read or is not UTF-8, and JSON nested past the parser's
+    recursion limit, are ParseErrors (exit 2) like any other malformed
+    payload."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    return serialize.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text: {exc}")
+    try:
+        return serialize.loads(text)
+    except RecursionError:
+        raise ParseError("invalid payload text: nested too deeply to parse") from None
 
 
 def _write_text(path, text: str):

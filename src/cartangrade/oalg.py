@@ -326,3 +326,23 @@ def z_basis_matrix(cfg: Config, s: int):
     for axis in range(cfg.m):
         out = np.kron(out, zp if axis < s else np.eye(p, dtype=np.int64))
     return out
+
+
+@lru_cache(maxsize=None)
+def z_basis_inverse(p: int, m: int, s: int):
+    """Inverse of z_basis_matrix(cfg, s).T, whose row j is the table of the
+    mixed monomial j, found without elimination: row a holds the
+    coordinates of x^a over the mixed monomials.
+
+    z_basis_matrix is a Kronecker product over the axes, so the inverse is
+    the Kronecker product of the per-axis inverses: the identity on a free
+    axis, and on a toral axis the signed binomials (-1)^(a-e) C(a, e), since
+    x^a = ((1+x) - 1)^a = sum_e (-1)^(a-e) C(a, e) (1+x)^e."""
+    if not 0 <= s <= m:
+        raise AxisRangeError(f"s={s} out of range 0..{m}")
+    e = np.arange(p)
+    signed = np.where((e[:, None] - e[None, :]) % 2, -1, 1) * _binomials(p) % p
+    out = np.ones((1, 1), dtype=np.int64)
+    for axis in range(m):
+        out = np.kron(out, signed if axis < s else np.eye(p, dtype=np.int64)) % p
+    return _freeze(out)

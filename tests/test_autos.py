@@ -8,7 +8,7 @@ import pytest
 
 from cartangrade import linalg
 from cartangrade.abgroup import AbGroup, PSubgroup
-from cartangrade.autos import (AutO, basis_change_auto, normalize_omega_S,
+from cartangrade.autos import (AutO, _standard_inverse, basis_change_auto, normalize_omega_S,
                                permutation_auto, push_grading, random_auto,
                                random_graded_auto, shift_auto, volume_factor,
                                volume_vector_field)
@@ -17,7 +17,7 @@ from cartangrade.forms import KForm, omega_volume
 from cartangrade.gfp import Config, radix_weights
 from cartangrade.gradings import (Grading, grade_O_construct, grade_S_construct,
                                   induce_W, verify_grading)
-from cartangrade.oalg import OElem
+from cartangrade.oalg import OElem, z_basis_matrix
 from cartangrade.witt import WElem
 
 from algebra_helpers import (jacobian_by_permutations, normalize_omega_S_by_decompose,
@@ -386,6 +386,65 @@ def test_normalization_in_standard_coordinates_matches_the_decompose_route(p, m,
             assert got == _normalized(normalize_omega_S_by_decompose, mu, grading)
             multi_round += len(got[1]) >= 2
     assert multi_round > 0
+
+
+def inverse_cases(p, m):
+    """Standard gradings at every toral rank s = 0..m over a torsion group
+    (Z_p^m), a free one (Z^m, s = 0 only) and a mixed one (Z x Z_p^m), with
+    seeded free degrees, so the label orders, and with them the row orders
+    of the bases, differ."""
+    rng = random.Random(p * m)
+    out = []
+    for free in (0, 1):
+        group = AbGroup(free, (p,) * m)
+        toral = [group.element((0,) * free + tuple(int(i == j) for j in range(m)))
+                 for i in range(m)]
+        for s in range(m + 1):
+            gamma = [group.element(tuple(rng.randrange(-2, 3) for _ in range(free))
+                                   + tuple(rng.randrange(p) for _ in range(m)))
+                     for _ in range(m - s)]
+            out.append(grade_O_construct(Config(p, m), group, toral[:s], gamma))
+    group = AbGroup(m, ())
+    out.append(grade_O_construct(Config(p, m), group, [], [
+        group.element(tuple(rng.randrange(-2, 3) for _ in range(m))) for _ in range(m)]))
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
+def test_closed_form_standard_inverse_matches_elimination(p, m):
+    """normalize_omega_S's closed-form inverse of a standard basis (per-axis
+    signed binomials in a Kronecker product, columns in label order) equals
+    the inverse by elimination."""
+    cases = inverse_cases(p, m)
+    natural = 0
+    for grading in cases:
+        s = grading.origin["s"]
+        want = linalg.inverse(grading.basis, p)
+        assert np.array_equal(_standard_inverse(grading), want)
+        natural += np.array_equal(grading.basis, z_basis_matrix(Config(p, m), s).T)
+    assert natural < len(cases) - 1
+    assert {g.origin["s"] for g in cases} == set(range(m + 1))
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (5, 3)])
+def test_normalization_eliminates_nothing_larger_than_the_linear_part(p, m, monkeypatch):
+    """With the standard basis inverted in closed form, a normalization runs
+    no RREF larger than the m x 2m inverse of a linear part."""
+    rng = random.Random(p + m)
+    rref = linalg.rref
+    shapes = []
+
+    def recorded(mat, q):
+        shapes.append(np.shape(mat))
+        return rref(mat, q)
+
+    for grading in normalization_gradings(p, m):
+        mu = random_graded_auto(grading, rng)
+        monkeypatch.setattr(linalg, "rref", recorded)
+        normalize_omega_S(mu, grading)
+        monkeypatch.setattr(linalg, "rref", rref)
+        assert all(rows <= m and cols <= 2 * m for rows, cols in shapes)
+        shapes.clear()
 
 
 def test_normalization_obstruction_at_full_toral_rank():

@@ -15,7 +15,8 @@ from cartangrade.classify import (OPEN_IN_PAPER, GradingInvariants,
                                   canonical_key, enumerate_fine, invariants_of,
                                   iso_decide, o_grading_from_w, orbit_probe,
                                   recognize_O, recognize_S)
-from cartangrade.errors import AdmissibilityError, CartanGradeError, ObstructionError
+from cartangrade.errors import (AdmissibilityError, CartanGradeError, InternalError,
+                               ObstructionError)
 from cartangrade.gfp import Config, alpha_table, radix_weights
 from cartangrade.gradings import (Grading, _degree_of_exponents, _s_rows, fine_grading,
                                   grade_O_construct, grade_S_construct, induce_subalgebra,
@@ -23,7 +24,7 @@ from cartangrade.gradings import (Grading, _degree_of_exponents, _s_rows, fine_g
 from cartangrade.oalg import OElem, mult_operator, z_basis_matrix
 from algebra_helpers import (grading_from_components, scale_auto,
                              standard_bridge_by_composition)
-from test_acceptance import GROUP_MATRIX, random_degree, torsion_candidates
+from test_acceptance import GROUP_MATRIX, random_data, random_degree, torsion_candidates
 from volume_oracle import admissible_degree
 from witness_digest import pairs as digest_pairs
 
@@ -712,13 +713,22 @@ def _decision_pairs():
 
 @pytest.mark.parametrize("k", range(5))
 def test_a_positive_decision_checks_its_witness_once_on_the_given_gradings(k, monkeypatch):
+    """One witness check per positive decision, on the algebra gradings the
+    given gradings resolve to (classify._resolve): the inputs themselves for
+    O and for S on "O" inputs, o_grading_from_w's output for W, and
+    origin["o_grading"] for S and H on "sub" inputs."""
     flavor, g1, g2 = _decision_pairs()[k]
-    calls = []
-    check = classify._check_witness
+    calls, resolved = [], []
+    check, resolve = classify._check_witness, classify._resolve
 
     def counted(psi, h1, h2):
         calls.append((h1, h2))
         check(psi, h1, h2)
+
+    def recorded(grading, fl):
+        out = resolve(grading, fl)
+        resolved.append(out[0])
+        return out
 
     decide = classify.iso_decide
     depth = []
@@ -728,11 +738,96 @@ def test_a_positive_decision_checks_its_witness_once_on_the_given_gradings(k, mo
         return decide(*args)
 
     monkeypatch.setattr(classify, "_check_witness", counted)
+    monkeypatch.setattr(classify, "_resolve", recorded)
     monkeypatch.setattr(classify, "iso_decide", nested)
     wit = classify.iso_decide(g1, g2, flavor)
     assert isinstance(wit, AutO)
     assert len(depth) == 1
-    assert len(calls) == 1 and calls[0][0] is g1 and calls[0][1] is g2
+    assert len(resolved) == 2 and len(calls) == 1
+    assert calls[0][0] is resolved[0] and calls[0][1] is resolved[1]
+    assert calls[0][0].ambient == calls[0][1].ambient == "O"
+    if g1.ambient == "O":
+        assert calls[0][0] is g1 and calls[0][1] is g2
+
+
+@functools.lru_cache(maxsize=None)
+def digest_decisions():
+    """(flavor, g1, g2, witness) of the positive decisions of the witness
+    digest's pairs."""
+    out = []
+    for flavor, g1, g2 in digest_pairs():
+        try:
+            wit = iso_decide(g1, g2, flavor)
+        except CartanGradeError:
+            continue
+        if isinstance(wit, AutO):
+            out.append((flavor, g1, g2, wit))
+    return tuple(out)
+
+
+def test_push_and_compare_holds_on_every_positive_digest_decision():
+    """The check iso_decide ran before the frame-image check, kept as an
+    oracle: the witness pushes the first grading onto the second, on every
+    ambient."""
+    decisions = digest_decisions()
+    assert {(flavor, g1.ambient) for flavor, g1, _, _ in decisions} == {
+        ("O", "O"), ("W", "W"), ("S", "O"), ("S", "sub")}
+    for _, g1, g2, wit in decisions:
+        assert push_grading(wit, g1).same_components(g2)
+
+
+def test_the_frame_check_refuses_what_push_and_compare_refuses():
+    """Each digest witness composed with a random automorphism rho: the
+    frame-image check on the resolved gradings accepts psi o rho exactly
+    when push-and-compare does."""
+    rng = random.Random(26)
+    refused = 0
+    for flavor, g1, g2, wit in digest_decisions():
+        o1, o2 = (classify._resolve(g, flavor)[0] for g in (g1, g2))
+        classify._check_witness(wit, o1, o2)
+        skewed = wit.compose(random_auto(g1.cfg, rng))
+        carried = push_grading(skewed, g1).same_components(g2)
+        try:
+            classify._check_witness(skewed, o1, o2)
+        except InternalError:
+            assert not carried
+            refused += 1
+        else:
+            assert carried
+    assert refused > 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_an_O_decision_eliminates_nothing_larger_than_a_frame_or_a_block(m, monkeypatch):
+    """A positive O decision on standard and pushed inputs runs no RREF on
+    more rows than m or the largest degree block.  The subgroup arithmetic
+    of abgroup eliminates on the group's coordinates, so over a group of
+    rank above m (Z_5^3 at m = 2) its rank bounds those eliminations."""
+    cfg = Config(5, m)
+    rng = random.Random(m)
+    rref = linalg.rref
+    shapes = []
+
+    def recorded(mat, q):
+        shapes.append(np.shape(mat))
+        return rref(mat, q)
+
+    checked = 0
+    for group in GROUP_MATRIX:
+        basis, gamma = random_data(cfg, group, rng)
+        x = grade_O_construct(cfg, group, basis, gamma)
+        for g1, g2 in [(x, x), (x, push_grading(random_auto(cfg, rng), x)),
+                       (push_grading(random_auto(cfg, rng), x),
+                        push_grading(random_auto(cfg, rng), x))]:
+            largest = max(sl.stop - sl.start for sl in g2.blocks().values())
+            monkeypatch.setattr(linalg, "rref", recorded)
+            wit = iso_decide(g1, g2, "O")
+            monkeypatch.setattr(linalg, "rref", rref)
+            assert isinstance(wit, AutO)
+            assert shapes and max(rows for rows, _ in shapes) <= max(m, group.rank, largest)
+            shapes.clear()
+            checked += 1
+    assert checked == 3 * len(GROUP_MATRIX)
 
 
 def test_full_rank_volume_witness_is_the_frame_composite():

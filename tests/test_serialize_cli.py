@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartangrade import cli, gradings, linalg, serialize
+from cartangrade import classify, cli, gradings, linalg, serialize
 from cartangrade.abgroup import AbGroup, PSubgroup
 from cartangrade.autos import AutO, push_grading, random_auto, shift_auto
 from cartangrade.classify import GradingInvariants, canonical_key, enumerate_fine, recognize_O
@@ -393,13 +393,45 @@ def test_cli_dependent_toral_basis_is_refused_without_asserts(tmp_path):
 
 
 def test_cli_failed_witness_self_check_exits_4(tmp_path, monkeypatch, capsys):
+    """A wrong witness: the bridge's free image gets the square of its toral
+    image added, which keeps an automorphism but moves the frame row of the
+    free degree out of its block, so the self-check refuses it."""
     req = write_request(tmp_path / "req.json")
     f1 = tmp_path / "g1.json"
     assert cli.main(["grade", "construct", "--request", str(req), "--out", str(f1)]) == 0
-    monkeypatch.setattr(gradings.Grading, "same_components", lambda self, other: False)
+    bridge = classify._standard_bridge
+
+    def skewed(*args, **kwargs):
+        images = bridge(*args, **kwargs)
+        return images[:-1] + [images[-1] + images[0] * images[0]]
+
+    monkeypatch.setattr(classify, "_standard_bridge", skewed)
     assert cli.main(["grade", "iso", "--g1", str(f1), "--g2", str(f1)]) == 4
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: witness")
+    assert out == "" and err.startswith("error: witness") and err.count("\n") == 1
+
+
+DEEP_PAYLOAD = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8_PAYLOAD = b"\xff" + json.dumps(standard_request()).encode()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("flag", ["--grading", "--request"])
+@pytest.mark.parametrize("payload", [DEEP_PAYLOAD, NOT_UTF8_PAYLOAD], ids=["deep", "not-utf8"])
+def test_cli_undecodable_payload_text_is_a_parse_error(payload, flag, source, tmp_path,
+                                                        monkeypatch, capsys):
+    """JSON nested 100,000 deep (a RecursionError in the parser) and bytes
+    that are not UTF-8 exit 2 with one error line, from a file and from
+    stdin; stdin decodes strictly, as under a UTF-8 locale."""
+    path = tmp_path / "payload.json"
+    path.write_bytes(payload)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
+        path = "-"
+    verb = "verify" if flag == "--grading" else "construct"
+    assert cli.main(["grade", verb, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_refuses_a_prime_past_the_float_bound(tmp_path, monkeypatch, capsys):
