@@ -32,6 +32,8 @@ from .oalg import OElem, mult_operator, partial_table, z_basis_inverse, z_basis_
 from .forms import KForm, differential
 from .witt import WElem
 
+# Draws random_graded_auto makes before it gives up.
+GRADED_DRAW_TRIES = 200
 
 class AutO:
     """Algebra automorphism given by the images of the m variables.
@@ -307,7 +309,7 @@ def random_auto(cfg: Config, rng, extra_terms: int = 3) -> AutO:
     return AutO(images)
 
 
-def random_graded_auto(grading: Grading, rng, tries: int = 200) -> AutO:
+def random_graded_auto(grading: Grading, rng) -> AutO:
     """Seeded random automorphism preserving each component of a standard
     grading of the algebra: every variable image is homogeneous of the same
     degree as the variable (1+image of a toral variable stays a unit)."""
@@ -324,7 +326,7 @@ def random_graded_auto(grading: Grading, rng, tries: int = 200) -> AutO:
     for idx in range(n):
         g = _degree_of_exponents(grading.group, degrees, at[idx])
         buckets.setdefault(g, []).append(idx)
-    for _ in range(tries):
+    for _ in range(GRADED_DRAW_TRIES):
         images = []
         for i in range(m):
             idxs = buckets[degrees[i]]
@@ -462,7 +464,9 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         return mu
     at = alpha_table(p, m)
     free_weight = at[:, s:].sum(axis=1)
-    w_masks = _free_weight_masks(cfg, s, free_weight)
+    # The free weight of x^a d_i, on the m coefficient tables: that of x^a,
+    # minus one when axis i is free.
+    d_weight = free_weight - (np.arange(m) >= s)[:, None]
     # keep[i, k]: whether row k of the basis, times d_i, has the trivial degree.
     keep = np.zeros((m, cfg.n), dtype=np.int64)
     for i, a in enumerate(grading.origin["degrees"]):
@@ -492,8 +496,8 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         coords = linalg.matmul(field.tables, coords_of, p) * keep
         if not coords.any():
             raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
-        flat = linalg.matmul(coords, grading.basis, p).reshape(-1) * w_masks[ell] % p
-        piece = WElem.from_flat(cfg, flat)
+        piece = WElem.from_flat(cfg, (linalg.matmul(coords, grading.basis, p)
+                                      * (d_weight == ell) % p).reshape(-1))
         slice_tbl = jac.table.copy()
         slice_tbl[free_weight != ell] = 0
         if piece.divergence() != OElem(cfg, slice_tbl):
@@ -517,21 +521,6 @@ def _standard_inverse(grading: Grading):
     basis = grading.basis
     last = cfg.n - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
     return z_basis_inverse(cfg.p, cfg.m, grading.origin["s"])[:, last]
-
-
-def _free_weight_masks(cfg: Config, s: int, free_weight):
-    """0/1 flat masks on derivations: free weight of x^a d_i is the free
-    weight of the monomial minus one when the axis itself is free."""
-    m, n = cfg.m, cfg.n
-    out = {}
-    top = int(free_weight.max()) if n else 0
-    for ell in range(-1, top + 1):
-        mask = np.zeros(m * n, dtype=np.int64)
-        for i in range(m):
-            drop = 1 if i >= s else 0
-            mask[i * n: (i + 1) * n] = (free_weight - drop) == ell
-        out[ell] = mask
-    return out
 
 
 def _unit_scale_correction(cfg: Config, f0: OElem) -> AutO:

@@ -98,7 +98,10 @@ def _make_config(p: int, m: int) -> Config:
         raise ConfigError(f"m must lie in 1..4, got {m}")
     cap = max_dim_limit()
     if p ** m > cap:
-        raise ConfigError(f"p**m = {p ** m} exceeds the dimension cap {cap}")
+        # A size past 60 digits is shown as p**m: its digits would flood the
+        # error line, or pass str's digit limit.
+        size = p ** m if p ** m < 10 ** 60 else f"{p!r:.60}**{m}"
+        raise ConfigError(f"p**m = {size} exceeds the dimension cap {cap}")
     if p > 3:
         return Config(p, m)
     return Config(p, m, allow_small_p=True)
@@ -600,7 +603,7 @@ def cmd_grade_construct(args) -> int:
     m = serialize._need(data, "m", "construct request", int)
     kind = serialize._need(data, "kind", "construct request", str)
     if kind not in ("O", "W", "S"):
-        raise ParseError(f"kind must be one of O, W, S, got {kind!r}")
+        raise ParseError(f"kind must be one of O, W, S, got {kind!r:.60}")
     cfg = _make_config(p, m)
     if kind == "S":
         _require_classical(cfg, "the volume flavor")

@@ -108,7 +108,7 @@ class Grading:
         raises the constructor's DimensionError when they are not;
         autos.push_grading maps a grading's basis through an automorphism,
         which is invertible; classify.o_grading_from_w inverts the basis in
-        its certificate and runs this constructor when that fails."""
+        its certificate and refuses the candidate when that fails."""
         grading = cls.__new__(cls)
         grading._store(cfg, group, ambient, basis, labels, None)
         return grading
@@ -162,28 +162,28 @@ class Grading:
         return next(iter(parts))
 
     def same_components(self, other: "Grading") -> bool:
-        """Equality of the decompositions as spans, degree by degree.
-
-        One RREF per degree, of the other grading's block: this grading's
-        block lies in its span when every row equals its pivot coordinates
-        times the RREF.  Both blocks have independent rows (a grading's rows
-        are), so when they have equal sizes containment is equality."""
+        """Equality of the decompositions as spans, degree by degree: this
+        grading's block lies in the span of the other's (in_span).  Both
+        blocks have independent rows (a grading's rows are), so when they
+        have equal sizes containment is equality."""
         if (self.cfg, self.group, self.ambient) != (other.cfg, other.group, other.ambient):
             return False
         mine, theirs = self.blocks(), other.blocks()
         if list(mine.items()) != list(theirs.items()):
             return False
-        p = self.cfg.p
-        for sl in mine.values():
-            rows = self.basis[sl]
-            ech, pivots = linalg.rref(other.basis[sl], p)
-            if not np.array_equal(rows, linalg.matmul(rows[:, pivots], ech, p)):
-                return False
-        return True
+        return all(in_span(self.basis[sl], other.basis[sl], self.cfg.p) for sl in mine.values())
 
     def __repr__(self) -> str:
         dims = {g.coords: sl.stop - sl.start for g, sl in self.blocks().items()}
         return f"Grading(ambient={self.ambient}, group={self.group!r}, dims={dims})"
+
+
+def in_span(rows, block, p: int) -> bool:
+    """Whether every row lies in the row span of block: one RREF of block,
+    and a row lies in its span when it equals its pivot coordinates times
+    the RREF."""
+    ech, pivots = linalg.rref(block, p)
+    return np.array_equal(rows, linalg.matmul(rows[:, pivots], ech, p))
 
 
 def _degree_of_exponents(group: AbGroup, degrees, alpha) -> GElem:

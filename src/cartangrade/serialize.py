@@ -67,7 +67,7 @@ def _need(data, key, kind, typ):
 
 def _int_list(val, kind):
     if not isinstance(val, (list, tuple)) or not all(_is_int(x) for x in val):
-        raise ParseError(f"{kind} must be a list of integers, got {val!r}")
+        raise ParseError(f"{kind} must be a list of integers, got {val!r:.60}")
     return [int(x) for x in val]
 
 
@@ -83,7 +83,7 @@ def _function_terms(data, cfg: Config | None):
     (against cfg, or building it when cfg is None), then each term's alpha
     and c."""
     if _need(data, "basis", "function", str) != "x":
-        raise ParseError(f"unknown basis tag {data['basis']!r}")
+        raise ParseError(f"unknown basis tag {data['basis']!r:.60}")
     p = _need(data, "p", "function", int)
     m = _need(data, "m", "function", int)
     if cfg is None:
@@ -102,7 +102,7 @@ def _function_terms(data, cfg: Config | None):
                 and all(type(a) is int and 0 <= a < p for a in alpha)):
             alpha = _int_list(_need(term, "alpha", "term", list), "alpha")
             if len(alpha) != m or not all(0 <= a < p for a in alpha):
-                raise ParseError(f"bad exponent vector {alpha!r}")
+                raise ParseError(f"bad exponent vector {alpha!r:.60}")
             c = _need(term, "c", "term", int)
         alphas.append(alpha)
         coeffs.append(c % p)
@@ -172,7 +172,7 @@ def gelem_to_data(g: GElem) -> list:
 def gelem_from_data(data, group: AbGroup) -> GElem:
     coords = _int_list(data, "group element")
     if len(coords) != group.rank:
-        raise ParseError(f"element {coords!r} does not match group rank {group.rank}")
+        raise ParseError(f"element {coords!r:.60} does not match group rank {group.rank}")
     return group.element(coords)
 
 
@@ -263,7 +263,7 @@ def _grading_fields(data, cfg: Config | None = None):
     group = group_from_data(_need(data, "group", "grading", dict))
     ambient = _need(data, "ambient", "grading", str)
     if ambient not in ("O", "W", "sub"):
-        raise ParseError(f"unknown ambient {ambient!r}")
+        raise ParseError(f"unknown ambient {ambient!r:.60}")
     rows, labels, degrees = [], [], set()
     for item in _need(data, "components", "grading", list):
         degree = gelem_from_data(_need(item, "degree", "component", list), group)
@@ -277,7 +277,7 @@ def _grading_fields(data, cfg: Config | None = None):
                 rows.append(tables)
             labels.append(degree)
         if degree in degrees:
-            raise ParseError(f"duplicate component degree {degree!r}")
+            raise ParseError(f"duplicate component degree {degree!r:.60}")
         if len(rows) == start:
             raise ParseError("empty component in grading payload")
         degrees.add(degree)

@@ -27,9 +27,8 @@ import numpy as np
 
 from cartangrade import linalg, witt
 from cartangrade.abgroup import PSubgroup, coset_eq
-from cartangrade.autos import (AutO, _free_weight_masks, _unit_scale_correction,
-                               basis_change_auto, permutation_auto, shift_auto,
-                               volume_vector_field)
+from cartangrade.autos import (AutO, _unit_scale_correction, basis_change_auto,
+                               permutation_auto, shift_auto, volume_vector_field)
 from cartangrade.errors import (AdmissibilityError, AxisRangeError, CartanGradeError,
                                 ConfigMismatchError, DimensionError, InternalError,
                                 NoSuchBasisError, ObstructionError, ValidityError)
@@ -250,7 +249,8 @@ def normalize_omega_S_by_decompose(mu: AutO, grading: Grading, trace=None) -> Au
             raise ObstructionError("full toral rank: the volume factor is a fixed scalar")
         return mu
     free_weight = alpha_table(p, m)[:, s:].sum(axis=1)
-    w_masks = _free_weight_masks(cfg, s, free_weight)
+    # free weight of x^a d_i, flat over the m coefficient tables
+    d_weight = (free_weight - (np.arange(m) >= s)[:, None]).reshape(-1)
     gw = induce_W(grading)
     cur = mu
     for steps in itertools.count(1):
@@ -273,7 +273,7 @@ def normalize_omega_S_by_decompose(mu: AutO, grading: Grading, trace=None) -> Au
         if coeffs is None:
             raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
         flat = linalg.matmul(np.array(coeffs, dtype=np.int64), gw.basis[gw.blocks()[e]], p)
-        piece = WElem.from_flat(cfg, flat * w_masks[ell] % p)
+        piece = WElem.from_flat(cfg, flat * (d_weight == ell) % p)
         cur = AutO([OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]).compose(cur)
 
 

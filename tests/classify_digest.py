@@ -34,8 +34,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from cartangrade import serialize
 from cartangrade.autos import push_grading, random_auto, random_graded_auto
 from cartangrade.gfp import Config, alpha_table
@@ -43,6 +41,7 @@ from cartangrade.gradings import Grading, _degree_of_exponents, grade_O_construc
 from cartangrade.oalg import z_basis_matrix
 from golden.make_golden import run, swap_degrees
 from test_acceptance import GROUP_MATRIX, random_data
+from test_classify import formula_w_decomposition
 from witness_digest import equivalent, volume_push
 
 RECORD = Path(__file__).resolve().parent / "classify_digest.json"
@@ -58,25 +57,17 @@ EXTRA_W_SWAPS = 3
 def relabelled(o, flavor, rng):
     """The standard basis of the algebra grading o with the labels of two
     single rows of different degrees swapped, or None when the drawn rows
-    share a degree; for flavor W, the derivation rows u(alpha) d_i with the
-    labels the degree formula gives the swapped algebra labels."""
-    cfg = o.cfg
-    m, n = cfg.m, cfg.n
-    degrees = o.origin["degrees"]
-    labels = [_degree_of_exponents(o.group, degrees, alpha) for alpha in alpha_table(P, m)]
-    i, j = rng.sample([k for k in range(1, n) if labels[k] != labels[0]], 2)
+    share a degree; for flavor W, the decomposition of the derivations that
+    the degree formula gives those labels."""
+    labels = [_degree_of_exponents(o.group, o.origin["degrees"], alpha)
+              for alpha in alpha_table(P, o.cfg.m)]
+    i, j = rng.sample([k for k in range(1, o.cfg.n) if labels[k] != labels[0]], 2)
     if labels[i] == labels[j]:
         return None
     labels[i], labels[j] = labels[j], labels[i]
-    zt = z_basis_matrix(cfg, o.origin["s"]).T
-    if flavor != "W":
-        return Grading(cfg, o.group, "O", zt, labels)
-    rows = np.zeros((n, m, m, n), dtype=np.int64)
-    for a in range(m):
-        rows[:, a, a, :] = zt
-    inv = [a.inverse() for a in degrees]
-    return Grading(cfg, o.group, "W", rows.reshape(n * m, m * n),
-                   [h * a for h in labels for a in inv])
+    if flavor == "W":
+        return formula_w_decomposition(o, labels)
+    return Grading(o.cfg, o.group, "O", z_basis_matrix(o.cfg, o.origin["s"]).T, labels)
 
 
 def standard(cfg, group, basis, gamma, flavor):

@@ -289,6 +289,23 @@ def reconstruction(w_grading, route):
     return out.basis.tobytes(), out.labels
 
 
+NOT_INDUCED = "derivation grading is not induced by an algebra grading"
+
+
+def refused_like_the_oracle(w_grading):
+    """Whether the per-degree oracle refuses w_grading, after asserting that
+    o_grading_from_w reaches the same verdict: both refuse, o_grading_from_w
+    with the certificate's message whatever the oracle's, or both return the
+    same basis bytes and labels."""
+    want = reconstruction(w_grading, o_grading_from_w_per_degree)
+    got = reconstruction(w_grading, o_grading_from_w)
+    if isinstance(want, str):
+        assert got == NOT_INDUCED
+        return True
+    assert got == want
+    return False
+
+
 def forward_verdict(out, w_grading):
     """The check the certificate replaces: validate out, induce it forward
     and compare components with w_grading."""
@@ -302,7 +319,8 @@ def forward_verdict(out, w_grading):
 @pytest.fixture
 def certificate_verdicts(monkeypatch):
     """Every verdict of classify._induces, each asserted equal to
-    forward_verdict; False means o_grading_from_w ran its fallback."""
+    forward_verdict, the check it replaces; on False o_grading_from_w
+    refuses with the certificate's message."""
     verdicts = []
     certify = classify._induces
 
@@ -343,9 +361,7 @@ def test_reconstruction_refuses_like_the_oracle_on_swapped_labels(certificate_ve
         a, b = rng.sample(support, 2)
         swap = {a: b, b: a}
         swapped = Grading(CFG, w.group, "W", w.basis, [swap.get(x, x) for x in w.labels])
-        want = reconstruction(swapped, o_grading_from_w_per_degree)
-        assert reconstruction(swapped, o_grading_from_w) == want
-        refused += isinstance(want, str)
+        refused += refused_like_the_oracle(swapped)
     assert refused >= 5
     assert certificate_verdicts.count(False) >= 5
 
@@ -378,9 +394,7 @@ def test_certificate_refuses_pushes_of_a_non_multiplicative_decomposition(certif
             continue
         o_labels[i], o_labels[j] = o_labels[j], o_labels[i]
         w = push_grading(random_auto(CFG, rng), formula_w_decomposition(g, o_labels))
-        want = reconstruction(w, o_grading_from_w_per_degree)
-        assert isinstance(want, str)
-        assert reconstruction(w, o_grading_from_w) == want
+        assert refused_like_the_oracle(w)
         cases += 1
     assert cases >= 5
     assert certificate_verdicts.count(False) >= 5 and not any(certificate_verdicts)

@@ -434,6 +434,27 @@ def test_cli_undecodable_payload_text_is_a_parse_error(payload, flag, source, tm
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def _huge_basis_tag():
+    data = _standard_grading_payload()
+    data["components"][0]["basis"][0]["basis"] = "y" * 1_000_000
+    return data
+
+
+@pytest.mark.parametrize("verb, flag, payload", [
+    ("construct", "--request", lambda: standard_request(basis=[["x"] * 200_000])),
+    ("verify", "--grading", _huge_basis_tag),
+], ids=["request-basis-entry", "grading-basis-tag"])
+def test_cli_error_line_bounds_the_echoed_value(verb, flag, payload, tmp_path, capsys):
+    """A payload value of about 1 MB is echoed in at most 60 characters: the
+    refusal is one error line of at most 200 bytes."""
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload()))
+    assert cli.main(["grade", verb, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
+
+
 def test_cli_refuses_a_prime_past_the_float_bound(tmp_path, monkeypatch, capsys):
     # 208067 * 208066**2 >= 2**53: products at m = 1 would not be exact.
     monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "1000000")
