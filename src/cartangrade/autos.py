@@ -35,6 +35,7 @@ from .witt import WElem
 # Draws random_graded_auto makes before it gives up.
 GRADED_DRAW_TRIES = 200
 
+
 class AutO:
     """Algebra automorphism given by the images of the m variables.
 

@@ -97,11 +97,12 @@ def _make_config(p: int, m: int) -> Config:
     if not 1 <= m <= 4:
         raise ConfigError(f"m must lie in 1..4, got {m}")
     cap = max_dim_limit()
-    if p ** m > cap:
+    size = p ** m
+    if size > cap:
         # A size past 60 digits is shown as p**m: its digits would flood the
         # error line, or pass str's digit limit.
-        size = p ** m if p ** m < 10 ** 60 else f"{p!r:.60}**{m}"
-        raise ConfigError(f"p**m = {size} exceeds the dimension cap {cap}")
+        shown = size if size < 10 ** 60 else f"{p!r:.60}**{m}"
+        raise ConfigError(f"p**m = {shown} exceeds the dimension cap {cap}")
     if p > 3:
         return Config(p, m)
     return Config(p, m, allow_small_p=True)
