@@ -22,6 +22,8 @@ and the push against its swapped and non-multiplicative variants.
 
 Each case is one cli.main call in process; its record is the exit code,
 the `error:` line and the sha256 of stdout, as in construct_digest.py.
+`grade iso` also runs with --witness-out, and its record adds the sha256
+of that file, or None when the call wrote none.
 classify_digest.json holds the records; tests/test_classify_digest.py
 replays them.  Regenerate only when a change of the outputs is intended,
 and say so where the change is recorded.
@@ -129,7 +131,8 @@ def cases():
 
 
 def records():
-    """{case name: {"exit", "error", "sha256"}} of every case."""
+    """{case name: {"exit", "error", "sha256"}} of every case, with
+    "witness_sha256" for the `grade iso` cases."""
     got = {}
     with tempfile.TemporaryDirectory() as tmp:
         written = set()
@@ -139,9 +142,15 @@ def records():
                     (Path(tmp) / fname).write_text(json.dumps(data))
                     written.add(fname)
             argv = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
-            code, out, error = run(argv)
+            witness = Path(tmp) / "witness.out"
+            witness.unlink(missing_ok=True)
+            iso = argv[1] == "iso"
+            code, out, error = run(argv + ["--witness-out", str(witness)] if iso else argv)
             got[name] = {"exit": code, "error": error,
                          "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            if iso:
+                got[name]["witness_sha256"] = (hashlib.sha256(witness.read_bytes()).hexdigest()
+                                               if witness.exists() else None)
     return got
 
 
