@@ -128,10 +128,11 @@ class AutO:
         """Determinant of the matrix of partials of the variable images: its
         Laplace expansion along the first row, sum_i d_i(u_1) * C_i over the
         cofactors of _first_row_cofactors."""
-        u1 = self.images[0]
-        total = OElem.zero(self.cfg)
-        for i, c in enumerate(_first_row_cofactors(self), start=1):
-            total = total + u1.partial(i) * c
+        cfg = self.cfg
+        partials = _partials(self)
+        total = OElem.zero(cfg)
+        for d, c in zip(partials[0], _first_row_cofactors(cfg, partials)):
+            total = total + OElem(cfg, d) * c
         return total
 
     def act_on_form(self, omega: KForm) -> KForm:
@@ -384,21 +385,31 @@ def volume_vector_field(mu: AutO) -> WElem:
     jacobian, plus u_1 sum_i d_i(C_i), which vanishes.
     """
     u1 = mu.images[0]
-    return WElem.from_coeffs([u1 * c for c in _first_row_cofactors(mu)])
+    return WElem.from_coeffs([u1 * c for c in _first_row_cofactors(mu.cfg, _partials(mu))])
 
 
-def _first_row_cofactors(mu: AutO):
+def _partials(mu: AutO):
+    """(m, m, n) tables of the matrix of partials: [k, j] is d_{j+1}(u_{k+1})
+    for the variable images u, from m stacked partial_table calls."""
+    tables = mu._tables()
+    return np.stack([partial_table(mu.cfg, tables, j + 1) for j in range(mu.cfg.m)], axis=1)
+
+
+def _first_row_cofactors(cfg: Config, partials):
     """Signed cofactors C_1..C_m of the first row of the matrix of partials
-    d_j(u_k) of the variable images: C_i = (-1)^(i+1) times the minor of
-    rows 2..m without column i.
+    (_partials): C_i = (-1)^(i+1) times the minor of rows 2..m without
+    column i.
 
     The minors of rows k..m are built from the last row up, one per column
-    set, each expanded along its first row; the minor of no rows is 1.
+    set, each expanded along its first row; the minors of the last row are
+    its entries, and the minor of no rows (m = 1) is 1.
     """
-    cfg, m = mu.cfg, mu.cfg.m
-    minors = {(): OElem.one(cfg)}
-    for k in range(m - 1, 0, -1):
-        row = [mu.images[k].partial(j) for j in range(1, m + 1)]
+    m = cfg.m
+    if m == 1:
+        return [OElem.one(cfg)]
+    minors = {(j,): OElem(cfg, partials[m - 1, j]) for j in range(m)}
+    for k in range(m - 2, 0, -1):
+        row = [OElem(cfg, d) for d in partials[k]]
         nxt = {}
         for cols in itertools.combinations(range(m), m - k):
             total = OElem.zero(cfg)
@@ -475,10 +486,7 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
     limit = (p - 1) * (m - s) + 1
     cur = mu
     steps = 0
-    while True:
-        jac = cur.jacobian()
-        if jac == OElem.one(cfg):
-            return cur
+    while jac != OElem.one(cfg):
         steps += 1
         if _trace is not None:
             _trace.append(steps)
@@ -489,22 +497,26 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         f0 = OElem(cfg, head)
         if f0 != OElem.one(cfg):
             cur = _unit_scale_correction(cfg, f0).compose(cur)
-            continue
-        tail = jac.table.copy()
-        tail[free_weight == 0] = 0
-        ell = int(free_weight[np.flatnonzero(tail)].min())
-        field = volume_vector_field(cur)
-        coords = linalg.matmul(field.tables, coords_of, p) * keep
-        if not coords.any():
-            raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
-        piece = WElem.from_flat(cfg, (linalg.matmul(coords, grading.basis, p)
-                                      * (d_weight == ell) % p).reshape(-1))
-        slice_tbl = jac.table.copy()
-        slice_tbl[free_weight != ell] = 0
-        if piece.divergence() != OElem(cfg, slice_tbl):
-            raise InternalError("weight slice of the volume field must account for the jacobian slice")
-        images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
-        cur = AutO(images).compose(cur)
+        else:
+            tail = jac.table.copy()
+            tail[free_weight == 0] = 0
+            ell = int(free_weight[np.flatnonzero(tail)].min())
+            field = volume_vector_field(cur)
+            coords = linalg.matmul(field.tables, coords_of, p) * keep
+            if not coords.any():
+                raise AdmissibilityError(
+                    "volume field has no trivial-degree part; map is not graded")
+            piece = WElem.from_flat(cfg, (linalg.matmul(coords, grading.basis, p)
+                                          * (d_weight == ell) % p).reshape(-1))
+            slice_tbl = jac.table.copy()
+            slice_tbl[free_weight != ell] = 0
+            if piece.divergence() != OElem(cfg, slice_tbl):
+                raise InternalError(
+                    "weight slice of the volume field must account for the jacobian slice")
+            images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
+            cur = AutO(images).compose(cur)
+        jac = cur.jacobian()
+    return cur
 
 
 def _standard_inverse(grading: Grading):

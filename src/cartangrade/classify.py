@@ -142,11 +142,12 @@ def recognize_O(grading: Grading):
     return frame, inv
 
 
-def _recognize_frame(grading: Grading):
+def _recognize_frame(grading: Grading, picks=None):
     """Homogeneous frame, its degrees, and the invariants of an algebra grading.
 
     The frame rows are the basis rows whose linear parts are independent,
-    picked greedily in row order (gradings.frame_rows), so in degree order.
+    picked greedily in row order (gradings.frame_rows, or picks when the
+    caller already has them), so in degree order.
     A row with a unit constant term c is normalized to y = u/c - 1 in the
     maximal ideal (a unit slot); the rest are frame vectors as they stand.
     A homogeneous unit u has u^p in GF(p)^x, inside the identity component,
@@ -194,7 +195,7 @@ def _recognize_frame(grading: Grading):
         raise AdmissibilityError("recognition expects a grading of the algebra")
     cfg = grading.cfg
     one = OElem.one(cfg)
-    picks = frame_rows(grading)
+    picks = frame_rows(grading) if picks is None else picks
     if len(picks) != cfg.m:
         raise InternalError("homogeneous components must span all cotangent directions")
     units, free = [], []
@@ -223,9 +224,9 @@ def _recognize_frame(grading: Grading):
             GradingInvariants(psub, [g for _, g in free]))
 
 
-def _recognize_S_frame(grading: Grading):
+def _recognize_S_frame(grading: Grading, picks=None):
     """Frame, exact axis degrees, and invariants with volume degree, in the
-    order of _recognize_frame.
+    order of _recognize_frame (which reads picks).
 
     The volume degree g0 is read off the jacobian of the recognized frame.
     The frame y_1..y_m has zero constant terms and independent linear parts,
@@ -248,7 +249,7 @@ def _recognize_S_frame(grading: Grading):
     replaced by one whose product is the volume degree.
     """
     cfg = grading.cfg
-    frame, degrees, inv = _recognize_frame(grading)
+    frame, degrees, inv = _recognize_frame(grading, picks)
     s, m = inv.s, cfg.m
     total = grading.group.identity()
     for g in degrees:
@@ -313,6 +314,11 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     with T' @ stack = [I_n; 0] is S @ T with S = [[I, X], [0, Y]], Y
     invertible: it changes bottom_g only by the row operation Y, which keeps
     its null space, and top_g c only by X bottom_g c = 0.
+
+    Each degree takes one nullspace of its columns of bottom; the rows c of
+    every degree, each placed in its block's columns of one coefficient
+    matrix, give every -top_g c in a single product with -top^T.  g* (the
+    anchor degree) is inverted once.
     """
     if w_grading.ambient != "W":
         raise AdmissibilityError("reconstruction expects a grading of the derivations")
@@ -334,14 +340,19 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     top = linalg.matmul(mult_operator(cfg, u_inv.table), neg[i0 * n:(i0 + 1) * n], p)
     rest = np.delete(np.arange(m * n), np.s_[i0 * n:(i0 + 1) * n])
     bottom = (neg[rest] - linalg.matmul(stack[rest], top, p)) % p
-    rows, labels = [], []
+    g_inv = g_star.inverse()
+    coeffs, labels = [], []
     for g, sl in w_grading.blocks().items():
         null = linalg.nullspace(bottom[:, sl], p)
-        rows.append(linalg.matmul(null, (-top[:, sl].T) % p, p))
-        labels += [g * g_star.inverse()] * null.shape[0]
+        # The null space rows c of bottom_g, placed in the columns of block g.
+        coeff = np.zeros((null.shape[0], m * n), dtype=np.int64)
+        coeff[:, sl] = null
+        coeffs.append(coeff)
+        labels += [g * g_inv] * null.shape[0]
     if len(labels) != n:
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")
-    out = Grading._deferred(cfg, w_grading.group, "O", np.vstack(rows), labels)
+    rows = linalg.matmul(np.vstack(coeffs), (-top.T) % p, p)
+    out = Grading._deferred(cfg, w_grading.group, "O", rows, labels)
     if not _induces(out, w_grading):
         raise AdmissibilityError("derivation grading is not induced by an algebra grading")
     return out
@@ -553,7 +564,8 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
             f"the two gradings have different ambients, {g1.ambient!r} and {g2.ambient!r}")
     (o1, volume), (o2, _) = resolved, _resolve(g2, flavor)
     recognize = _recognize_S_frame if volume else _recognize_frame
-    f1, d1, i1 = recognize(o1)
+    picks = frame_rows(o1)
+    f1, d1, i1 = recognize(o1, picks)
     f2, d2, i2 = recognize(o2)
     if canonical_key(i1) != canonical_key(i2):
         return None
@@ -570,14 +582,15 @@ def iso_decide(g1: Grading, g2: Grading, flavor: str = "O"):
         psi = AutO(_standard_bridge(*data, at=f2)).compose_inverse(AutO(f1))
         if volume and volume_factor(psi) is None:
             raise InternalError("full-rank witness must scale the volume form")
-    _check_witness(psi, o1, o2)
+    _check_witness(psi, o1, o2, picks)
     return psi
 
 
-def _check_witness(psi: AutO, o1: Grading, o2: Grading) -> None:
+def _check_witness(psi: AutO, o1: Grading, o2: Grading, picks) -> None:
     """Self-check of a positive decision, on the algebra gradings o1 and o2
     it was made on: equal block layouts, and psi maps every frame row of o1
-    into the block of o2 of the row's degree (the lemma of iso_decide).
+    (picks, from gradings.frame_rows) into the block of o2 of the row's
+    degree (the lemma of iso_decide).
 
     Both label tuples are sorted by coordinates, so the layouts are equal
     when the label tuples are.  The images of the m frame rows take one
@@ -586,7 +599,6 @@ def _check_witness(psi: AutO, o1: Grading, o2: Grading) -> None:
     if o1.labels != o2.labels:
         raise InternalError("witness checked on gradings of different block layouts")
     p = o1.cfg.p
-    picks = frame_rows(o1)
     images = linalg.matmul(o1.basis[picks], psi.matrix.T, p)
     degrees = [o1.labels[k] for k in picks]
     blocks = o2.blocks()

@@ -55,11 +55,13 @@ class Grading:
     basis is a read-only (dim x flat_size) int64 matrix of homogeneous rows
     and labels the degree of each row; the constructor sorts the rows stably
     by degree coordinates, so each degree of the support owns one block of
-    consecutive rows (blocks()).  It checks that the rows are independent
-    and, for "O" and "W", that they exhaust the ambient dimension;
-    multiplicativity is checked separately by verify_grading.  components
-    (degree -> elements) is a view built from the matrix on each access and
-    never cached.  origin is None except in two shapes: a standard "O"
+    consecutive rows, and keeps that block layout: blocks(), support() and
+    the sweeps of verify_grading read it, never regrouping the labels.  It
+    checks that the rows are independent and, for "O" and "W", that they
+    exhaust the ambient dimension; multiplicativity is checked separately by
+    verify_grading.  components (degree -> elements) is a view built from
+    the matrix on each access and never cached.  origin is None except in
+    two shapes: a standard "O"
     grading from grade_O_construct carries {"s": toral rank, "degrees": the
     m axis degrees}, which the fast induction and normalization paths read,
     and a "sub" grading from grade_S_construct or fine_grading carries
@@ -88,6 +90,13 @@ class Grading:
             canon.setdefault(g, g)
         order = sorted(range(len(labels)), key=lambda k: labels[k].coords)
         self.labels = tuple(canon[labels[k]] for k in order)
+        # The block layout, degree -> slice of its rows: the runs of one
+        # object in the sorted labels.
+        self._layout, lo = {}, 0
+        for _, run in itertools.groupby(self.labels, key=id):
+            hi = lo + sum(1 for _ in run)
+            self._layout[self.labels[lo]] = slice(lo, hi)
+            lo = hi
         rows = np.asarray(basis, dtype=np.int64)
         if rows.size != len(labels) * self.flat_size:
             raise DimensionError(f"basis holds {rows.size} entries, not {len(labels)} rows "
@@ -126,23 +135,19 @@ class Grading:
         return self.basis.shape[0]
 
     def blocks(self) -> dict:
-        """degree -> slice of its rows in basis, in support order."""
-        out, lo = {}, 0
-        for g, run in itertools.groupby(self.labels):
-            hi = lo + sum(1 for _ in run)
-            out[g] = slice(lo, hi)
-            lo = hi
-        return out
+        """degree -> slice of its rows in basis, in support order: a copy of
+        the layout the constructor kept."""
+        return dict(self._layout)
 
     def support(self) -> tuple:
-        return tuple(self.blocks())
+        return tuple(self._layout)
 
     @property
     def components(self) -> dict:
         """degree -> tuple of its basis rows as OElem or WElem objects."""
         element = OElem if self.ambient == "O" else WElem.from_flat
         return {g: tuple(element(self.cfg, row) for row in self.basis[sl])
-                for g, sl in self.blocks().items()}
+                for g, sl in self._layout.items()}
 
     def decompose(self, vec) -> dict:
         """Coordinates of vec over the basis rows, grouped by degree: degree ->
@@ -152,7 +157,7 @@ class Grading:
         sol = linalg.solve(self.basis.T, flat, self.cfg.p)
         if sol is None:
             raise DimensionError("vector lies outside the span of the homogeneous basis")
-        return {g: [int(c) for c in sol[sl]] for g, sl in self.blocks().items() if sol[sl].any()}
+        return {g: [int(c) for c in sol[sl]] for g, sl in self._layout.items() if sol[sl].any()}
 
     def degree_of(self, vec):
         """The degree of a homogeneous vector, or None if it straddles degrees."""
@@ -168,13 +173,13 @@ class Grading:
         have equal sizes containment is equality."""
         if (self.cfg, self.group, self.ambient) != (other.cfg, other.group, other.ambient):
             return False
-        mine, theirs = self.blocks(), other.blocks()
-        if list(mine.items()) != list(theirs.items()):
+        if list(self._layout.items()) != list(other._layout.items()):
             return False
-        return all(in_span(self.basis[sl], other.basis[sl], self.cfg.p) for sl in mine.values())
+        return all(in_span(self.basis[sl], other.basis[sl], self.cfg.p)
+                   for sl in self._layout.values())
 
     def __repr__(self) -> str:
-        dims = {g.coords: sl.stop - sl.start for g, sl in self.blocks().items()}
+        dims = {g.coords: sl.stop - sl.start for g, sl in self._layout.items()}
         return f"Grading(ambient={self.ambient}, group={self.group!r}, dims={dims})"
 
 
@@ -396,7 +401,7 @@ def _degree_table(group: AbGroup, supp, right=None) -> np.ndarray:
 
 def _row_blocks(grading: Grading) -> np.ndarray:
     """The index in grading.support() of each basis row's degree."""
-    sizes = [sl.stop - sl.start for sl in grading.blocks().values()]
+    sizes = [sl.stop - sl.start for sl in grading._layout.values()]
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
@@ -418,7 +423,7 @@ def _generator_rows(grading: Grading, coords_of):
     when 1 has coordinates outside the identity block.  coords_of is the
     inverse of the (square, invertible) basis matrix, so its row 0 holds
     the coordinates of 1."""
-    identity = grading.blocks().get(grading.group.identity())
+    identity = grading._layout.get(grading.group.identity())
     one = coords_of[0]
     if identity is None or one[:identity.start].any() or one[identity.stop:].any():
         return None
@@ -492,9 +497,8 @@ def verify_grading(grading: Grading) -> GradingReport:
     p = grading.cfg.p
     basis, labels = grading.basis, grading.labels
     dim, flat = grading.dim(), grading.flat_size
-    blocks = grading.blocks()
     block = _row_blocks(grading)
-    target = _degree_table(grading.group, tuple(blocks))
+    target = _degree_table(grading.group, grading.support())
     # "O" and "W" bases are square, so every column is a pivot once the rows
     # are independent; a "sub" basis has more columns.
     pivots = linalg.rref(basis, p)[1] if grading.ambient == "sub" else slice(None)

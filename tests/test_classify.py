@@ -19,8 +19,8 @@ from cartangrade.errors import (AdmissibilityError, CartanGradeError, InternalEr
                                ObstructionError)
 from cartangrade.gfp import Config, alpha_table, radix_weights
 from cartangrade.gradings import (Grading, _degree_of_exponents, _s_rows, fine_grading,
-                                  grade_O_construct, grade_S_construct, induce_subalgebra,
-                                  induce_W)
+                                  frame_rows, grade_O_construct, grade_S_construct,
+                                  induce_subalgebra, induce_W)
 from cartangrade.oalg import OElem, mult_operator, z_basis_matrix
 from algebra_helpers import (grading_from_components, scale_auto,
                              standard_bridge_by_composition)
@@ -671,9 +671,9 @@ def test_volume_recognition_recognizes_once(monkeypatch):
     calls = []
     recognize = classify._recognize_frame
 
-    def counted(grading):
+    def counted(grading, picks=None):
         calls.append(grading)
-        return recognize(grading)
+        return recognize(grading, picks)
 
     monkeypatch.setattr(classify, "_recognize_frame", counted)
     for grading in volume_corpus()[::7]:
@@ -735,9 +735,9 @@ def test_a_positive_decision_checks_its_witness_once_on_the_given_gradings(k, mo
     calls, resolved = [], []
     check, resolve = classify._check_witness, classify._resolve
 
-    def counted(psi, h1, h2):
-        calls.append((h1, h2))
-        check(psi, h1, h2)
+    def counted(psi, h1, h2, picks):
+        calls.append((h1, h2, picks))
+        check(psi, h1, h2, picks)
 
     def recorded(grading, fl):
         out = resolve(grading, fl)
@@ -760,6 +760,7 @@ def test_a_positive_decision_checks_its_witness_once_on_the_given_gradings(k, mo
     assert len(resolved) == 2 and len(calls) == 1
     assert calls[0][0] is resolved[0] and calls[0][1] is resolved[1]
     assert calls[0][0].ambient == calls[0][1].ambient == "O"
+    assert list(calls[0][2]) == list(frame_rows(calls[0][0]))
     if g1.ambient == "O":
         assert calls[0][0] is g1 and calls[0][1] is g2
 
@@ -798,11 +799,11 @@ def test_the_frame_check_refuses_what_push_and_compare_refuses():
     refused = 0
     for flavor, g1, g2, wit in digest_decisions():
         o1, o2 = (classify._resolve(g, flavor)[0] for g in (g1, g2))
-        classify._check_witness(wit, o1, o2)
+        classify._check_witness(wit, o1, o2, frame_rows(o1))
         skewed = wit.compose(random_auto(g1.cfg, rng))
         carried = push_grading(skewed, g1).same_components(g2)
         try:
-            classify._check_witness(skewed, o1, o2)
+            classify._check_witness(skewed, o1, o2, frame_rows(o1))
         except InternalError:
             assert not carried
             refused += 1

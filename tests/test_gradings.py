@@ -1,5 +1,6 @@
 """Grading construction, verification, induction, and fine refinements."""
 
+import itertools
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from cartangrade.gradings import (Grading, fine_grading, grade_O_construct,
 from cartangrade.oalg import mult_operator
 from cartangrade.witt import WElem
 from algebra_helpers import grading_from_components
+from test_acceptance import GROUP_MATRIX, random_data
 from test_linalg import _rref_oracle
 from volume_oracle import admissible_degree
 
@@ -543,3 +545,87 @@ def test_queries_leave_no_state_on_the_grading():
     assert grading.same_components(grading) and verify_grading(grading).ok
     assert vars(grading).keys() == before.keys()
     assert all(vars(grading)[k] is v for k, v in before.items())
+
+
+def blocks_by_equality(grading):
+    """The block layout regrouped from the labels by equality, as blocks()
+    computed it before the constructor kept the layout."""
+    out, lo = {}, 0
+    for g, run in itertools.groupby(grading.labels):
+        hi = lo + sum(1 for _ in run)
+        out[g] = slice(lo, hi)
+        lo = hi
+    return out
+
+
+def _producer_gradings():
+    """(producer name, grading) for every producer of gradings, on seeded
+    degree data at p = 5, m = 2 and 3."""
+    from cartangrade.classify import o_grading_from_w
+    rng = random.Random(28)
+    out = []
+    for m in (2, 3):
+        cfg = Config(5, m)
+        for group in (GROUP_MATRIX[1], GROUP_MATRIX[3]):
+            basis, gamma = random_data(cfg, group, rng)
+            o = grade_O_construct(cfg, group, basis, gamma)
+            pushed = push_grading(random_auto(cfg, rng), o)
+            w = induce_W(o)
+            pushed_w = push_grading(random_auto(cfg, rng), w)
+            out += [("grade_O_construct", o), ("induce_W", w), ("induce_W raw", induce_W(pushed)),
+                    ("push_grading O", pushed), ("push_grading W", pushed_w),
+                    ("o_grading_from_w", o_grading_from_w(pushed_w)),
+                    ("grading_from_data", serialize.grading_from_data(
+                        serialize.grading_to_data(pushed_w)))]
+        # The S ambient at m = 3 takes about a second per grading.
+        out += [(f"fine_grading {ambient}", fine_grading(cfg, s, ambient))
+                for s in range(m + 1) for ambient in ("O", "W", "S")[:5 - m]]
+    cfg = Config(5, 2)
+    group, b, c = z5sq()
+    out.append(("grade_S_construct", grade_S_construct(cfg, group, PSubgroup(group, (b,)), [c],
+                                                       b * c)))
+    return out
+
+
+def test_kept_block_layout_matches_regrouping_by_equality():
+    for name, grading in _producer_gradings():
+        want = blocks_by_equality(grading)
+        assert list(grading.blocks().items()) == list(want.items()), name
+        assert grading.support() == tuple(want), name
+        sizes = [sl.stop - sl.start for sl in want.values()]
+        assert (gradings._row_blocks(grading).tolist()
+                == np.repeat(np.arange(len(sizes)), sizes).tolist()), name
+        assert len(set(grading.support())) == len(grading.support()), name
+
+
+def test_kept_block_layout_of_unsorted_labels_given_as_distinct_objects():
+    """Equal labels given as distinct objects, in shuffled row order, still
+    share one block."""
+    cfg = Config(5, 2)
+    group, b, c = z5sq()
+    o = grade_O_construct(cfg, group, [b], [c])
+    rng = random.Random(3)
+    order = list(range(cfg.n))
+    rng.shuffle(order)
+    labels = [group.element(o.labels[k].coords) for k in order]
+    shuffled = Grading(cfg, group, "O", o.basis[order], labels)
+    assert list(shuffled.blocks().items()) == list(blocks_by_equality(shuffled).items())
+    assert list(shuffled.blocks().items()) == list(o.blocks().items())
+    assert shuffled.same_components(o)
+
+
+def test_mutating_the_returned_blocks_leaves_the_grading_as_it_was():
+    cfg = Config(5, 2)
+    group, b, c = z5sq()
+    grading = push_grading(random_auto(cfg, random.Random(8)),
+                           grade_O_construct(cfg, group, [b], [c]))
+    want = list(blocks_by_equality(grading).items())
+    first = grading.support()[0]
+    blocks = grading.blocks()
+    blocks[first] = slice(0, 0)
+    blocks.pop(grading.support()[1])
+    blocks[group.element((4, 4)) * b] = slice(3, 9)
+    assert list(grading.blocks().items()) == want
+    assert grading.blocks() is not grading.blocks()
+    assert grading.support() == tuple(g for g, _ in want)
+    assert verify_grading(grading).ok and grading.same_components(grading)
