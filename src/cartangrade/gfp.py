@@ -74,7 +74,8 @@ class Config:
         # before the primality test, so trial division only ever runs on
         # p <= p**m <= cap: a huge prime p from a payload is refused at once.
         if self.m >= cap.bit_length() or self.p ** self.m > cap:
-            raise ConfigError(f"p**m = {self.p}**{self.m} exceeds the configured limit {cap}")
+            raise ConfigError(f"p**m = {self.p!r:.60}**{self.m!r:.60} exceeds the configured "
+                              f"limit {cap}")
         # The widest exact product is an ad matrix, inner dimension m * p**m.
         if not float_exact(self.m * self.p ** self.m, self.p):
             raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "

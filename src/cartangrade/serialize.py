@@ -158,7 +158,7 @@ def group_from_data(data) -> AbGroup:
     free_rank = _need(data, "free_rank", "group", int)
     torsion = _int_list(_need(data, "torsion", "group", list), "torsion")
     if free_rank < 0:
-        raise ParseError(f"bad free rank {free_rank!r}")
+        raise ParseError(f"bad free rank {free_rank!r:.60}")
     try:
         return AbGroup(free_rank, tuple(torsion))
     except CartanGradeError as exc:
@@ -338,13 +338,13 @@ def invariants_from_data(data, group: AbGroup):
     basis = tuple(gelem_from_data(row, group) for row in _need(data, "P", "invariants", list))
     s = _need(data, "s", "invariants", int)
     if s != len(basis):
-        raise ParseError(f"rank field {s!r} does not match basis size {len(basis)}")
+        raise ParseError(f"rank field {s!r:.60} does not match basis size {len(basis)}")
     gamma = []
     for item in _need(data, "gamma", "invariants", list):
         rep = gelem_from_data(_need(item, "rep", "invariants", list), group)
         mult = _need(item, "mult", "invariants", int)
         if mult < 1:
-            raise ParseError(f"bad multiplicity {mult!r}")
+            raise ParseError(f"bad multiplicity {mult!r:.60}")
         gamma.extend([rep] * mult)
     g0 = data.get("g0")
     if g0 is not None:

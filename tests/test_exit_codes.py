@@ -8,6 +8,11 @@ p = 5, m <= 2 and mutates it:
   integer past 2^64 or past the int-string digit limit, NaN or Infinity,
   nesting 100 to 100,000 deep), then possibly an invalid byte inserted or
   the text cut short;
+- grading payloads, in half of their examples instead: one or two edits
+  that keep every function term well formed (two components' degrees
+  swapped, a component dropped, a basis element of one component repeated
+  in another, one term coefficient changed), so the example gets past the
+  parser to the grading check, recognition and the isomorphism decision;
 - argv verbs (paper-check, dims, grade fine): extreme values of --p, --m
   and --r.
 
@@ -33,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartangrade import cli
@@ -118,7 +123,44 @@ def mutate(data, tree):
     return {}
 
 
+def restructure(data, payload):
+    """One edit of a grading payload that keeps its function terms well
+    formed: two components' degrees swapped, a component dropped, a basis
+    element of one component repeated in another, or the coefficient of
+    one term changed."""
+    comps = payload["components"]
+    if not comps:
+        return
+    i, j = (data.draw(st.integers(0, len(comps) - 1)) for _ in range(2))
+    op = data.draw(st.sampled_from(("swap", "drop", "repeat", "coefficient")))
+    if op == "swap":
+        comps[i]["degree"], comps[j]["degree"] = comps[j]["degree"], comps[i]["degree"]
+    elif op == "drop":
+        del comps[i]
+    elif op == "repeat" and comps[i]["basis"]:
+        comps[j]["basis"].append(copy.deepcopy(data.draw(st.sampled_from(comps[i]["basis"]))))
+    elif op == "coefficient":
+        terms = [t for ts in _fields(comps[i], "terms") for t in ts
+                 if isinstance(t, dict) and isinstance(t.get("c"), int)]
+        if terms:
+            term = data.draw(st.sampled_from(terms))
+            term["c"] = (term["c"] + data.draw(st.integers(1, 4))) % 5
+
+
+def _restructurable(base) -> bool:
+    """Whether base is a grading payload whose components restructure can
+    edit: a list of objects, each with a degree and a list of elements."""
+    comps = base.get("components") if isinstance(base, dict) else None
+    return isinstance(comps, list) and all(
+        isinstance(c, dict) and "degree" in c and isinstance(c.get("basis"), list) for c in comps)
+
+
 def payload_bytes(data, base) -> bytes:
+    if _restructurable(base) and data.draw(st.booleans()):
+        payload = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 2))):
+            restructure(data, payload)
+        return json.dumps(payload).encode()
     tree, dups = {"root": copy.deepcopy(base)}, {}
     for _ in range(data.draw(st.integers(1, 3))):
         for k, extra in mutate(data, tree).items():
@@ -189,8 +231,11 @@ def check(argv, tmp):
         assert out_path.read_text() == sentinel, argv
 
 
-EXAMPLES = settings(derandomize=True, deadline=None, max_examples=40, database=None,
-                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+# The profiles of tests/conftest.py: the long one when pytest runs with
+# --hypothesis-profile=exit-codes-long, the Tier-1 one otherwise.
+EXAMPLES = settings.get_profile("exit-codes-long"
+                                if settings.get_current_profile_name() == "exit-codes-long"
+                                else "exit-codes")
 
 
 @pytest.mark.parametrize("case", PAYLOAD_CASES, ids=[c["name"] for c in PAYLOAD_CASES])

@@ -455,6 +455,47 @@ def test_cli_error_line_bounds_the_echoed_value(verb, flag, payload, tmp_path, c
     assert len(err.encode()) <= 200
 
 
+# An integer of 4,001 digits, under str's digit limit, so JSON reads it.
+HUGE = 10 ** 4000
+
+
+def test_cli_clips_a_huge_free_rank(tmp_path, capsys):
+    req = write_request(tmp_path / "req.json", group={"free_rank": -HUGE, "torsion": [5, 5]})
+    assert cli.main(["grade", "construct", "--request", str(req)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "bad free rank -1000" in err and len(err.encode()) <= 200
+
+
+def test_cli_clips_a_huge_prime_in_a_function_payload(tmp_path, capsys):
+    """gfp.Config's "exceeds the configured limit" line, wrapped as a bad
+    configuration in the payload: about 4 KB before the clip."""
+    data = _standard_grading_payload()
+    data["components"][0]["basis"][0].update(p=HUGE + 1, m=1)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(data))
+    assert cli.main(["grade", "verify", "--grading", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "p**m = 1000" in err and "exceeds" in err and len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("field", ["s", "mult"])
+def test_invariants_reader_clips_huge_integers(field):
+    """The "rank field" and "bad multiplicity" refusals echo at most 60
+    characters of the value."""
+    data = serialize.invariants_to_data(GradingInvariants(PSubgroup(G2, (A,)), [B], None))
+    if field == "mult":
+        data["gamma"][0]["mult"] = -HUGE
+    else:
+        data[field] = HUGE
+    with pytest.raises(ParseError) as info:
+        serialize.invariants_from_data(data, G2)
+    message = str(info.value)
+    assert message.startswith("rank field 1000" if field == "s" else "bad multiplicity -1000")
+    assert len(message) <= 120
+
+
 def test_cli_refuses_a_prime_past_the_float_bound(tmp_path, monkeypatch, capsys):
     # 208067 * 208066**2 >= 2**53: products at m = 1 would not be exact.
     monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "1000000")
