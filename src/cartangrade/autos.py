@@ -401,20 +401,18 @@ def _first_row_cofactors(cfg: Config, partials):
     column i.
 
     The minors of rows k..m are built from the last row up, one per column
-    set, each expanded along its first row; the minors of the last row are
-    its entries, and the minor of no rows (m = 1) is 1.
+    set, each expanded along its first row; the minor of no rows is 1, so
+    the minors of the last row are its entries, taken without a product.
     """
     m = cfg.m
-    if m == 1:
-        return [OElem.one(cfg)]
-    minors = {(j,): OElem(cfg, partials[m - 1, j]) for j in range(m)}
-    for k in range(m - 2, 0, -1):
+    minors = {(): OElem.one(cfg)}
+    for k in range(m - 1, 0, -1):
         row = [OElem(cfg, d) for d in partials[k]]
         nxt = {}
         for cols in itertools.combinations(range(m), m - k):
             total = OElem.zero(cfg)
             for t, j in enumerate(cols):
-                term = row[j] * minors[cols[:t] + cols[t + 1:]]
+                term = row[j] if k == m - 1 else row[j] * minors[cols[:t] + cols[t + 1:]]
                 total = total - term if t % 2 else total + term
             nxt[cols] = total
         minors = nxt
@@ -497,24 +495,23 @@ def normalize_omega_S(mu: AutO, grading: Grading, _trace=None) -> AutO:
         f0 = OElem(cfg, head)
         if f0 != OElem.one(cfg):
             cur = _unit_scale_correction(cfg, f0).compose(cur)
-        else:
-            tail = jac.table.copy()
-            tail[free_weight == 0] = 0
-            ell = int(free_weight[np.flatnonzero(tail)].min())
-            field = volume_vector_field(cur)
-            coords = linalg.matmul(field.tables, coords_of, p) * keep
-            if not coords.any():
-                raise AdmissibilityError(
-                    "volume field has no trivial-degree part; map is not graded")
-            piece = WElem.from_flat(cfg, (linalg.matmul(coords, grading.basis, p)
-                                          * (d_weight == ell) % p).reshape(-1))
-            slice_tbl = jac.table.copy()
-            slice_tbl[free_weight != ell] = 0
-            if piece.divergence() != OElem(cfg, slice_tbl):
-                raise InternalError(
-                    "weight slice of the volume field must account for the jacobian slice")
-            images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
-            cur = AutO(images).compose(cur)
+            jac = cur.jacobian()
+            continue
+        tail = jac.table.copy()
+        tail[free_weight == 0] = 0
+        ell = int(free_weight[np.flatnonzero(tail)].min())
+        field = volume_vector_field(cur)
+        coords = linalg.matmul(field.tables, coords_of, p) * keep
+        if not coords.any():
+            raise AdmissibilityError("volume field has no trivial-degree part; map is not graded")
+        piece = WElem.from_flat(cfg, (linalg.matmul(coords, grading.basis, p)
+                                      * (d_weight == ell) % p).reshape(-1))
+        slice_tbl = jac.table.copy()
+        slice_tbl[free_weight != ell] = 0
+        if piece.divergence() != OElem(cfg, slice_tbl):
+            raise InternalError("weight slice of the volume field must account for the jacobian slice")
+        images = [OElem.variable(cfg, i + 1) - piece.coeff(i + 1) for i in range(m)]
+        cur = AutO(images).compose(cur)
         jac = cur.jacobian()
     return cur
 

@@ -237,15 +237,28 @@ def test_jacobian_is_multiplicative():
         assert lhs == rhs
 
 
+def dense_auto(cfg, rng):
+    """A random automorphism whose images have random coefficients at every
+    monomial of degree 2 and up, over random_auto's linear part."""
+    base = random_auto(cfg, rng, extra_terms=0)
+    tail = np.array([[rng.randrange(cfg.p) for _ in range(cfg.n)] for _ in range(cfg.m)],
+                    dtype=np.int64)
+    tail[:, 0] = 0
+    tail[:, radix_weights(cfg.p, cfg.m)] = 0
+    return AutO(OElem(cfg, u.table + t) for u, t in zip(base.images, tail))
+
+
 @pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 2), (5, 3), (7, 3), (5, 4)])
 def test_cofactor_expansion_matches_the_permutation_and_wedge_oracles(p, m, monkeypatch):
     """AutO.jacobian and volume_vector_field share one cofactor expansion;
     the permutation sum and the wedge of differentials are independent
-    routes to them.  The field's divergence is the jacobian, and building
-    it touches no differential form."""
+    routes to them, on sparse, dense and composed random automorphisms.
+    The field's divergence is the jacobian, and building it touches no
+    differential form."""
     cfg = Config(p, m)
     rng = random.Random(100 * p + m)
-    mus = [random_auto(cfg, rng) for _ in range(8)]
+    mus = [random_auto(cfg, rng) for _ in range(8)] + [dense_auto(cfg, rng) for _ in range(2)]
+    mus.append(mus[0].compose(mus[-1]))
     wedged = [volume_field_by_wedges(mu) for mu in mus]
 
     def refuse(*args, **kwargs):
@@ -258,31 +271,6 @@ def test_cofactor_expansion_matches_the_permutation_and_wedge_oracles(p, m, monk
         field = volume_vector_field(mu)
         assert field == want
         assert field.divergence() == jac
-
-
-def dense_auto(cfg, rng):
-    """A random automorphism whose images have random coefficients at every
-    monomial of degree 2 and up, over random_auto's linear part."""
-    base = random_auto(cfg, rng, extra_terms=0)
-    tail = np.array([[rng.randrange(cfg.p) for _ in range(cfg.n)] for _ in range(cfg.m)],
-                    dtype=np.int64)
-    tail[:, 0] = 0
-    tail[:, radix_weights(cfg.p, cfg.m)] = 0
-    return AutO(OElem(cfg, u.table + t) for u, t in zip(base.images, tail))
-
-
-@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3), (7, 3), (5, 4)])
-def test_jacobian_matches_the_permutation_sum(p, m):
-    """AutO.jacobian (stacked partials, cofactors from the last row up)
-    against the permutation sum of algebra_helpers, on sparse, dense and
-    composed random automorphisms."""
-    cfg = Config(p, m)
-    rng = random.Random(1000 * p + m)
-    mus = [random_auto(cfg, rng, extra_terms=6) for _ in range(3)]
-    mus += [dense_auto(cfg, rng) for _ in range(3)]
-    mus += [mus[0].compose(mus[3]), permutation_auto(cfg, 0, range(m)[::-1]).compose(mus[4])]
-    for mu in mus:
-        assert mu.jacobian() == jacobian_by_permutations(mu)
 
 
 def test_volume_factor_of_standard_witnesses():
