@@ -344,7 +344,6 @@ def o_grading_from_w(w_grading: Grading) -> Grading:
     coeffs, labels = [], []
     for g, sl in w_grading.blocks().items():
         null = linalg.nullspace(bottom[:, sl], p)
-        # The null space rows c of bottom_g, placed in the columns of block g.
         coeff = np.zeros((null.shape[0], m * n), dtype=np.int64)
         coeff[:, sl] = null
         coeffs.append(coeff)
