@@ -47,9 +47,9 @@ p > 3.
 
 Exit codes: 0 success, 2 malformed input, 3 semantic refusal (valid syntax,
 impossible request, or a request that runs out of memory), 4 conformance
-failure (including a failed internal soundness check).  The dimension guard
-p**m is capped by the environment variable CARTAN_GRADE_MAX_DIM (default
-2401).
+failure (including a failed internal soundness check).  gfp.Config refuses
+p**m past the dimension cap, the environment variable CARTAN_GRADE_MAX_DIM
+(default 2401), for arguments and payloads alike.
 """
 
 import argparse
@@ -66,7 +66,7 @@ from .classify import OPEN_IN_PAPER, enumerate_fine, invariants_of, iso_decide
 from .errors import (AdmissibilityError, CartanGradeError, ConfigError, DimensionError,
                      InternalError, ParseError)
 from .forms import algebra_rows, derived_rows
-from .gfp import Config, alpha_table, max_dim_limit
+from .gfp import Config, alpha_table
 from .gradings import (Grading, check_toral_orders, grade_O_construct, grade_S_construct,
                        induce_W, verify_grading)
 from .linalg import matmul, row_space
@@ -93,19 +93,10 @@ CHUNK_ENTRIES = 1 << 15
 
 
 def _make_config(p: int, m: int) -> Config:
-    """Validated kernel configuration for CLI parameters."""
+    """The configuration of CLI parameters: m in 1..4, then Config's checks."""
     if not 1 <= m <= 4:
         raise ConfigError(f"m must lie in 1..4, got {m}")
-    cap = max_dim_limit()
-    size = p ** m
-    if size > cap:
-        # A size past 60 digits is shown as p**m: its digits would flood the
-        # error line, or pass str's digit limit.
-        shown = size if size < 10 ** 60 else f"{p!r:.60}**{m}"
-        raise ConfigError(f"p**m = {shown} exceeds the dimension cap {cap}")
-    if p > 3:
-        return Config(p, m)
-    return Config(p, m, allow_small_p=True)
+    return Config(p, m)
 
 
 def _require_classical(cfg: Config, what: str):

@@ -53,15 +53,13 @@ def max_dim_limit() -> int:
 
 @dataclass(frozen=True)
 class Config:
-    """Ambient parameters (p, m). p must be prime; p > 3 unless explicitly unlocked.
-
-    allow_small_p=True admits p in {2, 3} for derivation-algebra work only;
-    the special/hamiltonian layers are mathematically untested there.
+    """Ambient parameters (p, m): p prime, m >= 1, p**m within the dimension
+    cap (max_dim_limit).  p in {2, 3} is admitted; the CLI requires p > 3
+    of every verb that rests on the paper's theory.
     """
 
     p: int = 5
     m: int = 2
-    allow_small_p: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -73,21 +71,22 @@ class Config:
         # a payload is refused without building p**m.  The size checks come
         # before the primality test, so trial division only ever runs on
         # p <= p**m <= cap: a huge prime p from a payload is refused at once.
-        if self.m >= cap.bit_length() or self.p ** self.m > cap:
-            raise ConfigError(f"p**m = {self.p!r:.60}**{self.m!r:.60} exceeds the configured "
-                              f"limit {cap}")
+        n = None if self.m >= cap.bit_length() else self.p ** self.m
+        if n is None or n > cap:
+            # A size not built, or past 60 digits, is shown as p**m: its
+            # digits would flood the error line, or pass str's digit limit.
+            shown = n if n is not None and n < 10 ** 60 else f"{self.p!r:.60}**{self.m!r:.60}"
+            raise ConfigError(f"p**m = {shown} exceeds the dimension cap {cap}")
         # The widest exact product is an ad matrix, inner dimension m * p**m.
-        if not float_exact(self.m * self.p ** self.m, self.p):
+        if not float_exact(self.m * n, self.p):
             raise ConfigError(f"p = {self.p}, m = {self.m}: products of inner dimension m * p**m "
                               "are not exact in double precision")
-        table_bytes = 4 * self.p ** (2 * self.m)
+        table_bytes = 4 * n * n
         if table_bytes > TABLE_BYTES_LIMIT:
             raise ConfigError(f"p = {self.p}, m = {self.m}: the product index table needs "
                               f"{table_bytes} bytes, past the limit of {TABLE_BYTES_LIMIT}")
         if not _is_prime(self.p):
             raise ConfigError(f"p must be prime, got {self.p}")
-        if self.p <= 3 and not self.allow_small_p:
-            raise ConfigError(f"p={self.p} needs allow_small_p=True and is supported for the derivation algebra only")
 
     @property
     def n(self) -> int:

@@ -315,16 +315,16 @@ def z_monomial(cfg: Config, alpha) -> OElem:
 
 
 def z_basis_matrix(cfg: Config, s: int):
-    """n x n change of basis: column j = coefficient table of the mixed
-    monomial with exponent tuple alpha(j), grouplike in the first s axes
-    and plain x-powers in the rest."""
+    """n x n change of basis, entries in [0, p): column j = coefficient
+    table of the mixed monomial with exponent tuple alpha(j), grouplike in
+    the first s axes and plain x-powers in the rest."""
     if not 0 <= s <= cfg.m:
         raise AxisRangeError(f"s={s} out of range 0..{cfg.m}")
     p = cfg.p
     zp = _binomials(p).T                    # row a, column e: C(e, a)
     out = np.ones((1, 1), dtype=np.int64)
     for axis in range(cfg.m):
-        out = np.kron(out, zp if axis < s else np.eye(p, dtype=np.int64))
+        out = np.kron(out, zp if axis < s else np.eye(p, dtype=np.int64)) % p
     return out
 
 

@@ -88,7 +88,7 @@ def _function_terms(data, cfg: Config | None):
     m = _need(data, "m", "function", int)
     if cfg is None:
         try:
-            cfg = Config(p, m) if p > 3 else Config(p, m, allow_small_p=True)
+            cfg = Config(p, m)
         except CartanGradeError as exc:
             raise ParseError(f"bad configuration in payload: {exc}") from exc
     elif (cfg.p, cfg.m) != (p, m):

@@ -1,5 +1,6 @@
 """Configuration, multi-index tables, and mod-p binomials."""
 
+import dataclasses
 import math
 import random
 
@@ -20,8 +21,26 @@ def test_config_rejects_bad_parameters():
         Config(9, 2)
     with pytest.raises(ConfigError):
         Config(5, 0)
-    with pytest.raises(ConfigError):
-        Config(5, 6)  # 5**6 blows the dimension cap
+    with pytest.raises(ConfigError, match=r"p\*\*m = 15625 exceeds the dimension cap 2401"):
+        Config(5, 6)
+
+
+def test_config_cap_line_shows_the_size_or_p_and_m(monkeypatch):
+    # The size itself below 10**60; p**m past it, with p clipped to 60
+    # characters; and p**m, both clipped, once m reaches the cap's bit
+    # length, where the size is never built.
+    with pytest.raises(ConfigError, match=r"^p\*\*m = 10{59}\*\*1 exceeds the dimension cap 2401$"):
+        Config(10**61, 1)
+    with pytest.raises(ConfigError, match=r"^p\*\*m = 2\*\*1{60} exceeds"):
+        Config(2, int("1" * 80))
+    monkeypatch.setenv("CARTAN_GRADE_MAX_DIM", "10")
+    with pytest.raises(ConfigError, match=r"^p\*\*m = 2\*\*4 exceeds the dimension cap 10$"):
+        Config(2, 4)
+    with pytest.raises(ConfigError, match=r"^p\*\*m = 11 exceeds the dimension cap 10$"):
+        Config(11, 1)
+    # p < 2 is refused before the size: |p|**m may be past the cap.
+    with pytest.raises(ConfigError, match=r"^p must be prime, got -100$"):
+        Config(-100, 2)
 
 
 @pytest.mark.parametrize("m, below, above", [(1, 208057, 208067), (2, 8191, 8209)])
@@ -60,14 +79,15 @@ def test_every_configuration_under_the_default_cap_passes_the_float_bound():
             if p**m > 2401:
                 break
             if all(p % d for d in range(2, p)):
-                assert Config(p, m, allow_small_p=True).n == p**m
+                assert Config(p, m).n == p**m
 
 
-def test_small_characteristic_needs_explicit_unlock():
-    with pytest.raises(ConfigError):
-        Config(3, 2)
-    assert Config(3, 2, allow_small_p=True).n == 9
-    assert Config(2, 3, allow_small_p=True).n == 8
+def test_config_is_the_pair_p_m_at_every_prime():
+    # p in {2, 3} is admitted like any prime; the CLI refuses the verbs that
+    # need p > 3.  Two configurations are equal exactly when (p, m) are.
+    assert [f.name for f in dataclasses.fields(Config)] == ["p", "m"]
+    assert Config(3, 2).n == 9 and Config(2, 3).n == 8
+    assert Config(3, 2) == Config(3, 2) and Config(3, 2) != Config(2, 3)
 
 
 def test_flat_index_round_trip():
@@ -111,7 +131,7 @@ def test_mul_index_table_matches_direct_addition():
 
 @pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3), (3, 4)])
 def test_mul_index_table_matches_a_per_entry_sum_in_any_chunking(p, m, monkeypatch):
-    cfg = Config(p, m, allow_small_p=True)
+    cfg = Config(p, m)
     want = np.full((cfg.n, cfg.n), cfg.n, dtype=np.int32)
     for s in range(cfg.n):
         for t in range(cfg.n):

@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from cartangrade import oalg
+from cartangrade import linalg, oalg
 from cartangrade.errors import ValidityError
 from cartangrade.gfp import Config
-from cartangrade.oalg import OElem, mul_rows, mul_tables, mult_operator, z_monomial, z_tables
+from cartangrade.oalg import (OElem, mul_rows, mul_tables, mult_operator, z_basis_inverse,
+                              z_basis_matrix, z_monomial, z_tables)
 
 from algebra_helpers import binom_mod_p, dp_monomial, in_max_ideal, substitute, weight_degree
 
@@ -151,7 +152,7 @@ def test_stacked_mult_operator_is_one_matrix_per_table():
 @pytest.mark.parametrize("run_terms", [40, 1 << 14])
 def test_mul_rows_is_one_product_per_row_pair(p, m, run_terms, monkeypatch):
     monkeypatch.setattr(oalg, "_RUN_TERMS", run_terms)     # one row per run, or a few
-    cfg = Config(p, m, allow_small_p=p <= 3)
+    cfg = Config(p, m)
     rng = np.random.default_rng(37)
     a = rng.integers(0, p, (12, cfg.n)) * (rng.random((12, cfg.n)) < 0.3)
     b = rng.integers(0, p, (12, cfg.n))
@@ -170,3 +171,16 @@ def test_queries_and_bookkeeping():
     with pytest.raises(ValueError, match="weight degree of 0"):
         weight_degree(OElem.zero(cfg))
     assert sorted(f.terms()) == [((0, 1), 3), ((1, 0), 2), ((2, 1), 4)]
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 3)])
+def test_z_basis_matrix_is_reduced_and_inverted_by_the_closed_form(p, m):
+    # The Kronecker product of the binomial factors reaches (p-1)**s before
+    # reduction; the matrix holds residues, and z_basis_inverse inverts its
+    # transpose at every toral rank s.
+    cfg = Config(p, m)
+    for s in range(m + 1):
+        z = z_basis_matrix(cfg, s)
+        assert z.min() >= 0 and z.max() < p
+        got = linalg.matmul(z.T, z_basis_inverse(p, m, s), p)
+        assert np.array_equal(got, np.eye(cfg.n, dtype=np.int64))

@@ -468,7 +468,7 @@ def test_cli_clips_a_huge_free_rank(tmp_path, capsys):
 
 
 def test_cli_clips_a_huge_prime_in_a_function_payload(tmp_path, capsys):
-    """gfp.Config's "exceeds the configured limit" line, wrapped as a bad
+    """gfp.Config's "exceeds the dimension cap" line, wrapped as a bad
     configuration in the payload: about 4 KB before the clip."""
     data = _standard_grading_payload()
     data["components"][0]["basis"][0].update(p=HUGE + 1, m=1)
@@ -477,7 +477,8 @@ def test_cli_clips_a_huge_prime_in_a_function_payload(tmp_path, capsys):
     assert cli.main(["grade", "verify", "--grading", str(src)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert "p**m = 1000" in err and "exceeds" in err and len(err.encode()) <= 200
+    assert "p**m = 1000" in err and "exceeds the dimension cap 2401" in err
+    assert len(err.encode()) <= 200
 
 
 @pytest.mark.parametrize("field", ["s", "mult"])
@@ -839,7 +840,7 @@ def element_oelem_from_data(data, cfg=None):
     m = serialize._need(data, "m", "function", int)
     if cfg is None:
         try:
-            cfg = Config(p, m) if p > 3 else Config(p, m, allow_small_p=True)
+            cfg = Config(p, m)
         except CartanGradeError as exc:
             raise ParseError(f"bad configuration in payload: {exc}") from exc
     elif (cfg.p, cfg.m) != (p, m):

@@ -1,4 +1,5 @@
-"""Every function, class and method of the package has a caller.
+"""Every function, class and method of the package has a caller, and every
+name a module imports is read.
 
 A module-level function or class, or a method that is not a dunder, counts
 as used when any of these holds:
@@ -13,7 +14,9 @@ as used when any of these holds:
 Names are matched bare, so a method counts as used when any attribute of
 that name is read.  Every other definition needs an entry in PUBLIC that
 says why it stays, and an entry must name a definition that nothing else
-keeps.
+keeps.  An import binds a name for its module alone, so a module other
+than __init__.py (whose imports are the exports) must read every name it
+imports.
 """
 
 import ast
@@ -95,6 +98,31 @@ def unreferenced():
 def test_every_definition_has_a_caller_or_a_reason():
     missing = sorted(unreferenced() - PUBLIC.keys())
     assert not missing, f"defined in src/ and used by nothing: {missing}"
+
+
+def unread_imports():
+    """module.name of every name a package module other than __init__.py
+    imports and never reads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".", 1)[0]
+                    if bound not in read:
+                        out.append(f"{path.stem}.{bound}")
+    return out
+
+
+def test_every_imported_name_is_read():
+    unread = unread_imports()
+    assert not unread, f"imported in src/ and never read: {unread}"
 
 
 def test_public_entries_name_definitions_nothing_else_keeps():

@@ -50,7 +50,7 @@ def test_bracket_is_the_operator_commutator():
 
 @pytest.mark.parametrize("p, m", [(5, 2), (5, 3), (3, 2), (5, 1), (7, 2)])
 def test_bracket_rows_match_ad_matrix_products(p, m):
-    cfg = Config(p, m, allow_small_p=p <= 3)
+    cfg = Config(p, m)
     rng = random.Random(41)
     ds = [random_derivation(cfg, rng) for _ in range(6)]
     es = [random_derivation(cfg, rng) for _ in range(6)]
