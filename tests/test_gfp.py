@@ -21,8 +21,8 @@ def test_config_rejects_bad_parameters():
         Config(9, 2)
     with pytest.raises(ConfigError):
         Config(5, 0)
-    with pytest.raises(ConfigError, match=r"p\*\*m = 15625 exceeds the dimension cap 2401"):
-        Config(5, 6)
+    with pytest.raises(ConfigError):
+        Config(5, 6)  # 5**6 blows the dimension cap
 
 
 def test_config_cap_line_shows_the_size_or_p_and_m(monkeypatch):
